@@ -63,7 +63,6 @@ class RunConfig:
     k: Optional[int] = None
     p: Optional[Fraction] = None
     m: Optional[int] = None
-    eta: Optional[Fraction] = None
     workers: int = 1
     out: Optional[str] = None
     fmt: str = "json"
@@ -121,20 +120,20 @@ def build_parser() -> _Parser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--t", type=int)
-        p.add_argument("--t-max", type=int, default=100)
+        p.add_argument("--t-max", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--k", type=int)
         p.add_argument("--p", type=parse_rational)
         p.add_argument("--m", type=int)
-        p.add_argument("--eta", type=parse_rational)
         p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("EKR_WORKERS", "1")))
+                       help="worker processes; default: the config file, "
+                            "then EKR_WORKERS, then 1")
         p.add_argument("--out")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
         p.add_argument("--resume", action="store_true")
         p.add_argument("--shifted", action="store_true",
                        help="restrict the search to shifted families")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int)
         p.add_argument("--config", help="flat key=value config file; flags override")
 
     pv = sub.add_parser("verify", help="run a verification suite")
@@ -156,8 +155,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.suite = val
         elif key in ("t", "t_max", "n", "k", "m", "workers", "seed"):
             setattr(cfg, key, int(val))
-        elif key in ("p", "eta"):
-            setattr(cfg, key, Fraction(val))
+        elif key == "p":
+            cfg.p = Fraction(val)
         elif key in ("out",):
             cfg.out = val
         elif key == "format":
@@ -166,17 +165,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, val.lower() in ("1", "true", "yes"))
         else:
             raise ValueError(f"unknown config key {key!r}")
-    for key in ("t", "n", "k", "p", "m", "eta", "out"):
+    if "workers" not in file_values and "EKR_WORKERS" in os.environ:
+        cfg.workers = int(os.environ["EKR_WORKERS"])
+    for key in ("t", "t_max", "n", "k", "p", "m", "workers", "out", "fmt", "seed"):
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
-    cfg.t_max = args.t_max
-    cfg.workers = args.workers
-    if args.fmt != "json":
-        cfg.fmt = args.fmt
     cfg.resume = cfg.resume or args.resume
     cfg.shifted = cfg.shifted or args.shifted
-    cfg.seed = args.seed
     cfg.validate()
     return cfg
 

@@ -62,8 +62,14 @@ ANCHORS: dict[str, str] = {
     "uniform-envelope-s2-combo": "s=2 term combination with coupled cap < 0.89",
     "uniform-envelope-s2-decoupled": "s=2 combination with decoupled cap(14,16,1)=1.2 stays < 1 (exceeds 0.89)",
     "uniform-envelope-s3-combo": "s>=3 term combination < 0.77",
+    "uniform-envelope-s2-combo-components": (
+        "component caps e/14 < 0.195, e^(8/7)/14 < 0.224, e^2/196 < 0.038, e^2/14 < 0.528, "
+        "cap(14,14,2)^2 < 0.47, cap(14,14,3)^2 < 0.12, cap(14,14,3) < 0.34"
+    ),
+    "uniform-envelope-cap-mono": "cap(t,u,s) > cap(t,u,s+1) for s in {2,3,4}, 14 <= t < 40, 0 <= u <= 2t",
     "uniform-side-exact": "exact shallow-pair expression < 1",
     "uniform-side-relaxed": "enclosed shallow-pair expression < 1",
+    "uniform-side-relaxed-trend": "enclosed shallow-pair expression decreasing over the sweep from t = 16",
     "uniform-deep-sweep": "deep_pair_bound(t) < 1 reused on the uniform side",
     "stability-unit-at-inverse": "(t+2)p(1-p) + p^2 = 1 at p = 1/(t+1)",
     "stability-increasing": "(t+2)p(1-p) + p^2 increasing on the stated p range",

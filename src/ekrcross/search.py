@@ -30,6 +30,7 @@ from .setfam import (
     is_inclusion_maximal,
     is_shifted,
     mask_of,
+    maximal_cross_partner,
     shift_pair_to_fixpoint,
     shifts_to,
     upward_closure,
@@ -172,7 +173,6 @@ def _dominance_preds(masks: Sequence[int], n: int, same_size_only: bool) -> list
     a shift-closed family containing i must contain j.
     """
     subs = [Subset(n, m) for m in masks]
-    index = {m: pos for pos, m in enumerate(masks)}
     preds = [0] * len(masks)
     for i, si in enumerate(subs):
         for j, sj in enumerate(subs):
@@ -182,7 +182,6 @@ def _dominance_preds(masks: Sequence[int], n: int, same_size_only: bool) -> list
                 continue
             if shifts_to(si, sj):
                 preds[i] |= 1 << j
-    del index
     return preds
 
 
@@ -525,9 +524,11 @@ def brute_force_weight_max(n: int, t: int, p: Fraction) -> Fraction:
 
 
 def _dominance_closure(
-    members: Sequence[int], all_masks: Sequence[int], preds: Sequence[int]
+    members: Sequence[int],
+    all_masks: Sequence[int],
+    index: dict[int, int],
+    preds: Sequence[int],
 ) -> tuple[int, ...]:
-    index = {m: i for i, m in enumerate(all_masks)}
     chosen = 0
     for m in members:
         i = index[m]
@@ -552,45 +553,65 @@ def generate_shifted_pairs(
     upward closure.  Emitted pairs are verified shifted and cross
     t-intersecting; a failure would falsify the compression lemma and
     raises.
+
+    Small configurations run out of new pairs long before the attempt
+    cap, so repeats are made cheap without changing the stream.  The
+    chain seed -> partner -> partner -> fixpoint depends only on the
+    seed's member set, so a memo local to the call computes it once per
+    distinct seed.  The checks depend only on the pair's masks, so they
+    run once per distinct pair, on its first appearance; a repeat is
+    dropped by the ``seen`` lookup before any family is built.  Every
+    random draw is made exactly as without the memo, so the output is
+    the same.
     """
     rng = random.Random(seed)
     cands = uniform_layer(n, k) if k is not None else list(range(1 << n))
     preds = _dominance_preds(cands, n, same_size_only=k is not None)
+    index = {m: i for i, m in enumerate(cands)}
+    Masks = tuple[int, ...]
+    fixpoints: dict[Masks, Optional[tuple[Masks, Masks]]] = {}
     pairs: list[tuple[Family, Family]] = []
     seen = set()
     attempts = 0
-    from .setfam import maximal_cross_partner
 
-    def shrink(fam: Family) -> Family:
-        if len(fam.masks) <= 1 or rng.random() < 0.4:
-            return fam
-        take = rng.randint(1, len(fam.masks))
-        sample = rng.sample(fam.masks, take)
-        return Family(n, _dominance_closure(sample, cands, preds), k)
+    def shrink(masks: Masks) -> Masks:
+        if len(masks) <= 1 or rng.random() < 0.4:
+            return masks
+        take = rng.randint(1, len(masks))
+        sample = rng.sample(masks, take)
+        return _dominance_closure(sample, cands, index, preds)
+
+    def fixpoint(members: Masks) -> Optional[tuple[Masks, Masks]]:
+        b0 = maximal_cross_partner(Family(n, members, k), t, k)
+        if not b0.masks:
+            return None
+        a0 = maximal_cross_partner(b0, t, k)
+        if not a0.masks:
+            return None
+        a, b, _ = shift_pair_to_fixpoint(a0, b0)
+        if not a.masks or not b.masks:
+            return None
+        return a.masks, b.masks
 
     while len(pairs) < count and attempts < 400 * count + 100:
         attempts += 1
         seed_masks = rng.sample(cands, rng.randint(1, min(3, len(cands))))
-        seed_fam = Family(n, tuple(sorted(set(seed_masks))), k)
-        b0 = maximal_cross_partner(seed_fam, t, k)
-        if not b0.masks:
+        members = tuple(sorted(set(seed_masks)))
+        if members not in fixpoints:
+            fixpoints[members] = fixpoint(members)
+        shifted = fixpoints[members]
+        if shifted is None:
             continue
-        a0 = maximal_cross_partner(b0, t, k)
-        if not a0.masks:
+        key = (shrink(shifted[0]), shrink(shifted[1]))
+        if key in seen:
             continue
-        a, b, _ = shift_pair_to_fixpoint(a0, b0)
-        if not a.masks or not b.masks:
-            continue
-        a, b = shrink(a), shrink(b)
+        a, b = Family(n, key[0], k), Family(n, key[1], k)
         if not (is_shifted(a) and is_shifted(b)):
             raise RuntimeError("compression fixpoint is not shifted")
         if not is_cross_t_intersecting(a, b, t):
             raise RuntimeError("compression broke the cross-intersection property")
         if k is None and not (is_inclusion_maximal(a) and is_inclusion_maximal(b)):
             raise RuntimeError("dominance closure failed to stay upward closed")
-        key = (a.masks, b.masks)
-        if key in seen:
-            continue
         seen.add(key)
         pairs.append((a, b))
     return pairs

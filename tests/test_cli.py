@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from ekrcross.cli import USAGE_ERROR, load_config_file, main
+from ekrcross.cli import (
+    USAGE_ERROR,
+    VERIFY_SUITES,
+    build_parser,
+    config_from_args,
+    load_config_file,
+    main,
+)
+from ekrcross.report import ANCHORS, anchor_for
 
 
 def run(capsys, *argv):
@@ -105,6 +113,17 @@ class TestVerifyCommands:
         rows = json.loads(out_path.read_text())
         assert any(r["claim_id"].startswith("stability-unit") for r in rows)
 
+    @pytest.mark.parametrize(
+        "suite", [s for s in VERIFY_SUITES if not s.startswith("search-")]
+    )
+    def test_every_claim_has_an_anchor(self, suite, capsys):
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 0
+        for row in json.loads(out):
+            base = row["claim_id"].split("[", 1)[0]
+            assert base in ANCHORS, row["claim_id"]
+            assert row["anchor"] == anchor_for(row["claim_id"]) == ANCHORS[base]
+
     def test_search_via_verify_alias(self, capsys):
         code, out, _ = run(
             capsys, "verify", "search-uniform", "--n", "4", "--k", "2", "--t", "1"
@@ -141,6 +160,31 @@ class TestConfigFile:
         cfg.write_text("just words\n")
         with pytest.raises(ValueError, match="bad config line"):
             load_config_file(str(cfg))
+
+    def test_precedence_flag_file_environment_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EKR_WORKERS", "3")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("t_max = 20\nseed = 5\nworkers = 2\nformat = csv\n")
+        parse = build_parser().parse_args
+        cfg = config_from_args(parse(["verify", "graphs", "--config", str(cfg_file)]))
+        assert (cfg.t_max, cfg.seed, cfg.workers, cfg.fmt) == (20, 5, 2, "csv")
+        cfg = config_from_args(parse(
+            ["verify", "graphs", "--config", str(cfg_file), "--t-max", "30",
+             "--seed", "7", "--workers", "4", "--format", "json"]
+        ))
+        assert (cfg.t_max, cfg.seed, cfg.workers, cfg.fmt) == (30, 7, 4, "json")
+        cfg = config_from_args(parse(["verify", "graphs"]))
+        assert (cfg.t_max, cfg.seed, cfg.workers, cfg.fmt) == (100, 0, 3, "json")
+        monkeypatch.delenv("EKR_WORKERS")
+        assert config_from_args(parse(["verify", "graphs"])).workers == 1
+
+    def test_eta_is_gone(self, tmp_path, capsys):
+        assert run(capsys, "verify", "graphs", "--eta", "1/2")[0] == USAGE_ERROR
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("eta = 1/2\n")
+        code, _, err = run(capsys, "verify", "graphs", "--config", str(cfg_file))
+        assert code == USAGE_ERROR
+        assert "unknown config key 'eta'" in err
 
     def test_comments_and_rationals(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

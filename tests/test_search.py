@@ -1,5 +1,6 @@
 """Extremal searches: closure engine, shifted mode, graph facts."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ekrcross.search
 from ekrcross import graphs as gr
 from ekrcross.search import (
     SearchBudget,
@@ -27,6 +29,7 @@ from ekrcross.setfam import (
     is_shifted,
     make_threshold_family,
     make_threshold_family_uniform,
+    mask_of,
     maximal_cross_partner,
     shift_ij,
 )
@@ -202,6 +205,44 @@ class TestGeneratedPairs:
             assert lambda_family(a) + lambda_family(b) >= 4
         for a, b in generate_shifted_pairs(6, 3, 2, 10, seed=5):
             assert lambda_family(a) + lambda_family(b) >= 4
+
+    # sha256 of repr([(a.masks, b.masks), ...]) for the criterion-7
+    # configurations at count 80 and seed 100 + idx, recorded before the
+    # generator memoized its fixpoints; any change to the stream shows.
+    PINNED_STREAMS = (
+        ((5, None, 1), 80, "a32da4c8b8e206db0c11243b5be4b788bbb65c16a2b154211089f06bc06956e6"),
+        ((5, None, 2), 80, "ecaafaf2aa6878a5e28d55056885f61d279cba105bf76cb1fc8945cb40ef3929"),
+        ((6, None, 1), 80, "81101f2cd021f8ecba297852c58a787b54265187f0052b704d2c68b10efb6fd6"),
+        ((6, None, 2), 80, "b321557ed76dc246514b98f506325b52c9d0d626bac25d04625854c198a5e2f0"),
+        ((6, 3, 1), 80, "dfaeee98f8acf63c0f1296c4c74aecbf4ec8d6d9d2b6951e2ae4a3f735149fb8"),
+        ((6, 3, 2), 64, "ba10b177015ac7bd5f98b71e5d125498c906ab34967424174efa9158c8235aee"),
+        ((6, 2, 1), 48, "123f8fbda00525a1342144dbd45d586c72e8de43a0b565f8a03a330ff73e9c81"),
+        ((5, 2, 1), 32, "7adb40bdbc7daf0d60fab0247d19e81e7992df822fa4b09e391272d37e94b3eb"),
+    )
+
+    def test_pinned_streams(self):
+        for idx, ((n, k, t), size, digest) in enumerate(self.PINNED_STREAMS):
+            pairs = generate_shifted_pairs(n, k, t, 80, seed=100 + idx)
+            masks = [(a.masks, b.masks) for a, b in pairs]
+            assert len(masks) == size, (n, k, t)
+            assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest, (n, k, t)
+
+    @pytest.mark.parametrize("n, k, t", [(5, None, 1), (6, 3, 2)])
+    def test_checks_run_under_the_memo(self, monkeypatch, n, k, t):
+        # A single member containing n is never shifted, and a
+        # one-member side is never shrunk, so the generator must refuse
+        # the first pair it would emit.
+        calls = []
+        lone = Family(n, (mask_of([*range(1, (k or 1)), n], n),), k)
+
+        def unshifted(a, b):
+            calls.append((a, b))
+            return lone, lone, []
+
+        monkeypatch.setattr(ekrcross.search, "shift_pair_to_fixpoint", unshifted)
+        with pytest.raises(RuntimeError, match="not shifted"):
+            generate_shifted_pairs(n, k, t, 10, seed=1)
+        assert calls
 
 
 class TestReferenceFamilyRigidity:
