@@ -2,7 +2,7 @@
 """Run every verification suite and the desk-scale searches, writing
 JSON reports into reports/.
 
-Usage: python scripts/run_all_suites.py [--workers N] [--t-max N]
+Usage: python scripts/run_all_suites.py [--t-max N]
 """
 
 import argparse
@@ -30,7 +30,6 @@ RUNS = [
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--t-max", type=int, default=100)
     parser.add_argument("--out-dir", default=str(ROOT / "reports"))
     args = parser.parse_args()
@@ -42,8 +41,6 @@ def main() -> int:
         extra = ["--out", str(out_dir / name)]
         if argv[1] == "bounds-all":
             extra += ["--t-max", str(args.t_max)]
-        if argv[1] == "case2-finite":
-            extra += ["--workers", str(args.workers)]
         t0 = time.time()
         code = cli_main(argv + extra)
         print(f"{name:32s} exit={code} {time.time() - t0:6.1f}s")

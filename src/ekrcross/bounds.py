@@ -18,13 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .intervals import RationalInterval, decide, e_enclosure, exp_enclosure
 from .measure import WeightParams, mu
-from .report import (
-    INCONCLUSIVE,
-    REFUTED,
-    SKIPPED,
-    VERIFIED,
-    VerificationReport,
-)
+from .report import SKIPPED, VerificationReport, claim
 from .setfam import Family
 
 Rat = Union[Fraction, int]
@@ -38,19 +32,6 @@ def _comb(n: int, r: int) -> int:
 
 def _frac(x: Rat) -> Fraction:
     return Fraction(x)
-
-
-def _mk(claim_id: str, ok: Optional[bool], lhs=None, rhs=None, witness=None,
-        started: float = 0.0) -> VerificationReport:
-    if ok is None:
-        status = INCONCLUSIVE
-    else:
-        status = VERIFIED if ok else REFUTED
-    if status == REFUTED and witness is None:
-        witness = {"lhs": lhs, "rhs": rhs}
-    elapsed = (time.perf_counter() - started) * 1000 if started else 0.0
-    return VerificationReport(claim_id, status, lhs=lhs, rhs=rhs, witness=witness,
-                              elapsed_ms=elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +136,9 @@ def verify_envelope_monotonicity(
                 high_ok, bad = False, {"t": t, "s": s, "side": "high"}
     grid = {"t": [min(t_range), max(t_range)], "s": [min(s_range), max(s_range)]}
     return [
-        _mk("envelope-mono-low", low_ok, witness=bad if not low_ok else grid, started=started),
-        _mk("envelope-mono-high", high_ok, witness=bad if not high_ok else grid, started=started),
-        _mk("envelope-mono-poly", poly_ok, witness=bad if not poly_ok else grid, started=started),
+        claim("envelope-mono-low", low_ok, witness=bad if not low_ok else grid, started=started),
+        claim("envelope-mono-high", high_ok, witness=bad if not high_ok else grid, started=started),
+        claim("envelope-mono-poly", poly_ok, witness=bad if not poly_ok else grid, started=started),
     ]
 
 
@@ -174,7 +155,7 @@ def verify_envelope_products() -> list[VerificationReport]:
         ),
         ("envelope-product-f14sq", envelope(14, 2, Fraction(1, 15)) ** 2, Fraction(46, 100)),
     ]
-    return [_mk(cid, lhs < rhs, lhs=lhs, rhs=rhs, started=started) for cid, lhs, rhs in checks]
+    return [claim(cid, lhs < rhs, lhs=lhs, rhs=rhs, started=started) for cid, lhs, rhs in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +216,29 @@ def _grid_increasing(values: Sequence[Fraction]) -> Optional[int]:
     return None
 
 
+def _deep_pair_sweep(claim_id: str, t_max: int, started: float) -> VerificationReport:
+    """deep_pair_bound(t) < 1 at every t in 7..t_max."""
+    ok: Optional[bool] = True
+    bad_t = None
+    for t in range(7, t_max + 1):
+        r = decide(lambda o, t=t: deep_pair_bound(t, o), 1, "<")
+        if r is not True:
+            ok, bad_t = r, t
+            break
+    return claim(claim_id, ok, witness={"t_range": [7, t_max]} if ok else {"t": bad_t},
+                 started=started)
+
+
 def verify_side_bound_shapes(t_max: int = 100) -> list[VerificationReport]:
     """Threshold instances and shape claims for the three case bounds."""
     out: list[VerificationReport] = []
     started = time.perf_counter()
 
     ok = decide(lambda o: deep_pair_bound(7, o), Fraction(999, 1000), "<")
-    out.append(_mk("deep-pair-g7", ok, lhs=deep_pair_bound(7, 48),
-                   rhs=Fraction(999, 1000), started=started))
+    out.append(claim("deep-pair-g7", ok, lhs=deep_pair_bound(7, 48),
+                     rhs=Fraction(999, 1000), started=started))
 
-    sweep_ok: Optional[bool] = True
-    bad_t = None
-    for t in range(7, t_max + 1):
-        r = decide(lambda o, t=t: deep_pair_bound(t, o), 1, "<")
-        if r is not True:
-            sweep_ok, bad_t = r, t
-            break
-    out.append(_mk("deep-pair-sweep", sweep_ok,
-                   witness={"t_range": [7, t_max]} if sweep_ok else {"t": bad_t},
-                   started=started))
+    out.append(_deep_pair_sweep("deep-pair-sweep", t_max, started))
 
     # Consecutive differences of the deep-pair bound flip sign at most
     # once over the sweep; the location is recorded, not assumed.
@@ -275,15 +260,15 @@ def verify_side_bound_shapes(t_max: int = 100) -> list[VerificationReport]:
         flip_at = 8 + rises[0]
         if any(s < 0 for s in signs[rises[0]:]):
             single_flip = False
-    out.append(_mk("deep-pair-trend", single_flip,
-                   witness={"first_increase_at_t": flip_at, "signs": signs},
-                   started=started))
+    out.append(claim("deep-pair-trend", single_flip,
+                     witness={"first_increase_at_t": flip_at, "signs": signs},
+                     started=started))
 
     g13 = low_side_bound(13)
-    out.append(_mk("low-side-g13", g13 < 1, lhs=g13, rhs=Fraction(1), started=started))
+    out.append(claim("low-side-g13", g13 < 1, lhs=g13, rhs=Fraction(1), started=started))
     ok = decide(lambda o: low_side_bound_relaxed(14, o), 1, "<")
-    out.append(_mk("low-side-relaxed-g14", ok, lhs=low_side_bound_relaxed(14, 48),
-                   rhs=Fraction(1), started=started))
+    out.append(claim("low-side-relaxed-g14", ok, lhs=low_side_bound_relaxed(14, 48),
+                     rhs=Fraction(1), started=started))
 
     dec_ok: Optional[bool] = True
     for t in range(14, t_max):
@@ -291,8 +276,8 @@ def verify_side_bound_shapes(t_max: int = 100) -> list[VerificationReport]:
         if not a.lo > b.hi:
             dec_ok = False
             break
-    out.append(_mk("low-side-relaxed-trend", dec_ok, witness={"t_range": [14, t_max]},
-                   started=started))
+    out.append(claim("low-side-relaxed-trend", dec_ok, witness={"t_range": [14, t_max]},
+                     started=started))
 
     # (1-a)(tq-(t-1)q^3) increases in p up to p = 1/(t+1), where it equals
     # t(t-1)(3t+1)/(t+1)^3 exactly.
@@ -311,11 +296,11 @@ def verify_side_bound_shapes(t_max: int = 100) -> list[VerificationReport]:
             mono_ok = False
             witness = {"t": t, "bad_index": bad, "endpoint": vals[-1], "cap": cap}
             break
-    out.append(_mk("low-side-p-mono", mono_ok, witness=witness, started=started))
+    out.append(claim("low-side-p-mono", mono_ok, witness=witness, started=started))
 
     ok = decide(lambda o: high_side_bound(13, o), Fraction(96, 100), "<")
-    out.append(_mk("high-side-h13", ok, lhs=high_side_bound(13, 48),
-                   rhs=Fraction(96, 100), started=started))
+    out.append(claim("high-side-h13", ok, lhs=high_side_bound(13, 48),
+                     rhs=Fraction(96, 100), started=started))
 
     dec_ok = True
     for t in range(13, t_max):
@@ -323,8 +308,8 @@ def verify_side_bound_shapes(t_max: int = 100) -> list[VerificationReport]:
         if not a.lo > b.hi:
             dec_ok = False
             break
-    out.append(_mk("high-side-trend", dec_ok, witness={"t_range": [13, t_max]},
-                   started=started))
+    out.append(claim("high-side-trend", dec_ok, witness={"t_range": [13, t_max]},
+                     started=started))
 
     # (1-a)(1-q^2) increasing in p for p <= 0.274, on a 1/1000-step grid.
     vals = []
@@ -333,8 +318,8 @@ def verify_side_bound_shapes(t_max: int = 100) -> list[VerificationReport]:
         q = 1 - p
         vals.append((1 - p / q) * (1 - q * q))
     bad = _grid_increasing(vals)
-    out.append(_mk("high-side-p-mono", bad is None,
-                   witness={"grid_step": "1/1000", "bad_index": bad}, started=started))
+    out.append(claim("high-side-p-mono", bad is None,
+                     witness={"grid_step": "1/1000", "bad_index": bad}, started=started))
     return out
 
 
@@ -356,8 +341,8 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
         if r is not True:
             ok = r
             break
-    out.append(_mk("prefactor-exp-over-t", ok, witness={"t_range": [8, t_max]},
-                   started=started))
+    out.append(claim("prefactor-exp-over-t", ok, witness={"t_range": [8, t_max]},
+                     started=started))
 
     ok = True
     for t in range(15, t_max + 1):
@@ -365,12 +350,12 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
         if r is not True:
             ok = r
             break
-    out.append(_mk("prefactor-exp-half", ok, witness={"t_range": [15, t_max]},
-                   started=started))
+    out.append(claim("prefactor-exp-half", ok, witness={"t_range": [15, t_max]},
+                     started=started))
 
     lhs = Fraction(15, 14) ** 29 / 15
-    out.append(_mk("prefactor-rational-half-t14", lhs < Fraction(1, 2), lhs=lhs,
-                   rhs=Fraction(1, 2), started=started))
+    out.append(claim("prefactor-rational-half-t14", lhs < Fraction(1, 2), lhs=lhs,
+                     rhs=Fraction(1, 2), started=started))
 
     ok = True
     bad = None
@@ -381,8 +366,8 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
         if not val < 1:
             ok, bad = False, {"t": t, "value": val}
             break
-    out.append(_mk("prefactor-alpha-power", ok, witness=bad or {"t_range": [14, t_max]},
-                   started=started))
+    out.append(claim("prefactor-alpha-power", ok, witness=bad or {"t_range": [14, t_max]},
+                     started=started))
 
     ok = True
     bad = None
@@ -399,8 +384,8 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
                 break
         if not ok:
             break
-    out.append(_mk("prefactor-binomial-half", ok, witness=bad or {"samples": len(samples)},
-                   started=started))
+    out.append(claim("prefactor-binomial-half", ok, witness=bad or {"samples": len(samples)},
+                     started=started))
     return out
 
 
@@ -425,8 +410,8 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
     started = time.perf_counter()
 
     ok = decide(lambda o: extremal_gap(8, 1, o), Fraction(12, 10), ">")
-    out.append(_mk("extremal-gap-f81", ok, lhs=extremal_gap(8, 1, 48),
-                   rhs=Fraction(12, 10), started=started))
+    out.append(claim("extremal-gap-f81", ok, lhs=extremal_gap(8, 1, 48),
+                     rhs=Fraction(12, 10), started=started))
 
     grid_ok: Optional[bool] = True
     bad = None
@@ -438,9 +423,9 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
                 break
         if grid_ok is not True:
             break
-    out.append(_mk("extremal-gap-grid", grid_ok,
-                   witness=bad or {"t_range": [8, t_max], "i_range": [1, i_max]},
-                   started=started))
+    out.append(claim("extremal-gap-grid", grid_ok,
+                     witness=bad or {"t_range": [8, t_max], "i_range": [1, i_max]},
+                     started=started))
 
     # i = 0 sits outside the claimed range (the value drops below 1);
     # recorded as skipped with the computed enclosure.
@@ -468,8 +453,8 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
                 break
         if not chain_ok:
             break
-    out.append(_mk("extremal-gap-ratio-chain", chain_ok,
-                   witness=bad or {"t_range": [6, t_max]}, started=started))
+    out.append(claim("extremal-gap-ratio-chain", chain_ok,
+                     witness=bad or {"t_range": [6, t_max]}, started=started))
     return out
 
 
@@ -513,22 +498,22 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
     started = time.perf_counter()
 
     h_14_14_2 = uniform_envelope_cap(14, 14, 2)
-    out.append(_mk("uniform-envelope-h-14-14-2", h_14_14_2 == Fraction(153, 225),
-                   lhs=h_14_14_2, rhs=Fraction(153, 225), started=started))
+    out.append(claim("uniform-envelope-h-14-14-2", h_14_14_2 == Fraction(153, 225),
+                     lhs=h_14_14_2, rhs=Fraction(153, 225), started=started))
     h_14_28_2 = uniform_envelope_cap(14, 28, 2)
-    out.append(_mk("uniform-envelope-h-14-28-2", h_14_28_2 < Fraction(221, 100),
-                   lhs=h_14_28_2, rhs=Fraction(221, 100), started=started))
+    out.append(claim("uniform-envelope-h-14-28-2", h_14_28_2 < Fraction(221, 100),
+                     lhs=h_14_28_2, rhs=Fraction(221, 100), started=started))
     h_14_16_1 = uniform_envelope_cap(14, 16, 1)
-    out.append(_mk("uniform-envelope-h-14-16-1", h_14_16_1 == Fraction(6, 5),
-                   lhs=h_14_16_1, rhs=Fraction(6, 5), started=started))
+    out.append(claim("uniform-envelope-h-14-16-1", h_14_16_1 == Fraction(6, 5),
+                     lhs=h_14_16_1, rhs=Fraction(6, 5), started=started))
 
     # The s = 2 cap on the second family: coupling the line level to the
     # touch index (v = t+2-s') gives max over s' of cap(14, 16-s', s'),
     # which stays below 1.14; the decoupled chain through cap(14,16,1)
     # only gives 1.2.  Both readings are evaluated and reported.
     coupled = max(uniform_envelope_cap(14, 16 - sp, sp) for sp in (0, 1, 2))
-    out.append(_mk("uniform-envelope-s2-coupled-cap", coupled < Fraction(114, 100),
-                   lhs=coupled, rhs=Fraction(114, 100), started=started))
+    out.append(claim("uniform-envelope-s2-coupled-cap", coupled < Fraction(114, 100),
+                     lhs=coupled, rhs=Fraction(114, 100), started=started))
 
     def combo(b2: Fraction) -> Fraction:
         return (
@@ -539,12 +524,12 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
         )
 
     tight = combo(Fraction(114, 100))
-    out.append(_mk("uniform-envelope-s2-combo", tight < Fraction(89, 100),
-                   lhs=tight, rhs=Fraction(89, 100), started=started))
+    out.append(claim("uniform-envelope-s2-combo", tight < Fraction(89, 100),
+                     lhs=tight, rhs=Fraction(89, 100), started=started))
     loose = combo(Fraction(6, 5))
-    out.append(_mk("uniform-envelope-s2-decoupled", loose < 1, lhs=loose, rhs=Fraction(1),
-                   witness={"exceeds_0.89": bool(loose >= Fraction(89, 100))},
-                   started=started))
+    out.append(claim("uniform-envelope-s2-decoupled", loose < 1, lhs=loose, rhs=Fraction(1),
+                     witness={"exceeds_0.89": bool(loose >= Fraction(89, 100))},
+                     started=started))
 
     s3 = (
         Fraction(38, 1000)
@@ -552,8 +537,8 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
         + Fraction(34, 100) * Fraction(528, 1000)
         + Fraction(12, 100)
     )
-    out.append(_mk("uniform-envelope-s3-combo", s3 < Fraction(77, 100),
-                   lhs=s3, rhs=Fraction(77, 100), started=started))
+    out.append(claim("uniform-envelope-s3-combo", s3 < Fraction(77, 100),
+                     lhs=s3, rhs=Fraction(77, 100), started=started))
 
     # Decimal component caps used above, certified against e.
     comp_ok: Optional[bool] = True
@@ -572,10 +557,10 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
         and uniform_envelope_cap(14, 14, 3) ** 2 < Fraction(12, 100)
         and uniform_envelope_cap(14, 14, 3) < Fraction(34, 100)
     )
-    out.append(_mk("uniform-envelope-s2-combo-components",
-                   bool(comp_ok) and square_ok if comp_ok is not None else None,
-                   witness={"e_caps": bool(comp_ok), "squares": square_ok},
-                   started=started))
+    out.append(claim("uniform-envelope-s2-combo-components",
+                     bool(comp_ok) and square_ok if comp_ok is not None else None,
+                     witness={"e_caps": bool(comp_ok), "squares": square_ok},
+                     started=started))
 
     # cap(t, u, s) decreases in s from s = 2 on.
     mono_ok = True
@@ -586,7 +571,7 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
                 if uniform_envelope_cap(t, u, s) <= uniform_envelope_cap(t, u, s + 1):
                     mono_ok, bad = False, {"t": t, "u": u, "s": s}
                     break
-    out.append(_mk("uniform-envelope-cap-mono", mono_ok, witness=bad, started=started))
+    out.append(claim("uniform-envelope-cap-mono", mono_ok, witness=bad, started=started))
     return out
 
 
@@ -613,8 +598,8 @@ def finite_sweep_ks(t: int) -> list[int]:
 
 def finite_sweep_chunk(t: int, ks: Sequence[int]) -> dict:
     """Exact check of the bracketed binomial ratio over all (k, n) cells
-    with the given k values.  Pure and picklable: chunks can run on any
-    worker and merge by max."""
+    with the given k values.  Chunks over disjoint k merge by max (see
+    ``merge_finite_chunks``)."""
     n_max = math.floor(low_side_threshold(t))
     best_num, best_den = 0, 1
     best_cell = None
@@ -661,14 +646,15 @@ def merge_finite_chunks(chunks: Iterable[dict]) -> dict:
 
 
 def verify_low_side_finite(t: int, ks: Optional[Sequence[int]] = None) -> VerificationReport:
-    """Single-process form of the finite (k, n) sweep for one t."""
+    """The finite (k, n) sweep for one t in FINITE_T_RANGE, over every k
+    of ``finite_sweep_ks(t)`` unless ``ks`` narrows it."""
     started = time.perf_counter()
     if t not in FINITE_T_RANGE:
         raise ValueError(f"finite sweep is defined for t in {list(FINITE_T_RANGE)}, got {t}")
     result = finite_sweep_chunk(t, ks if ks is not None else finite_sweep_ks(t))
     ok = not result["failures"]
     ratio = Fraction(result["max_num"], result["max_den"]) if result["max_den"] else None
-    return _mk(
+    return claim(
         f"finite-sweep[t={t}]",
         ok,
         lhs=ratio,
@@ -688,8 +674,8 @@ def verify_threshold_floor(t: int) -> VerificationReport:
     floor_n0 = math.floor(low_side_threshold(t))
     expected = {14: 1023}
     ok = expected[t] == floor_n0 if t in expected else True
-    return _mk(f"finite-threshold-floor[t={t}]", ok, lhs=floor_n0,
-               rhs=expected.get(t), started=started)
+    return claim(f"finite-threshold-floor[t={t}]", ok, lhs=floor_n0,
+                 rhs=expected.get(t), started=started)
 
 
 # ---------------------------------------------------------------------------
@@ -718,11 +704,11 @@ def verify_uniform_side_bounds(t_max: int = 100) -> list[VerificationReport]:
     started = time.perf_counter()
     for t in (14, 15):
         val = uniform_high_side_exact(t)
-        out.append(_mk(f"uniform-side-exact[t={t}]", val < 1, lhs=val, rhs=Fraction(1),
-                       started=started))
+        out.append(claim(f"uniform-side-exact[t={t}]", val < 1, lhs=val, rhs=Fraction(1),
+                         started=started))
     ok = decide(lambda o: uniform_high_side_relaxed(16, o), 1, "<")
-    out.append(_mk("uniform-side-relaxed[t=16]", ok, lhs=uniform_high_side_relaxed(16, 48),
-                   rhs=Fraction(1), started=started))
+    out.append(claim("uniform-side-relaxed[t=16]", ok, lhs=uniform_high_side_relaxed(16, 48),
+                     rhs=Fraction(1), started=started))
 
     dec_ok: Optional[bool] = True
     for t in range(16, t_max):
@@ -730,19 +716,10 @@ def verify_uniform_side_bounds(t_max: int = 100) -> list[VerificationReport]:
         if not a.lo > b.hi:
             dec_ok = False
             break
-    out.append(_mk("uniform-side-relaxed-trend", dec_ok, witness={"t_range": [16, t_max]},
-                   started=started))
+    out.append(claim("uniform-side-relaxed-trend", dec_ok, witness={"t_range": [16, t_max]},
+                     started=started))
 
-    sweep_ok: Optional[bool] = True
-    bad_t = None
-    for t in range(7, t_max + 1):
-        r = decide(lambda o, t=t: deep_pair_bound(t, o), 1, "<")
-        if r is not True:
-            sweep_ok, bad_t = r, t
-            break
-    out.append(_mk("uniform-deep-sweep", sweep_ok,
-                   witness={"t_range": [7, t_max]} if sweep_ok else {"t": bad_t},
-                   started=started))
+    out.append(_deep_pair_sweep("uniform-deep-sweep", t_max, started))
     return out
 
 
@@ -774,19 +751,19 @@ def verify_stability(t: int, n: int, k: int, grid: int = 40) -> list[Verificatio
     out = []
     started = time.perf_counter()
     at_inv = stability_ratio(t, Fraction(1, t + 1))
-    out.append(_mk(f"stability-unit-at-inverse[t={t}]", at_inv == 1, lhs=at_inv,
-                   rhs=Fraction(1), started=started))
+    out.append(claim(f"stability-unit-at-inverse[t={t}]", at_inv == 1, lhs=at_inv,
+                     rhs=Fraction(1), started=started))
 
     pmax = Fraction(1, t + 1) * (1 + Fraction(t, 2))
     vals = [stability_ratio(t, pmax * j / grid) for j in range(1, grid + 1)]
     bad = _grid_increasing(vals)
-    out.append(_mk(f"stability-increasing[t={t}]", bad is None,
-                   witness={"p_max": pmax, "bad_index": bad}, started=started))
+    out.append(claim(f"stability-increasing[t={t}]", bad is None,
+                     witness={"p_max": pmax, "bad_index": bad}, started=started))
 
     ratio = uniform_size_ratio(n, k, t)
     cap = stability_ratio(t, Fraction(k, n))
-    out.append(_mk(f"stability-uniform-ratio[t={t},n={n},k={k}]", ratio < cap,
-                   lhs=ratio, rhs=cap, started=started))
+    out.append(claim(f"stability-uniform-ratio[t={t},n={n},k={k}]", ratio < cap,
+                     lhs=ratio, rhs=cap, started=started))
     return out
 
 

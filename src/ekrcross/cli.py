@@ -3,30 +3,20 @@ machine-readable reports.
 
 Exit codes: 0 all claims verified / searches exhaustive, 1 on any
 refutation, 2 on budget or inconclusive outcomes, 64 on usage errors.
-Long sweeps checkpoint per work unit and can resume with --resume.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bounds, suites
-from .report import (
-    VerificationReport,
-    encode_value,
-    exit_code,
-    reports_to_csv,
-    reports_to_json,
-)
+from .report import encode_value, exit_code, reports_to_csv, reports_to_json
 from .search import SearchBudget, SearchResult, max_uniform_product, max_weight_product
 from .seq import verify_seq_theorem
 from .setfam import BudgetExceeded, family_to_text
@@ -63,10 +53,8 @@ class RunConfig:
     k: Optional[int] = None
     p: Optional[Fraction] = None
     m: Optional[int] = None
-    workers: int = 1
     out: Optional[str] = None
     fmt: str = "json"
-    resume: bool = False
     shifted: bool = False
     seed: int = 0
 
@@ -75,8 +63,10 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {VERIFY_SUITES}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.fmt!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if (self.suite == "case2-finite" and self.t is not None
+                and self.t not in bounds.FINITE_T_RANGE):
+            raise ValueError(f"case2-finite covers t in {list(bounds.FINITE_T_RANGE)}, "
+                             f"got {self.t}")
         required = {
             "case2-finite": (),
             "search-uniform": ("n", "k", "t"),
@@ -125,13 +115,9 @@ def build_parser() -> _Parser:
         p.add_argument("--k", type=int)
         p.add_argument("--p", type=parse_rational)
         p.add_argument("--m", type=int)
-        p.add_argument("--workers", type=int,
-                       help="worker processes; default: the config file, "
-                            "then EKR_WORKERS, then 1")
         p.add_argument("--out")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"))
-        p.add_argument("--resume", action="store_true")
-        p.add_argument("--shifted", action="store_true",
+        p.add_argument("--shifted", action=argparse.BooleanOptionalAction,
                        help="restrict the search to shifted families")
         p.add_argument("--seed", type=int)
         p.add_argument("--config", help="flat key=value config file; flags override")
@@ -153,7 +139,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for key, val in file_values.items():
         if key == "suite":
             cfg.suite = val
-        elif key in ("t", "t_max", "n", "k", "m", "workers", "seed"):
+        elif key in ("t", "t_max", "n", "k", "m", "seed"):
             setattr(cfg, key, int(val))
         elif key == "p":
             cfg.p = Fraction(val)
@@ -161,85 +147,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.out = val
         elif key == "format":
             cfg.fmt = val
-        elif key in ("resume", "shifted"):
-            setattr(cfg, key, val.lower() in ("1", "true", "yes"))
+        elif key == "shifted":
+            cfg.shifted = val.lower() in ("1", "true", "yes")
         else:
             raise ValueError(f"unknown config key {key!r}")
-    if "workers" not in file_values and "EKR_WORKERS" in os.environ:
-        cfg.workers = int(os.environ["EKR_WORKERS"])
-    for key in ("t", "t_max", "n", "k", "p", "m", "workers", "out", "fmt", "seed"):
+    for key in ("t", "t_max", "n", "k", "p", "m", "out", "fmt", "shifted", "seed"):
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
-    cfg.resume = cfg.resume or args.resume
-    cfg.shifted = cfg.shifted or args.shifted
     cfg.validate()
     return cfg
-
-
-# ---------------------------------------------------------------------------
-# the finite sweep with worker partitioning and checkpointing
-# ---------------------------------------------------------------------------
-
-
-def _checkpoint_path(cfg: RunConfig) -> Optional[Path]:
-    return Path(cfg.out + ".ckpt") if cfg.out else None
-
-
-def _load_checkpoint(path: Optional[Path]) -> dict:
-    if path is None or not path.exists():
-        return {}
-    return json.loads(path.read_text())
-
-
-def _store_checkpoint(path: Optional[Path], data: dict) -> None:
-    if path is not None:
-        path.write_text(json.dumps(data))
-
-
-def run_finite_suite(cfg: RunConfig) -> list[VerificationReport]:
-    ts = [cfg.t] if cfg.t is not None else list(bounds.FINITE_T_RANGE)
-    ckpt_path = _checkpoint_path(cfg)
-    ckpt = _load_checkpoint(ckpt_path) if cfg.resume else {}
-    reports: list[VerificationReport] = []
-    for t in ts:
-        reports.append(bounds.verify_threshold_floor(t))
-        started = time.perf_counter()
-        done: dict[str, dict] = ckpt.get(str(t), {})
-        ks = [k for k in bounds.finite_sweep_ks(t) if str(k) not in done]
-        if ks:
-            if cfg.workers > 1:
-                with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                    for k, chunk in zip(
-                        ks, pool.map(bounds.finite_sweep_chunk, [t] * len(ks), [[k] for k in ks])
-                    ):
-                        done[str(k)] = chunk
-            else:
-                for k in ks:
-                    done[str(k)] = bounds.finite_sweep_chunk(t, [k])
-            ckpt[str(t)] = done
-            _store_checkpoint(ckpt_path, ckpt)
-        merged = bounds.merge_finite_chunks(
-            [done[key] for key in sorted(done, key=int)]
-        )
-        ok = not merged["failures"]
-        ratio = Fraction(merged["max_num"], merged["max_den"]) if merged["max_den"] else None
-        reports.append(
-            VerificationReport(
-                f"finite-sweep[t={t}]",
-                "verified" if ok else "refuted",
-                lhs=ratio,
-                rhs=Fraction(1),
-                witness={
-                    "cells": merged["cells"],
-                    "argmax": list(merged["argmax"]) if merged["argmax"] else None,
-                    "resumed": bool(cfg.resume),
-                    "failures": merged["failures"][:10],
-                },
-                elapsed_ms=(time.perf_counter() - started) * 1000,
-            )
-        )
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +170,9 @@ def run_verify(cfg: RunConfig) -> tuple[int, str]:
     if cfg.suite == "bounds-all":
         reports = bounds.run_bounds_suite(cfg.t_max)
     elif cfg.suite == "case2-finite":
-        reports = run_finite_suite(cfg)
+        reports = []
+        for t in [cfg.t] if cfg.t is not None else bounds.FINITE_T_RANGE:
+            reports += [bounds.verify_threshold_floor(t), bounds.verify_low_side_finite(t)]
     elif cfg.suite == "walk-oracle":
         reports = suites.run_walk_oracle()
     elif cfg.suite == "measure-oracle":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
@@ -117,6 +118,23 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.status in (VERIFIED, SKIPPED)
+
+
+def claim(claim_id: str, ok: Optional[bool], lhs=None, rhs=None, witness=None,
+          started: float = 0.0) -> VerificationReport:
+    """Report row for a checked claim: ``ok`` True, False or None gives
+    verified, refuted or inconclusive.  A refutation without a witness
+    carries lhs and rhs as its witness; ``started`` is the
+    ``time.perf_counter()`` reading the check began at."""
+    if ok is None:
+        status = INCONCLUSIVE
+    else:
+        status = VERIFIED if ok else REFUTED
+    if status == REFUTED and witness is None:
+        witness = {"lhs": lhs, "rhs": rhs}
+    elapsed = (time.perf_counter() - started) * 1000 if started else 0.0
+    return VerificationReport(claim_id, status, lhs=lhs, rhs=rhs, witness=witness,
+                              elapsed_ms=elapsed)
 
 
 def encode_value(v: Any) -> Any:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .measure import WeightParams, mu
-from .search import SearchBudget, SearchResult, _closure_max, compatibility_rows
+from .search import SearchBudget, SearchResult, _bits, _closure_max, compatibility_rows
 from .setfam import BudgetExceeded, Family, Subset, make_threshold_family
 
 ENUM_LIMIT = 10**6
@@ -285,15 +285,6 @@ def verify_seq_theorem(
         elapsed_ms=(time.perf_counter() - started) * 1000,
         notes=notes,
     )
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------

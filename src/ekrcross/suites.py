@@ -15,20 +15,11 @@ from typing import Optional, Sequence
 
 from . import graphs as gr
 from .measure import WeightParams, hit_probability_exact, hit_probability_limit, mu, mu_threshold_closed
-from .report import REFUTED, VERIFIED, VerificationReport
+from .report import VerificationReport, claim
 from .setfam import Family, make_weight_counterexample
 from .walks import count_hit, count_miss, enumerate_walks, hits_line
 
 DEFAULT_PS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 15))
-
-
-def _mk(claim_id, ok, lhs=None, rhs=None, witness=None, started=0.0):
-    status = VERIFIED if ok else REFUTED
-    if status == REFUTED and witness is None:
-        witness = {"lhs": lhs, "rhs": rhs}
-    elapsed = (time.perf_counter() - started) * 1000 if started else 0.0
-    return VerificationReport(claim_id, status, lhs=lhs, rhs=rhs, witness=witness,
-                              elapsed_ms=elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +45,7 @@ def run_walk_oracle(max_steps: int = 12) -> list[VerificationReport]:
                     mismatches.append((x0, y0, c))
                 cells += 1
     return [
-        _mk(
+        claim(
             "walk-count-oracle",
             not mismatches,
             witness={"cells": cells, "max_steps": max_steps, "mismatches": mismatches[:10]},
@@ -101,8 +92,8 @@ def run_measure_oracle(
                     if _weigh(counts, n, p) != mu_threshold_closed(n, t, i, p):
                         bad.append({"n": n, "t": t, "i": i, "p": p})
     reports = [
-        _mk("measure-threshold-oracle", not bad,
-            witness={"combos": combos, "bad": bad[:5]}, started=started)
+        claim("measure-threshold-oracle", not bad,
+              witness={"combos": combos, "bad": bad[:5]}, started=started)
     ]
 
     started = time.perf_counter()
@@ -122,8 +113,8 @@ def run_measure_oracle(
                 if _weigh(counts, n, p) != t * p**t * q:
                     bad.append({"n": n, "t": t, "p": p})
     reports.append(
-        _mk("measure-point-events", not bad,
-            witness={"combos": combos, "bad": bad[:5]}, started=started)
+        claim("measure-point-events", not bad,
+              witness={"combos": combos, "bad": bad[:5]}, started=started)
     )
 
     started = time.perf_counter()
@@ -140,8 +131,8 @@ def run_measure_oracle(
                 if mu(fam, params) != closed:
                     bad.append({"n": n, "t": t, "p": p})
     reports.append(
-        _mk("measure-counterexample", not bad,
-            witness={"combos": combos, "bad": bad[:5]}, started=started)
+        claim("measure-counterexample", not bad,
+              witness={"combos": combos, "bad": bad[:5]}, started=started)
     )
 
     started = time.perf_counter()
@@ -158,7 +149,7 @@ def run_measure_oracle(
             prev = cur
         if not mono_ok:
             break
-    reports.append(_mk("hit-limit-monotone", mono_ok, witness=detail, started=started))
+    reports.append(claim("hit-limit-monotone", mono_ok, witness=detail, started=started))
     return reports
 
 
@@ -192,8 +183,8 @@ def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[Verificat
             if not gr.is_connected(g) or gr.is_bipartite(g):
                 bad.append({"n": n, "k": k})
     reports = [
-        _mk("graph-kneser", not bad, witness={"instances": checked, "bad": bad},
-            started=started)
+        claim("graph-kneser", not bad, witness={"instances": checked, "bad": bad},
+              started=started)
     ]
 
     started = time.perf_counter()
@@ -203,8 +194,8 @@ def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[Verificat
         and len(set(cyc)) == 7
         and all(not cyc[i] & cyc[(i + 1) % 7] for i in range(7))
     )
-    reports.append(_mk("graph-kneser[odd-cycle-k3]", ok,
-                       witness={"length": len(cyc)}, started=started))
+    reports.append(claim("graph-kneser[odd-cycle-k3]", ok,
+                         witness={"length": len(cyc)}, started=started))
 
     started = time.perf_counter()
     rng = random.Random(seed)
@@ -224,8 +215,8 @@ def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[Verificat
         and not gr.is_connected(c4c4)
     )
     reports.append(
-        _mk("graph-product", not bad and fixed_ok,
-            witness={"random_pairs": pairs, "bad": bad[:3], "fixed_cases": fixed_ok},
-            started=started)
+        claim("graph-product", not bad and fixed_ok,
+              witness={"random_pairs": pairs, "bad": bad[:3], "fixed_cases": fixed_ok},
+              started=started)
     )
     return reports

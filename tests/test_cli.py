@@ -1,10 +1,11 @@
 """CLI: argument handling, config files, report emission, exit codes,
-checkpoint/resume for the long sweep."""
+and the finite sweep's rows against ``bounds``."""
 
 import json
 
 import pytest
 
+from ekrcross import bounds
 from ekrcross.cli import (
     USAGE_ERROR,
     VERIFY_SUITES,
@@ -13,7 +14,7 @@ from ekrcross.cli import (
     load_config_file,
     main,
 )
-from ekrcross.report import ANCHORS, anchor_for
+from ekrcross.report import ANCHORS, anchor_for, report_to_obj
 
 
 def run(capsys, *argv):
@@ -161,30 +162,46 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="bad config line"):
             load_config_file(str(cfg))
 
-    def test_precedence_flag_file_environment_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EKR_WORKERS", "3")
+    def test_precedence_flag_file_environment_default(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("t_max = 20\nseed = 5\nworkers = 2\nformat = csv\n")
+        cfg_file.write_text("t_max = 20\nseed = 5\nformat = csv\n")
         parse = build_parser().parse_args
         cfg = config_from_args(parse(["verify", "graphs", "--config", str(cfg_file)]))
-        assert (cfg.t_max, cfg.seed, cfg.workers, cfg.fmt) == (20, 5, 2, "csv")
+        assert (cfg.t_max, cfg.seed, cfg.fmt) == (20, 5, "csv")
         cfg = config_from_args(parse(
             ["verify", "graphs", "--config", str(cfg_file), "--t-max", "30",
-             "--seed", "7", "--workers", "4", "--format", "json"]
+             "--seed", "7", "--format", "json"]
         ))
-        assert (cfg.t_max, cfg.seed, cfg.workers, cfg.fmt) == (30, 7, 4, "json")
+        assert (cfg.t_max, cfg.seed, cfg.fmt) == (30, 7, "json")
         cfg = config_from_args(parse(["verify", "graphs"]))
-        assert (cfg.t_max, cfg.seed, cfg.workers, cfg.fmt) == (100, 0, 3, "json")
-        monkeypatch.delenv("EKR_WORKERS")
-        assert config_from_args(parse(["verify", "graphs"])).workers == 1
+        assert (cfg.t_max, cfg.seed, cfg.fmt) == (100, 0, "json")
+
+    def test_shifted_flag_overrides_file(self, tmp_path):
+        parse = build_parser().parse_args
+        search = ["search", "uniform", "--n", "5", "--k", "2", "--t", "1"]
+        assert config_from_args(parse(search)).shifted is False
+        for value, flag, expected in (
+            ("true", [], True), ("true", ["--no-shifted"], False),
+            ("false", [], False), ("false", ["--shifted"], True),
+        ):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"shifted = {value}\n")
+            cfg = config_from_args(parse(search + ["--config", str(cfg_file)] + flag))
+            assert cfg.shifted is expected, (value, flag)
 
     def test_eta_is_gone(self, tmp_path, capsys):
-        assert run(capsys, "verify", "graphs", "--eta", "1/2")[0] == USAGE_ERROR
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("eta = 1/2\n")
-        code, _, err = run(capsys, "verify", "graphs", "--config", str(cfg_file))
-        assert code == USAGE_ERROR
-        assert "unknown config key 'eta'" in err
+        # --workers and --resume went the same way as --eta.
+        for flag, key in (
+            (["--eta", "1/2"], "eta = 1/2"),
+            (["--workers", "2"], "workers = 2"),
+            (["--resume"], "resume = true"),
+        ):
+            assert run(capsys, "verify", "graphs", *flag)[0] == USAGE_ERROR
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(key + "\n")
+            code, _, err = run(capsys, "verify", "graphs", "--config", str(cfg_file))
+            assert code == USAGE_ERROR
+            assert f"unknown config key {key.split()[0]!r}" in err
 
     def test_comments_and_rationals(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -195,41 +212,27 @@ class TestConfigFile:
 
 
 class TestFiniteSweepCommand:
-    def test_single_t_with_checkpoint_resume(self, tmp_path, capsys):
+    def test_single_t_rows_come_from_bounds(self, tmp_path, capsys):
         out_path = tmp_path / "finite.json"
         code, _, _ = run(
             capsys, "verify", "case2-finite", "--t", "18", "--out", str(out_path)
         )
         assert code == 0
         rows = json.loads(out_path.read_text())
-        by_id = {r["claim_id"]: r for r in rows}
-        assert by_id["finite-sweep[t=18]"]["status"] == "verified"
-        assert by_id["finite-sweep[t=18]"]["witness"]["cells"] == 60
-        ckpt = out_path.with_suffix(".json.ckpt")
-        assert ckpt.exists()
+        expected = [report_to_obj(bounds.verify_threshold_floor(18)),
+                    report_to_obj(bounds.verify_low_side_finite(18))]
+        for row in rows + expected:
+            del row["elapsed_ms"]
+        assert rows == expected
+        assert rows[1]["status"] == "verified"
+        assert rows[1]["witness"]["cells"] == 60
 
-        # resume re-reads the checkpoint instead of recomputing
-        code, _, _ = run(
-            capsys, "verify", "case2-finite", "--t", "18", "--out", str(out_path),
-            "--resume",
-        )
-        assert code == 0
-        rows = json.loads(out_path.read_text())
-        sweep = next(r for r in rows if r["claim_id"] == "finite-sweep[t=18]")
-        assert sweep["witness"]["resumed"] is True
-        assert sweep["witness"]["cells"] == 60
-
-    def test_workers(self, tmp_path, capsys):
-        out_path = tmp_path / "finite.json"
-        code, _, _ = run(
-            capsys, "verify", "case2-finite", "--t", "18", "--workers", "2",
-            "--out", str(out_path),
-        )
-        assert code == 0
-        rows = json.loads(out_path.read_text())
-        sweep = next(r for r in rows if r["claim_id"] == "finite-sweep[t=18]")
-        assert sweep["status"] == "verified"
-        assert sweep["witness"]["cells"] == 60
+    @pytest.mark.parametrize("t", [13, 19])
+    def test_t_outside_the_sweep(self, t, capsys):
+        code, out, err = run(capsys, "verify", "case2-finite", "--t", str(t))
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert "case2-finite covers t in" in err
 
     def test_floor_claim(self, capsys):
         code, out, _ = run(capsys, "verify", "case2-finite", "--t", "14")
