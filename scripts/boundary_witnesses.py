@@ -7,13 +7,16 @@ splits into complement-free halves, so the maximal product is attained
 by many non-star pairs as well (the window family shows up at (4,2),
 complement-split pairs at (6,3)), while for n > 2k the star pair is the
 unique extremal configuration as far as this search can see.
+
+(7, 3) is left out: its full-mode closure system exceeds the default
+node budget, so the search stops with ``BudgetExceeded``.
 """
 
 import math
 
 from ekrcross.search import max_uniform_product
 
-INSTANCES = [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3)]
+INSTANCES = [(4, 2), (5, 2), (6, 2), (6, 3)]
 
 if __name__ == "__main__":
     for n, k in INSTANCES:

@@ -216,21 +216,20 @@ def _grid_increasing(values: Sequence[Fraction]) -> Optional[int]:
     return None
 
 
-def _deep_pair_sweep(claim_id: str, t_max: int, started: float) -> VerificationReport:
-    """deep_pair_bound(t) < 1 at every t in 7..t_max."""
-    ok: Optional[bool] = True
-    bad_t = None
+def deep_pair_sweep(t_max: int) -> dict:
+    """deep_pair_bound(t) < 1 at every t in 7..t_max, as ``claim`` keyword
+    arguments: the outcome and the range, or the first t that fails."""
     for t in range(7, t_max + 1):
         r = decide(lambda o, t=t: deep_pair_bound(t, o), 1, "<")
         if r is not True:
-            ok, bad_t = r, t
-            break
-    return claim(claim_id, ok, witness={"t_range": [7, t_max]} if ok else {"t": bad_t},
-                 started=started)
+            return {"ok": r, "witness": {"t": t}}
+    return {"ok": True, "witness": {"t_range": [7, t_max]}}
 
 
-def verify_side_bound_shapes(t_max: int = 100) -> list[VerificationReport]:
-    """Threshold instances and shape claims for the three case bounds."""
+def verify_side_bound_shapes(t_max: int = 100,
+                             deep: Optional[dict] = None) -> list[VerificationReport]:
+    """Threshold instances and shape claims for the three case bounds;
+    ``deep`` is ``deep_pair_sweep(t_max)`` if the caller already has it."""
     out: list[VerificationReport] = []
     started = time.perf_counter()
 
@@ -238,7 +237,7 @@ def verify_side_bound_shapes(t_max: int = 100) -> list[VerificationReport]:
     out.append(claim("deep-pair-g7", ok, lhs=deep_pair_bound(7, 48),
                      rhs=Fraction(999, 1000), started=started))
 
-    out.append(_deep_pair_sweep("deep-pair-sweep", t_max, started))
+    out.append(claim("deep-pair-sweep", started=started, **(deep or deep_pair_sweep(t_max))))
 
     # Consecutive differences of the deep-pair bound flip sign at most
     # once over the sweep; the location is recorded, not assumed.
@@ -670,12 +669,17 @@ def verify_low_side_finite(t: int, ks: Optional[Sequence[int]] = None) -> Verifi
 
 
 def verify_threshold_floor(t: int) -> VerificationReport:
+    """floor(n0) is the last n where the relaxed low-side estimate
+    g(t) + c/n < 1, c = 2t(1+1/t)^t, does not close: (1-g) floor <= c <
+    (1-g)(floor+1), checked without dividing.  At t = 14 it is 1023."""
     started = time.perf_counter()
     floor_n0 = math.floor(low_side_threshold(t))
+    slack = 1 - low_side_bound(t)
+    c = 2 * t * Fraction(t + 1, t) ** t
     expected = {14: 1023}
-    ok = expected[t] == floor_n0 if t in expected else True
-    return claim(f"finite-threshold-floor[t={t}]", ok, lhs=floor_n0,
-                 rhs=expected.get(t), started=started)
+    ok = slack * floor_n0 <= c < slack * (floor_n0 + 1) and floor_n0 == expected.get(t, floor_n0)
+    return claim(f"finite-threshold-floor[t={t}]", ok, lhs=floor_n0, rhs=expected.get(t),
+                 witness={"closes_at_n": floor_n0 + 1}, started=started)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +703,9 @@ def uniform_high_side_relaxed(t: int, order: int = 24) -> RationalInterval:
     return e * (e * Fraction(t + 1, t * t) + Fraction(3 * t + 1, (t + 1) ** 2))
 
 
-def verify_uniform_side_bounds(t_max: int = 100) -> list[VerificationReport]:
+def verify_uniform_side_bounds(t_max: int = 100,
+                               deep: Optional[dict] = None) -> list[VerificationReport]:
+    """The uniform shallow-pair claims; ``deep`` as in ``verify_side_bound_shapes``."""
     out: list[VerificationReport] = []
     started = time.perf_counter()
     for t in (14, 15):
@@ -719,7 +725,8 @@ def verify_uniform_side_bounds(t_max: int = 100) -> list[VerificationReport]:
     out.append(claim("uniform-side-relaxed-trend", dec_ok, witness={"t_range": [16, t_max]},
                      started=started))
 
-    out.append(_deep_pair_sweep("uniform-deep-sweep", t_max, started))
+    out.append(claim("uniform-deep-sweep", started=started,
+                     **(deep or deep_pair_sweep(t_max))))
     return out
 
 
@@ -854,11 +861,13 @@ def run_bounds_suite(t_max: int = 100) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     reports += verify_envelope_products()
     reports += verify_envelope_monotonicity(range(14, 21), range(0, 11))
-    reports += verify_side_bound_shapes(t_max)
+    # deep-pair-sweep and uniform-deep-sweep certify the same sweep.
+    deep = deep_pair_sweep(t_max)
+    reports += verify_side_bound_shapes(t_max, deep)
     reports += verify_prefactors(t_max)
     reports += verify_extremal_gap(t_max, 10)
     reports += verify_uniform_envelope_caps()
-    reports += verify_uniform_side_bounds(t_max)
+    reports += verify_uniform_side_bounds(t_max, deep)
     reports += verify_stability(14, 225, 15)
     reports.append(verify_threshold_floor(14))
     return reports

@@ -67,6 +67,8 @@ class RunConfig:
                 and self.t not in bounds.FINITE_T_RANGE):
             raise ValueError(f"case2-finite covers t in {list(bounds.FINITE_T_RANGE)}, "
                              f"got {self.t}")
+        if self.suite == "search-seq" and self.shifted:
+            raise ValueError("search-seq has no shifted mode (got --shifted or shifted = true)")
         required = {
             "case2-finite": (),
             "search-uniform": ("n", "k", "t"),

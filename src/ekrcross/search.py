@@ -2,15 +2,23 @@
 
 The key reduction: for a fixed family A, the best partner is the full
 compatibility intersection D(A) (every candidate meeting all of A in at
-least t elements), and an optimal pair satisfies B = D(A), A = D(B).
-The engine therefore walks the closure system generated by the
-per-candidate compatibility rows: every intersection of rows is visited
-exactly once, and the product w(A) w(D(A)) is maximized over it.  That
-is exact: any cross-t pair (A0, B0) embeds into the visited pair
-(D(B0), D(D(B0))) with no smaller product.
+least t elements), and an optimal pair is closed: B = D(A), A = D(B).
+This holds for the k-uniform count, for the p-weight product measure
+and for sequence families (``seq`` encodes words as one-hot masks), so
+one closed-pair engine serves all three searches:
 
-All objective arithmetic is integral (weights are scaled to integers),
-so maxima and ties are exact.
+- ``_iter_closed`` yields every intersection of the per-candidate
+  compatibility rows exactly once; ``_iter_shift_closed`` yields the
+  shift-closed families only;
+- ``_best_pairs`` maximizes the product w(A) w(D(A)) over either
+  stream and keeps the tied pairs;
+- ``_search`` picks the mode (shifted, falling back to every closed set
+  when some partner is not shift-closed) and ``_finish`` builds the
+  ``SearchResult``.
+
+That is exact: any cross-t pair (A0, B0) embeds into the visited pair
+(D(B0), D(D(B0))) with no smaller product.  All objective arithmetic is
+integral (weights are scaled to integers), so maxima and ties are exact.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .setfam import (
     BudgetExceeded,
@@ -33,7 +41,6 @@ from .setfam import (
     maximal_cross_partner,
     shift_pair_to_fixpoint,
     shifts_to,
-    upward_closure,
 )
 
 DEFAULT_NODE_CAP = 1 << 22
@@ -49,7 +56,6 @@ class SearchBudget:
     ``time_limit`` is wall-clock seconds.
     """
 
-    max_ground_n: int = 8
     max_family_bits: int = DEFAULT_NODE_CAP
     restrict_shifted: bool = False
     time_limit: Optional[float] = None
@@ -102,22 +108,11 @@ def _partner(mask: int, rows: Sequence[int], full: int) -> int:
     return out
 
 
-def _closure_max(
-    rows: Sequence[int],
-    weights: Optional[Sequence[int]],
-    budget: SearchBudget,
-) -> tuple[int, list[tuple[int, int]], int, int]:
-    """Maximize w(A) w(D(A)) over the closure system of the rows.
-
-    Returns (best, argmax pairs as unordered index-mask pairs capped at
-    WITNESS_CAP, distinct argmax count, number of closed sets).
-    Weights None means counting measure.
-    """
-    L = len(rows)
-    full = (1 << L) - 1
+def _iter_closed(rows: Sequence[int], budget: SearchBudget) -> Iterable[int]:
+    """Every intersection of rows (the closed sets), as index masks, built
+    breadth-first and then yielded in the iteration order of ``seen``."""
+    full = (1 << len(rows)) - 1
     deadline = _Deadline(budget)
-    uniformw = weights is None
-
     seen = {full}
     frontier = [full]
     while frontier:
@@ -134,16 +129,36 @@ def _closure_max(
             )
         deadline.check()
         frontier = nxt
-
-    best = 0
-    argmax: set[tuple[int, int]] = set()
-    count = 0
-    tick = 0
-    for a in seen:
-        tick += 1
+    for tick, a in enumerate(seen, 1):
         if tick & 0xFFF == 0:
             deadline.check()
+        yield a
+
+
+def _best_pairs(nodes: Iterable[int], rows: Sequence[int], weights: Optional[Sequence[int]],
+                preds: Optional[Sequence[int]] = None) -> tuple[int, list, int, int, int]:
+    """Maximize w(A) w(D(A)) over the index masks A in ``nodes``.
+
+    Returns (best, argmax pairs as unordered index-mask pairs capped at
+    WITNESS_CAP, argmax count, nodes visited, partner-shift violations).
+    Weights None means counting measure.  With ``preds``, a node counts
+    as a violation when its partner D(A) is not closed under them.
+    """
+    full = (1 << len(rows)) - 1
+    uniformw = weights is None
+    best = count = visited = violations = 0
+    argmax: set[tuple[int, int]] = set()
+    for a in nodes:
+        visited += 1
         b = _partner(a, rows, full)
+        if preds is not None:
+            rest = b
+            while rest:
+                low = rest & -rest
+                if preds[low.bit_length() - 1] & ~b:
+                    violations += 1
+                    break
+                rest ^= low
         wa = a.bit_count() if uniformw else _weight_sum(a, weights)
         wb = b.bit_count() if uniformw else _weight_sum(b, weights)
         prod = wa * wb
@@ -151,14 +166,12 @@ def _closure_max(
             continue
         pair = (a, b) if a <= b else (b, a)
         if prod > best:
-            best = prod
-            argmax = {pair}
-            count = 1
+            best, argmax, count = prod, {pair}, 1
         elif pair not in argmax:
             count += 1
             if len(argmax) < WITNESS_CAP:
                 argmax.add(pair)
-    return best, sorted(argmax), count, len(seen)
+    return best, sorted(argmax), count, visited, violations
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +199,10 @@ def _dominance_preds(masks: Sequence[int], n: int, same_size_only: bool) -> list
 
 
 def _iter_shift_closed(
-    masks: Sequence[int], n: int, budget: SearchBudget, same_size_only: bool
+    masks: Sequence[int], n: int, budget: SearchBudget, preds: Sequence[int]
 ) -> Iterable[int]:
-    """All shift-closed subfamilies, as index masks over ``masks``.
+    """All subfamilies closed under ``preds`` (from ``_dominance_preds``),
+    as index masks over ``masks``.
 
     Candidates are processed along a linear extension of the dominance
     order (larger, then lefter, sets first), so a family may include a
@@ -198,7 +212,6 @@ def _iter_shift_closed(
         range(len(masks)),
         key=lambda i: (-masks[i].bit_count(), sum(Subset(n, masks[i]).members)),
     )
-    preds = _dominance_preds(masks, n, same_size_only)
     deadline = _Deadline(budget)
     produced = 0
     stack: list[tuple[int, int]] = [(0, 0)]
@@ -220,52 +233,27 @@ def _iter_shift_closed(
             stack.append((pos + 1, chosen | (1 << idx)))
 
 
-def _shifted_max(
-    masks: Sequence[int],
-    rows: Sequence[int],
-    weights: Optional[Sequence[int]],
-    n: int,
-    budget: SearchBudget,
-    same_size_only: bool,
-) -> tuple[int, list[tuple[int, int]], int, int, int]:
-    """Maximize over shift-closed families A with partner D(A).
+def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequence[int]], n: int,
+            budget: SearchBudget, same_size_only: bool) -> tuple[int, list, int, dict]:
+    """Run the engine in the budget's mode; returns (best, pairs, count, notes).
 
-    The partner of a shift-closed family is itself expected to be
-    shift-closed; that is asserted on every node, and a violation count
-    is returned so callers can fall back to the unrestricted engine.
+    Shifted mode scores the shift-closed families A only.  Their
+    partners are expected to be shift-closed too; if one is not, the
+    restriction is unsound here and every closed set is scored instead.
     """
-    L = len(rows)
-    full = (1 << L) - 1
-    preds = _dominance_preds(masks, n, same_size_only)
-    uniformw = weights is None
-    best = 0
-    argmax: set[tuple[int, int]] = set()
-    count = 0
-    nodes = 0
-    violations = 0
-    for a in _iter_shift_closed(masks, n, budget, same_size_only):
-        nodes += 1
-        b = _partner(a, rows, full)
-        rest = b
-        while rest:
-            low = rest & -rest
-            if preds[low.bit_length() - 1] & ~b:
-                violations += 1
-                break
-            rest ^= low
-        wa = a.bit_count() if uniformw else _weight_sum(a, weights)
-        wb = b.bit_count() if uniformw else _weight_sum(b, weights)
-        prod = wa * wb
-        if prod < best:
-            continue
-        pair = (a, b) if a <= b else (b, a)
-        if prod > best:
-            best, argmax, count = prod, {pair}, 1
-        elif pair not in argmax:
-            count += 1
-            if len(argmax) < WITNESS_CAP:
-                argmax.add(pair)
-    return best, sorted(argmax), count, nodes, violations
+    if budget.restrict_shifted:
+        preds = _dominance_preds(cands, n, same_size_only)
+        best, pairs, count, nodes, violations = _best_pairs(
+            _iter_shift_closed(cands, n, budget, preds), rows, weights, preds
+        )
+        if not violations:
+            notes = {"mode": "shifted", "nodes": nodes, "partner_shift_violations": 0}
+            return best, pairs, count, notes
+        mode = "full-fallback"
+    else:
+        mode = "full"
+    best, pairs, count, closed, _ = _best_pairs(_iter_closed(rows, budget), rows, weights)
+    return best, pairs, count, {"mode": mode, "closed_sets": closed}
 
 
 def iter_shifted_families(
@@ -281,12 +269,12 @@ def iter_shifted_families(
     order); otherwise every shifted family (downsets layer by layer).
     """
     if budget is None:
-        budget = SearchBudget(max_ground_n=n)
+        budget = SearchBudget()
     if k is not None and inclusion_maximal:
         raise ValueError("uniform families cannot be inclusion maximal")
     masks = uniform_layer(n, k) if k is not None else list(range(1 << n))
-    same_size = not inclusion_maximal
-    for chosen in _iter_shift_closed(masks, n, budget, same_size_only=same_size):
+    preds = _dominance_preds(masks, n, same_size_only=not inclusion_maximal)
+    for chosen in _iter_shift_closed(masks, n, budget, preds):
         yield Family(n, tuple(sorted(masks[i] for i in _bits(chosen))), k)
 
 
@@ -302,26 +290,17 @@ def _star_core(masks: Sequence[int]) -> int:
     return core
 
 
-def _classify_pair(
-    amask: int,
-    bmask: int,
-    cands: Sequence[int],
-    n: int,
-    t: int,
-    k: Optional[int],
-    window_cache: dict,
-) -> str:
-    """Label an argmax pair against the two reference constructions.
+def _classify_family(amask: int, cands: Sequence[int], n: int, t: int,
+                     window_cache: dict) -> Optional[str]:
+    """Label the family A of a symmetric argmax pair (A, A).
 
-    F0: both sides equal the family of all (k-)sets containing a fixed
-    t-set.  F1: both equal the family meeting a fixed (t+2)-window in
-    at least t+1 elements.  Anything else is ``other``.
+    F0: A is the family of all (k-)sets containing a fixed t-set.  F1:
+    A is the family meeting a fixed (t+2)-window in at least t+1
+    elements.  None when A matches neither.
     """
-    if amask != bmask:
-        return "other"
     members = [cands[i] for i in _bits(amask)]
     if not members:
-        return "other"
+        return None
     core = _star_core(members)
     if core.bit_count() == t:
         expected = window_cache.setdefault(
@@ -341,7 +320,7 @@ def _classify_pair(
         )
         if member_set == expected:
             return "F1"
-    return "other"
+    return None
 
 
 def _bits(mask: int) -> list[int]:
@@ -353,44 +332,21 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _index_pair_to_families(
-    pair: tuple[int, int], cands: Sequence[int], n: int, k: Optional[int]
-) -> tuple[Family, Family]:
-    a = Family(n, tuple(sorted(cands[i] for i in _bits(pair[0]))), k)
-    b = Family(n, tuple(sorted(cands[i] for i in _bits(pair[1]))), k)
-    return a, b
+def _finish(best_scaled: int, pairs: Sequence[tuple[int, int]], count: int,
+            label: Callable[[int], Optional[str]], family: Callable[[int], object],
+            scale: Optional[Fraction], started: float, notes: dict) -> SearchResult:
+    """Assemble a SearchResult from the engine's index-mask pairs.
 
-
-def _finish(
-    best_scaled: int,
-    pairs: Sequence[tuple[int, int]],
-    count: int,
-    cands: Sequence[int],
-    n: int,
-    t: int,
-    k: Optional[int],
-    scale: Optional[Fraction],
-    started: float,
-    notes: dict,
-) -> SearchResult:
-    window_cache: dict = {}
-    labels = [_classify_pair(a, b, cands, n, t, k, window_cache) for a, b in pairs]
-    classes = tuple(sorted(set(labels)))
-    matched = None
-    if "F0" in classes:
-        matched = "F0"
-    elif "F1" in classes:
-        matched = "F1"
-    elif classes:
-        matched = "other"
-    witnesses = [
-        _index_pair_to_families(p, cands, n, k) for p in pairs[: min(len(pairs), 64)]
-    ]
-    product: Union[int, Fraction] = best_scaled if scale is None else best_scaled * scale
+    ``label`` names the construction that the A of a symmetric pair
+    (A, A) matches, or None; every other pair is ``other``.  ``family``
+    turns an index mask into a family.  Class names sort with the
+    reference constructions first, so the first attained is the match.
+    """
+    classes = tuple(sorted({(label(a) if a == b else None) or "other" for a, b in pairs}))
     return SearchResult(
-        max_product=product,
-        witnesses=witnesses,
-        matched_construction=matched,
+        max_product=best_scaled if scale is None else best_scaled * scale,
+        witnesses=[(family(a), family(b)) for a, b in pairs[:64]],
+        matched_construction=classes[0] if classes else None,
         exhaustive=True,
         witness_count=count,
         witness_classes=classes,
@@ -422,30 +378,32 @@ def compatibility_rows(cands: Sequence[int], t: int) -> list[int]:
     return rows
 
 
+def _set_search(n: int, k: Optional[int], t: int, cands: Sequence[int],
+                weights: Optional[Sequence[int]], scale: Optional[Fraction],
+                budget: SearchBudget, started: float) -> SearchResult:
+    """The search over the set candidates ``cands``: the k-layer, or with
+    k None the whole power set."""
+    rows = compatibility_rows(cands, t)
+    best, pairs, count, notes = _search(cands, rows, weights, n, budget, k is not None)
+    window_cache: dict = {}
+
+    def family(mask: int) -> Family:
+        return Family(n, tuple(sorted(cands[i] for i in _bits(mask))), k)
+
+    return _finish(best, pairs, count, lambda a: _classify_family(a, cands, n, t, window_cache),
+                   family, scale, started, notes)
+
+
 def max_uniform_product(
     n: int, k: int, t: int, budget: Optional[SearchBudget] = None
 ) -> SearchResult:
     """Exact maximum of |A| |B| over cross t-intersecting A, B in the
     k-layer of [n], with all maximal pairs retained up to the cap."""
-    if budget is None:
-        budget = SearchBudget(max_ground_n=n)
     if t < 1 or not 1 <= k <= n:
         raise ValueError(f"need t >= 1 and 1 <= k <= n, got t={t}, k={k}, n={n}")
     started = time.perf_counter()
-    cands = uniform_layer(n, k)
-    rows = compatibility_rows(cands, t)
-    if budget.restrict_shifted:
-        best, pairs, count, nodes, violations = _shifted_max(
-            cands, rows, None, n, budget, same_size_only=True
-        )
-        notes = {"mode": "shifted", "nodes": nodes, "partner_shift_violations": violations}
-        if violations:
-            best, pairs, count, closed = _closure_max(rows, None, budget)
-            notes = {"mode": "full-fallback", "closed_sets": closed}
-    else:
-        best, pairs, count, closed = _closure_max(rows, None, budget)
-        notes = {"mode": "full", "closed_sets": closed}
-    return _finish(best, pairs, count, cands, n, t, k, None, started, notes)
+    return _set_search(n, k, t, uniform_layer(n, k), None, None,
+                       budget or SearchBudget(), started)
 
 
 def max_weight_product(
@@ -454,8 +412,6 @@ def max_weight_product(
     """Exact maximum of the weight product over cross t-intersecting
     pairs in the power set of [n].  Weights are scaled to integers
     (p = a/b gives a^|F| (b-a)^(n-|F|)), so comparisons are exact."""
-    if budget is None:
-        budget = SearchBudget(max_ground_n=n)
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     p = Fraction(p)
@@ -463,22 +419,10 @@ def max_weight_product(
         raise ValueError(f"p must lie in (0,1), got {p}")
     started = time.perf_counter()
     cands = list(range(1 << n))
-    rows = compatibility_rows(cands, t)
     a, b = p.numerator, p.denominator
     weights = [a ** m.bit_count() * (b - a) ** (n - m.bit_count()) for m in cands]
-    scale = Fraction(1, b ** (2 * n))
-    if budget.restrict_shifted:
-        best, pairs, count, nodes, violations = _shifted_max(
-            cands, rows, weights, n, budget, same_size_only=False
-        )
-        notes = {"mode": "shifted", "nodes": nodes, "partner_shift_violations": violations}
-        if violations:
-            best, pairs, count, closed = _closure_max(rows, weights, budget)
-            notes = {"mode": "full-fallback", "closed_sets": closed}
-    else:
-        best, pairs, count, closed = _closure_max(rows, weights, budget)
-        notes = {"mode": "full", "closed_sets": closed}
-    return _finish(best, pairs, count, cands, n, t, None, scale, started, notes)
+    return _set_search(n, None, t, cands, weights, Fraction(1, b ** (2 * n)),
+                       budget or SearchBudget(), started)
 
 
 def brute_force_uniform_max(n: int, k: int, t: int) -> int:

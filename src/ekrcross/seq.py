@@ -15,7 +15,15 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .measure import WeightParams, mu
-from .search import SearchBudget, SearchResult, _bits, _closure_max, compatibility_rows
+from .search import (
+    SearchBudget,
+    SearchResult,
+    _best_pairs,
+    _bits,
+    _finish,
+    _iter_closed,
+    compatibility_rows,
+)
 from .setfam import BudgetExceeded, Family, Subset, make_threshold_family
 
 ENUM_LIMIT = 10**6
@@ -229,6 +237,12 @@ def _cylinder_label(members: frozenset, m: int, n: int, t: int) -> Optional[str]
     return None
 
 
+def onehot_mask(word: tuple[int, ...], m: int) -> int:
+    """Bit j*m + a - 1 marks symbol a at position j, so two words agree in
+    as many positions as their masks share bits."""
+    return sum(1 << (j * m + a - 1) for j, a in enumerate(word))
+
+
 def verify_seq_theorem(
     n: int, m: int, t: int, budget: Optional[SearchBudget] = None
 ) -> SearchResult:
@@ -244,47 +258,22 @@ def verify_seq_theorem(
         raise BudgetExceeded(f"{m}^{n} = {total} sequences exceed the search budget")
     started = time.perf_counter()
     cands = list(itertools.product(range(1, m + 1), repeat=n))
-    rows = [0] * total
-    for i, wi in enumerate(cands):
-        acc = 0
-        for j, wj in enumerate(cands):
-            if sum(x == y for x, y in zip(wi, wj)) >= t:
-                acc |= 1 << j
-        rows[i] = acc
-    best, pairs, count, closed = _closure_max(rows, None, budget)
+    rows = compatibility_rows([onehot_mask(w, m) for w in cands], t)
+    best, pairs, count, closed, _ = _best_pairs(_iter_closed(rows, budget), rows, None)
 
     def fam_of(mask: int) -> SeqFamily:
         return SeqFamily(m, n, tuple(sorted(cands[i] for i in _bits(mask))))
 
-    labels = []
-    witnesses = []
-    for am, bm in pairs:
-        if am != bm:
-            labels.append("other")
-        else:
-            members = frozenset(cands[i] for i in _bits(am))
-            labels.append(_cylinder_label(members, m, n, t) or "other")
-        if len(witnesses) < 64:
-            witnesses.append((fam_of(am), fam_of(bm)))
-    classes = tuple(sorted(set(labels)))
-    matched = "H0" if "H0" in classes else ("H1" if "H1" in classes else
-                                            (classes[0] if classes else None))
+    def label(mask: int) -> Optional[str]:
+        return _cylinder_label(frozenset(cands[i] for i in _bits(mask)), m, n, t)
+
     notes: dict = {"closed_sets": closed, "target": (m ** (n - t)) ** 2}
     if m == 2:
         notes["layer_comparison"] = "skipped: alphabet 2 leaves the layer index undefined"
     else:
         r = (t - 1) // (m - 2)
         notes["layer_comparison"] = {"r": r, "applicable": n >= t + 2 * r}
-    return SearchResult(
-        max_product=best,
-        witnesses=witnesses,  # type: ignore[arg-type]
-        matched_construction=matched,
-        exhaustive=True,
-        witness_count=count,
-        witness_classes=classes,
-        elapsed_ms=(time.perf_counter() - started) * 1000,
-        notes=notes,
-    )
+    return _finish(best, pairs, count, label, fam_of, None, started, notes)
 
 
 # ---------------------------------------------------------------------------

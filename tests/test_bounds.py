@@ -211,6 +211,17 @@ class TestFiniteSweep:
         r = bounds.verify_threshold_floor(14)
         assert r.status == VERIFIED and r.lhs == 1023
 
+    @pytest.mark.parametrize("t", list(bounds.FINITE_T_RANGE))
+    def test_threshold_floor_is_checked(self, t, monkeypatch):
+        r = bounds.verify_threshold_floor(t)
+        assert r.status == VERIFIED
+        assert r.lhs == math.floor(bounds.low_side_threshold(t))
+        assert r.witness == {"closes_at_n": r.lhs + 1}
+        # a floor one too high must be caught at every t, not only at 14
+        threshold = bounds.low_side_threshold
+        monkeypatch.setattr(bounds, "low_side_threshold", lambda u: threshold(u) + 1)
+        assert bounds.verify_threshold_floor(t).status == REFUTED
+
     def test_thresholds_decrease(self):
         floors = [math.floor(bounds.low_side_threshold(t)) for t in range(14, 19)]
         assert floors == sorted(floors, reverse=True)
@@ -347,6 +358,25 @@ class TestReports:
 
 
 class TestFullSuite:
+    def test_deep_pair_sweep_runs_once(self, monkeypatch):
+        calls = []
+        sweep = bounds.deep_pair_sweep
+
+        def counted(t_max):
+            calls.append(t_max)
+            return sweep(t_max)
+
+        separate = bounds.verify_side_bound_shapes(20) + bounds.verify_uniform_side_bounds(20)
+        monkeypatch.setattr(bounds, "deep_pair_sweep", counted)
+        suite = bounds.run_bounds_suite(20)
+        assert calls == [20]
+        for claim_id in ("deep-pair-sweep", "uniform-deep-sweep"):
+            rows = [report_to_obj(r) for rows in (separate, suite) for r in rows
+                    if r.claim_id == claim_id]
+            for row in rows:
+                del row["elapsed_ms"]
+            assert len(rows) == 2 and rows[0] == rows[1], claim_id
+
     def test_run_bounds_suite_green_and_fast(self):
         import time
 

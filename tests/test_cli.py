@@ -80,6 +80,20 @@ class TestSearchCommands:
         assert code == 0
         assert json.loads(out)["notes"]["mode"] == "shifted"
 
+    def test_seq_rejects_shifted(self, tmp_path, capsys):
+        seq = ["search", "seq", "--n", "3", "--m", "2", "--t", "1"]
+        code, out, err = run(capsys, *seq, "--shifted")
+        assert (code, out) == (USAGE_ERROR, "")
+        assert "no shifted mode" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shifted = true\n")
+        code, out, err = run(capsys, *seq, "--config", str(cfg))
+        assert (code, out) == (USAGE_ERROR, "")
+        assert "no shifted mode" in err
+        code, out, _ = run(capsys, *seq, "--config", str(cfg), "--no-shifted")
+        assert code == 0
+        assert json.loads(out)["notes"]["closed_sets"] == 256
+
 
 class TestVerifyCommands:
     def test_walk_oracle_json(self, capsys):

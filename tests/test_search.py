@@ -20,6 +20,7 @@ from ekrcross.search import (
     max_weight_product,
     uniform_layer,
 )
+from ekrcross.seq import verify_seq_theorem
 from ekrcross.setfam import (
     BudgetExceeded,
     Family,
@@ -118,6 +119,78 @@ class TestWeightSearch:
             max_weight_product(3, 0, Fraction(1, 3))
         with pytest.raises(ValueError):
             max_weight_product(3, 1, Fraction(3, 2))
+
+
+def _search_digest(r) -> str:
+    def members(f):
+        return f.masks if isinstance(f, Family) else f.members
+
+    key = (str(r.max_product), r.witness_count, r.witness_classes, r.matched_construction,
+           [(members(a), members(b)) for a, b in r.witnesses], r.notes)
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+# sha256 of _search_digest's key, recorded before the uniform, weighted
+# and sequence searches shared one engine; any change to a maximum, tie
+# count, class, witness or note shows.
+PINNED_SEARCHES = (
+    ("uniform", (6, 3, 1), False, "488be1c07da6e34f82ff722f9397bca1bb806940bbacc1e3ab88220fd72fd1d5"),
+    ("uniform", (6, 3, 2), False, "4b70be55aae9e0f751482be7dbd9ec7077d95d9e4ac6203f8649bf5985c18375"),
+    ("uniform", (5, 2, 1), False, "48be5f9412fcf6f18865f1a959113ddb25b2c7f45512ae6f69f5282c6adc5ef4"),
+    ("weight", (4, 2, Fraction(1, 4)), False,
+     "c7e19dd0a7abc1f42599606a13ae1372f26a95389c31b2452c161c4a694cc026"),
+    ("uniform", (6, 3, 1), True, "45be7f16a125a02b10699be0f5ad07dbf11e2a7f4e9c6d2a5c78f55411d11ada"),
+    ("uniform", (6, 3, 2), True, "f37666cd3f8c8ce0ebdb3248831eccfe59b8d961dbece7fec14ac8b3576448e6"),
+    ("uniform", (5, 2, 1), True, "e80842c21b339213eb4f865a5bc71a3ef7b7e853f5fae54b412318a992b25c43"),
+    ("weight", (4, 2, Fraction(1, 4)), True,
+     "4fb2e90eb3d1eb717453c931a55f3f6a6522b8309bf9cecfc324c3155aff9a7a"),
+    ("seq", (3, 2, 1), False, "e1ff2fa514ddf6bccac75440b2b4dc26c74b2b0349cae80612767bbaf4c06397"),
+    ("seq", (2, 3, 1), False, "bb911ddac4c753f5ba1dc1dbfe05b520a235643651bc288fbcccbd570534546a"),
+)
+
+
+def test_pinned_search_outputs():
+    searches = {"uniform": max_uniform_product, "weight": max_weight_product,
+                "seq": verify_seq_theorem}
+    for kind, args, shifted, digest in PINNED_SEARCHES:
+        r = searches[kind](*args, SearchBudget(restrict_shifted=shifted))
+        assert _search_digest(r) == digest, (kind, args, shifted)
+
+
+@pytest.mark.parametrize("search, args", [
+    (max_uniform_product, (5, 2, 1)),
+    (max_weight_product, (4, 2, Fraction(1, 4))),
+])
+def test_shifted_fallback_matches_full_mode(monkeypatch, search, args):
+    # No instance tier-1 runs has a partner that is not shift-closed, so
+    # the shifted pass is made to report one violation.
+    scorer = ekrcross.search._best_pairs
+
+    def one_violation(nodes, rows, weights, preds=None):
+        *found, violations = scorer(nodes, rows, weights, preds)
+        return (*found, violations + (preds is not None))
+
+    full = search(*args)
+    monkeypatch.setattr(ekrcross.search, "_best_pairs", one_violation)
+    fallback = search(*args, SearchBudget(restrict_shifted=True))
+    assert full.notes["mode"] == "full"
+    assert fallback.notes == {"mode": "full-fallback", "closed_sets": full.notes["closed_sets"]}
+    fallback.notes, fallback.elapsed_ms = full.notes, full.elapsed_ms
+    assert fallback == full
+
+
+def test_dominance_preds_once_per_shifted_search(monkeypatch):
+    calls = []
+    preds = ekrcross.search._dominance_preds
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return preds(*args, **kwargs)
+
+    monkeypatch.setattr(ekrcross.search, "_dominance_preds", counted)
+    max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True))
+    max_weight_product(4, 2, Fraction(1, 4), SearchBudget(restrict_shifted=True))
+    assert len(calls) == 2
 
 
 class TestPartnerOperator:

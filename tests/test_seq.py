@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekrcross.measure import WeightParams, mu
-from ekrcross.search import SearchBudget
+from ekrcross.search import SearchBudget, compatibility_rows
 from ekrcross.seq import (
     SeqFamily,
     Sequence,
     expected_H_size,
     is_seq_shifted,
     make_H,
+    onehot_mask,
     seq_cross_t_intersecting,
     seq_family_from_text,
     seq_family_to_text,
@@ -230,6 +231,15 @@ class TestSequenceTheorem:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             verify_seq_theorem(5, 3, 1)
+
+    @pytest.mark.parametrize("n,m,t", [(4, 2, 1), (3, 3, 1), (2, 3, 2), (3, 2, 2)])
+    def test_onehot_rows_count_agreements(self, n, m, t):
+        words = list(itertools.product(range(1, m + 1), repeat=n))
+        rows = [
+            sum(1 << j for j, wj in enumerate(words) if Sequence(m, wi).agreement(Sequence(m, wj)) >= t)
+            for wi in words
+        ]
+        assert compatibility_rows([onehot_mask(w, m) for w in words], t) == rows
 
 
 class TestSerialization:
