@@ -8,10 +8,11 @@ and for sequence families (``seq`` encodes words as one-hot masks), so
 one closed-pair engine serves all three searches:
 
 - ``_iter_closed`` yields every intersection of the per-candidate
-  compatibility rows exactly once; ``_iter_shift_closed`` yields the
-  shift-closed families only;
-- ``_best_pairs`` maximizes the product w(A) w(D(A)) over either
-  stream and keeps the tied pairs;
+  compatibility rows exactly once, and ``_best_pairs`` maximizes the
+  product w(A) w(D(A)) over them and keeps the tied pairs (full mode);
+- ``_downsets`` walks the shift-closed families depth first, carrying
+  D(A) and both weights, and ``_best_shifted`` runs it as a branch and
+  bound (shifted mode);
 - ``_search`` picks the mode (shifted, falling back to every closed set
   when some partner is not shift-closed) and ``_finish`` builds the
   ``SearchResult``.
@@ -33,14 +34,13 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .setfam import (
     BudgetExceeded,
     Family,
-    Subset,
     is_cross_t_intersecting,
     is_inclusion_maximal,
     is_shifted,
     mask_of,
     maximal_cross_partner,
     shift_pair_to_fixpoint,
-    shifts_to,
+    shifts_to,  # noqa: F401  kept bound here: perfbench's tracer self-test rebinds it
 )
 
 DEFAULT_NODE_CAP = 1 << 22
@@ -51,9 +51,10 @@ WITNESS_CAP = 4096
 class SearchBudget:
     """Caps for the exhaustive searches.
 
-    ``max_family_bits`` bounds the number of enumeration nodes (closed
-    sets in full mode, shift-closed families in shifted mode);
-    ``time_limit`` is wall-clock seconds.
+    ``max_family_bits`` bounds the number of enumeration nodes: closed
+    sets in full mode; shift-closed families visited in shifted mode,
+    where the branch and bound prunes most of them, and in
+    ``iter_shifted_families``.  ``time_limit`` is wall-clock seconds.
     """
 
     max_family_bits: int = DEFAULT_NODE_CAP
@@ -135,30 +136,21 @@ def _iter_closed(rows: Sequence[int], budget: SearchBudget) -> Iterable[int]:
         yield a
 
 
-def _best_pairs(nodes: Iterable[int], rows: Sequence[int], weights: Optional[Sequence[int]],
-                preds: Optional[Sequence[int]] = None) -> tuple[int, list, int, int, int]:
+def _best_pairs(nodes: Iterable[int], rows: Sequence[int],
+                weights: Optional[Sequence[int]]) -> tuple[int, list, int, int]:
     """Maximize w(A) w(D(A)) over the index masks A in ``nodes``.
 
     Returns (best, argmax pairs as unordered index-mask pairs capped at
-    WITNESS_CAP, argmax count, nodes visited, partner-shift violations).
-    Weights None means counting measure.  With ``preds``, a node counts
-    as a violation when its partner D(A) is not closed under them.
+    WITNESS_CAP, argmax count, nodes visited).  Weights None means
+    counting measure.
     """
     full = (1 << len(rows)) - 1
     uniformw = weights is None
-    best = count = visited = violations = 0
+    best = count = visited = 0
     argmax: set[tuple[int, int]] = set()
     for a in nodes:
         visited += 1
         b = _partner(a, rows, full)
-        if preds is not None:
-            rest = b
-            while rest:
-                low = rest & -rest
-                if preds[low.bit_length() - 1] & ~b:
-                    violations += 1
-                    break
-                rest ^= low
         wa = a.bit_count() if uniformw else _weight_sum(a, weights)
         wb = b.bit_count() if uniformw else _weight_sum(b, weights)
         prod = wa * wb
@@ -171,7 +163,7 @@ def _best_pairs(nodes: Iterable[int], rows: Sequence[int], weights: Optional[Seq
             count += 1
             if len(argmax) < WITNESS_CAP:
                 argmax.add(pair)
-    return best, sorted(argmax), count, visited, violations
+    return best, sorted(argmax), count, visited
 
 
 # ---------------------------------------------------------------------------
@@ -179,72 +171,137 @@ def _best_pairs(nodes: Iterable[int], rows: Sequence[int], weights: Optional[Seq
 # ---------------------------------------------------------------------------
 
 
+def _linear_extension(masks: Sequence[int]) -> list[int]:
+    """Candidate indices, larger and then lefter sets first: each comes
+    after every candidate it forces."""
+    return sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), sum(_bits(masks[i]))))
+
+
 def _dominance_preds(masks: Sequence[int], n: int, same_size_only: bool) -> list[int]:
     """preds[i] = index mask of candidates forced by including candidate i.
 
-    Candidate j is forced by i when the set of i shifts to the set of j;
-    a shift-closed family containing i must contain j.
+    Candidate j is forced by i when the set of i shifts to the set of j
+    (``setfam.shifts_to``); a shift-closed family containing i must
+    contain j.  The order is generated by its covers (move one element
+    one step left; unless ``same_size_only``, add one element), so
+    preds[i] is the union of {j} and preds[j] over the covers j of i,
+    filled in linear-extension order.  ``masks`` must be a layer or the
+    power set, which hold the covers of their members.
     """
-    subs = [Subset(n, m) for m in masks]
+    index = {m: i for i, m in enumerate(masks)}
     preds = [0] * len(masks)
-    for i, si in enumerate(subs):
-        for j, sj in enumerate(subs):
-            if i == j:
-                continue
-            if same_size_only and len(si) != len(sj):
-                continue
-            if shifts_to(si, sj):
-                preds[i] |= 1 << j
+    for i in _linear_extension(masks):
+        m = masks[i]
+        covers = [m - (1 << (b - 1)) for b in _bits(m) if b and not m >> (b - 1) & 1]
+        if not same_size_only:
+            covers += [m | 1 << e for e in range(n) if not m >> e & 1]
+        for c in covers:
+            preds[i] |= 1 << index[c] | preds[index[c]]
     return preds
 
 
-def _iter_shift_closed(
-    masks: Sequence[int], n: int, budget: SearchBudget, preds: Sequence[int]
-) -> Iterable[int]:
-    """All subfamilies closed under ``preds`` (from ``_dominance_preds``),
-    as index masks over ``masks``.
+def _downsets(masks: Sequence[int], preds: Sequence[int], rows: Sequence[int],
+              weights: Optional[Sequence[int]], budget: SearchBudget,
+              prune: Callable[[int, int], bool]) -> Iterable[tuple[int, ...]]:
+    """Every family A closed under ``preds``, depth first and each once,
+    as (A, D(A), w(A), w(D(A)), the bits D(A) dropped from its parent's)
+    with A and D(A) index masks.
 
-    Candidates are processed along a linear extension of the dominance
-    order (larger, then lefter, sets first), so a family may include a
-    candidate only once everything it forces is already in.
+    A child adds a candidate later in the linear extension than A's last
+    one, with all it forces already in A, so every path prefix is closed.
+    It costs one AND with the candidate's row and the weight of the bits
+    that drops from D(A).  A node with ``prune(w(A), w(D(A)))`` is
+    skipped with its subtree, so ``prune`` must stay true down the tree.
     """
-    order = sorted(
-        range(len(masks)),
-        key=lambda i: (-masks[i].bit_count(), sum(Subset(n, masks[i]).members)),
-    )
+    order = _linear_extension(masks)
+    if weights is None:
+        weights = [1] * len(masks)
+    full = (1 << len(masks)) - 1
     deadline = _Deadline(budget)
-    produced = 0
-    stack: list[tuple[int, int]] = [(0, 0)]
+    visited = 0
+    stack = [(0, 0, full, 0, sum(weights), 0)]
     while stack:
-        pos, chosen = stack.pop()
-        if pos == len(order):
-            produced += 1
-            if produced > budget.max_family_bits:
-                raise BudgetExceeded(
-                    f"shifted enumeration exceeds max_family_bits={budget.max_family_bits}"
-                )
-            if produced & 0xFFF == 0:
-                deadline.check()
-            yield chosen
+        pos, a, b, wa, wb, dropped = stack.pop()
+        if prune(wa, wb):
             continue
-        idx = order[pos]
-        stack.append((pos + 1, chosen))
-        if preds[idx] & ~chosen == 0:
-            stack.append((pos + 1, chosen | (1 << idx)))
+        visited += 1
+        if visited > budget.max_family_bits:
+            raise BudgetExceeded(f"downset search exceeds max_family_bits={budget.max_family_bits}")
+        if visited & 0xFFF == 0:
+            deadline.check()
+        yield a, b, wa, wb, dropped
+        for q in range(len(order) - 1, pos - 1, -1):
+            i = order[q]
+            if not preds[i] & ~a:
+                lost = b & ~rows[i]
+                stack.append((q + 1, a | 1 << i, b ^ lost, wa + weights[i],
+                              wb - _weight_sum(lost, weights), lost))
+
+
+def _best_shifted(cands: Sequence[int], n: int, t: int, rows: Sequence[int],
+                  weights: Optional[Sequence[int]], budget: SearchBudget,
+                  same_size_only: bool) -> tuple[int, list, int, int, int]:
+    """Shifted mode's ``_best_pairs`` (see ``_search``); also returns the
+    number of nodes whose partner D(A) is not shift-closed while their
+    parent's is, which is 0 exactly when every visited partner is
+    shift-closed.  Given a closed parent partner, D(A) is closed unless
+    it holds a candidate forcing one of the bits it dropped."""
+    preds = _dominance_preds(cands, n, same_size_only)
+    forcers = [0] * len(cands)
+    for i, p in enumerate(preds):
+        for j in _bits(p):
+            forcers[j] |= 1 << i
+    core = (1 << t) - 1
+    star = sum(1 if weights is None else weights[i]
+               for i, c in enumerate(cands) if c & core == core)
+    best, count, visited, violations = star * star, 0, 0, 0
+    argmax: set[tuple[int, int]] = set()
+
+    def prune(wa: int, wb: int) -> bool:
+        return wb * wb < best or wa > wb > 0
+
+    for a, b, wa, wb, dropped in _downsets(cands, preds, rows, weights, budget, prune):
+        visited += 1
+        violations += any(forcers[j] & b for j in _bits(dropped))
+        prod = wa * wb
+        if prod < best:
+            continue
+        pair = (a, b) if a <= b else (b, a)
+        if prod > best:
+            best, argmax, count = prod, {pair}, 1
+        elif pair not in argmax and (len(argmax) < WITNESS_CAP or wa != wb or a <= b):
+            count += 1
+            if len(argmax) < WITNESS_CAP:
+                argmax.add(pair)
+    return best, sorted(argmax), count, visited, violations
 
 
 def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequence[int]], n: int,
-            budget: SearchBudget, same_size_only: bool) -> tuple[int, list, int, dict]:
+            t: int, budget: SearchBudget, same_size_only: bool) -> tuple[int, list, int, dict]:
     """Run the engine in the budget's mode; returns (best, pairs, count, notes).
 
-    Shifted mode scores the shift-closed families A only.  Their
-    partners are expected to be shift-closed too; if one is not, the
-    restriction is unsound here and every closed set is scored instead.
+    Shifted mode scores the shift-closed families A with w(A) <= w(D(A)),
+    starting from the product of the star pair (every candidate holding
+    [t], twice), which is cross t-intersecting.  D of a shift-closed family
+    is shift-closed (a member compressed still meets each member of A,
+    whose compression A holds, in t; a superset meets more), so each
+    maximal closed pair is scored from its lighter side, or from both
+    when they weigh the same.  w(A) grows and w(D(A)) shrinks down the
+    tree, so no tie lies below a node with w(D(A))^2 < best or
+    w(A) > w(D(A)) > 0 (the > 0 keeps the product-0 ties when nothing
+    cross t-intersects), and both prunes are strict.  So max, ties and
+    witnesses are those of every shift-closed A, and ``witness_count``
+    counts each maximal closed pair of shift-closed families once: a
+    pair scored from both sides is deduplicated against the retained
+    witnesses and, past WITNESS_CAP, counted from its A <= D(A) side.
+
+    Every scored partner is checked to be shift-closed; if one is not,
+    the restriction is unsound here and every closed set is scored
+    instead (``full-fallback``).
     """
     if budget.restrict_shifted:
-        preds = _dominance_preds(cands, n, same_size_only)
-        best, pairs, count, nodes, violations = _best_pairs(
-            _iter_shift_closed(cands, n, budget, preds), rows, weights, preds
+        best, pairs, count, nodes, violations = _best_shifted(
+            cands, n, t, rows, weights, budget, same_size_only
         )
         if not violations:
             notes = {"mode": "shifted", "nodes": nodes, "partner_shift_violations": 0}
@@ -252,7 +309,7 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
         mode = "full-fallback"
     else:
         mode = "full"
-    best, pairs, count, closed, _ = _best_pairs(_iter_closed(rows, budget), rows, weights)
+    best, pairs, count, closed = _best_pairs(_iter_closed(rows, budget), rows, weights)
     return best, pairs, count, {"mode": mode, "closed_sets": closed}
 
 
@@ -274,7 +331,8 @@ def iter_shifted_families(
         raise ValueError("uniform families cannot be inclusion maximal")
     masks = uniform_layer(n, k) if k is not None else list(range(1 << n))
     preds = _dominance_preds(masks, n, same_size_only=not inclusion_maximal)
-    for chosen in _iter_shift_closed(masks, n, budget, preds):
+    rows = [(1 << len(masks)) - 1] * len(masks)
+    for chosen, *_ in _downsets(masks, preds, rows, None, budget, lambda wa, wb: False):
         yield Family(n, tuple(sorted(masks[i] for i in _bits(chosen))), k)
 
 
@@ -384,7 +442,7 @@ def _set_search(n: int, k: Optional[int], t: int, cands: Sequence[int],
     """The search over the set candidates ``cands``: the k-layer, or with
     k None the whole power set."""
     rows = compatibility_rows(cands, t)
-    best, pairs, count, notes = _search(cands, rows, weights, n, budget, k is not None)
+    best, pairs, count, notes = _search(cands, rows, weights, n, t, budget, k is not None)
     window_cache: dict = {}
 
     def family(mask: int) -> Family:

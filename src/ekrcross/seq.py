@@ -259,7 +259,7 @@ def verify_seq_theorem(
     started = time.perf_counter()
     cands = list(itertools.product(range(1, m + 1), repeat=n))
     rows = compatibility_rows([onehot_mask(w, m) for w in cands], t)
-    best, pairs, count, closed, _ = _best_pairs(_iter_closed(rows, budget), rows, None)
+    best, pairs, count, closed = _best_pairs(_iter_closed(rows, budget), rows, None)
 
     def fam_of(mask: int) -> SeqFamily:
         return SeqFamily(m, n, tuple(sorted(cands[i] for i in _bits(mask))))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import ekrcross.search
 from ekrcross import graphs as gr
+from ekrcross.measure import WeightParams, mu
 from ekrcross.search import (
     SearchBudget,
     brute_force_uniform_max,
@@ -24,6 +25,7 @@ from ekrcross.seq import verify_seq_theorem
 from ekrcross.setfam import (
     BudgetExceeded,
     Family,
+    Subset,
     are_isomorphic,
     is_cross_t_intersecting,
     is_inclusion_maximal,
@@ -33,6 +35,7 @@ from ekrcross.setfam import (
     mask_of,
     maximal_cross_partner,
     shift_ij,
+    shifts_to,
 )
 from ekrcross.walks import lambda_family
 
@@ -125,25 +128,29 @@ def _search_digest(r) -> str:
     def members(f):
         return f.masks if isinstance(f, Family) else f.members
 
+    # A pruning search may visit fewer nodes, so the shifted-mode node
+    # count is left out; full and seq notes have no "nodes" key.
+    notes = {key: val for key, val in r.notes.items() if key != "nodes"}
     key = (str(r.max_product), r.witness_count, r.witness_classes, r.matched_construction,
-           [(members(a), members(b)) for a, b in r.witnesses], r.notes)
+           [(members(a), members(b)) for a, b in r.witnesses], notes)
     return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
 # sha256 of _search_digest's key, recorded before the uniform, weighted
-# and sequence searches shared one engine; any change to a maximum, tie
-# count, class, witness or note shows.
+# and sequence searches shared one engine (the shifted entries re-taken
+# there without the node count); any change to a maximum, tie count,
+# class, witness or other note shows.
 PINNED_SEARCHES = (
     ("uniform", (6, 3, 1), False, "488be1c07da6e34f82ff722f9397bca1bb806940bbacc1e3ab88220fd72fd1d5"),
     ("uniform", (6, 3, 2), False, "4b70be55aae9e0f751482be7dbd9ec7077d95d9e4ac6203f8649bf5985c18375"),
     ("uniform", (5, 2, 1), False, "48be5f9412fcf6f18865f1a959113ddb25b2c7f45512ae6f69f5282c6adc5ef4"),
     ("weight", (4, 2, Fraction(1, 4)), False,
      "c7e19dd0a7abc1f42599606a13ae1372f26a95389c31b2452c161c4a694cc026"),
-    ("uniform", (6, 3, 1), True, "45be7f16a125a02b10699be0f5ad07dbf11e2a7f4e9c6d2a5c78f55411d11ada"),
-    ("uniform", (6, 3, 2), True, "f37666cd3f8c8ce0ebdb3248831eccfe59b8d961dbece7fec14ac8b3576448e6"),
-    ("uniform", (5, 2, 1), True, "e80842c21b339213eb4f865a5bc71a3ef7b7e853f5fae54b412318a992b25c43"),
+    ("uniform", (6, 3, 1), True, "bedea5dfcb6be010b7fbb38fb52666448a7e540894f8322e3cdcfd7254c398da"),
+    ("uniform", (6, 3, 2), True, "d89eee006e924c9baa2e7aaf6f807e8b87a394d4b261a635f16c9b1449771481"),
+    ("uniform", (5, 2, 1), True, "dfadf53329eafbf94816955bd589f839cbd38725d7789e2994650e456e4eebfe"),
     ("weight", (4, 2, Fraction(1, 4)), True,
-     "4fb2e90eb3d1eb717453c931a55f3f6a6522b8309bf9cecfc324c3155aff9a7a"),
+     "895cc93078f3935c6f10e0e153850ad1bba29ae97f26b945df4d2fdd01a9d98f"),
     ("seq", (3, 2, 1), False, "e1ff2fa514ddf6bccac75440b2b4dc26c74b2b0349cae80612767bbaf4c06397"),
     ("seq", (2, 3, 1), False, "bb911ddac4c753f5ba1dc1dbfe05b520a235643651bc288fbcccbd570534546a"),
 )
@@ -155,6 +162,9 @@ def test_pinned_search_outputs():
     for kind, args, shifted, digest in PINNED_SEARCHES:
         r = searches[kind](*args, SearchBudget(restrict_shifted=shifted))
         assert _search_digest(r) == digest, (kind, args, shifted)
+        if shifted:
+            assert r.notes["mode"] == "shifted", (kind, args)
+            assert r.notes["partner_shift_violations"] == 0, (kind, args)
 
 
 @pytest.mark.parametrize("search, args", [
@@ -164,19 +174,35 @@ def test_pinned_search_outputs():
 def test_shifted_fallback_matches_full_mode(monkeypatch, search, args):
     # No instance tier-1 runs has a partner that is not shift-closed, so
     # the shifted pass is made to report one violation.
-    scorer = ekrcross.search._best_pairs
+    scorer = ekrcross.search._best_shifted
 
-    def one_violation(nodes, rows, weights, preds=None):
-        *found, violations = scorer(nodes, rows, weights, preds)
-        return (*found, violations + (preds is not None))
+    def one_violation(*args):
+        *found, violations = scorer(*args)
+        return (*found, violations + 1)
 
     full = search(*args)
-    monkeypatch.setattr(ekrcross.search, "_best_pairs", one_violation)
+    monkeypatch.setattr(ekrcross.search, "_best_shifted", one_violation)
     fallback = search(*args, SearchBudget(restrict_shifted=True))
     assert full.notes["mode"] == "full"
     assert fallback.notes == {"mode": "full-fallback", "closed_sets": full.notes["closed_sets"]}
     fallback.notes, fallback.elapsed_ms = full.notes, full.elapsed_ms
     assert fallback == full
+
+
+def test_shifted_mode_detects_a_partner_that_is_not_closed(monkeypatch):
+    # Under preds that chain the linear extension the closed families are
+    # its prefixes (12, 13, 14, 23, 15, ...), and D({12, 13, 14}) =
+    # {12, 13, 14, 15} is not one, so the search must fall back.
+    def chain(masks, n, same_size_only):
+        order = ekrcross.search._linear_extension(masks)
+        preds = [0] * len(masks)
+        for prev, i in zip(order, order[1:]):
+            preds[i] = preds[prev] | 1 << prev
+        return preds
+
+    monkeypatch.setattr(ekrcross.search, "_dominance_preds", chain)
+    r = max_uniform_product(5, 2, 1, SearchBudget(restrict_shifted=True))
+    assert r.notes["mode"] == "full-fallback"
 
 
 def test_dominance_preds_once_per_shifted_search(monkeypatch):
@@ -191,6 +217,82 @@ def test_dominance_preds_once_per_shifted_search(monkeypatch):
     max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True))
     max_weight_product(4, 2, Fraction(1, 4), SearchBudget(restrict_shifted=True))
     assert len(calls) == 2
+
+
+def _oracle_ties(families, partner, weight):
+    """Max, tie count and tied pairs of w(A) w(D(A)) over ``families``,
+    with D taken from ``setfam.maximal_cross_partner``."""
+    scored = [(weight(a) * weight(b), frozenset((a.masks, b.masks)))
+              for a in families for b in [partner(a)]]
+    best = max(prod for prod, _ in scored)
+    ties = {pair for prod, pair in scored if prod == best}
+    return best, len(ties), ties
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("uniform", (4, 2, 1)), ("uniform", (6, 3, 1)), ("uniform", (6, 3, 2)),
+    ("uniform", (4, 2, 3)), ("weight", (4, 2, Fraction(1, 4))),
+    ("weight", (5, 1, Fraction(1, 3))),
+])
+def test_shifted_ties_match_oracle(kind, args):
+    # The branch and bound must keep every tie that scoring each
+    # shift-closed family against its maximal partner finds; at
+    # (4, 2, 3) nothing cross 3-intersects and every family ties at 0.
+    if kind == "uniform":
+        n, k, t = args
+        r = max_uniform_product(n, k, t, SearchBudget(restrict_shifted=True))
+        best, count, ties = _oracle_ties(iter_shifted_families(n, k=k),
+                                         lambda a: maximal_cross_partner(a, t, k), len)
+    else:
+        n, t, p = args
+        r = max_weight_product(n, t, p, SearchBudget(restrict_shifted=True))
+        params = WeightParams(n, p)
+        best, count, ties = _oracle_ties(iter_shifted_families(n, inclusion_maximal=True),
+                                         lambda a: maximal_cross_partner(a, t),
+                                         lambda f: mu(f, params))
+    assert r.notes["mode"] == "shifted"
+    assert (r.max_product, r.witness_count) == (best, count)
+    assert {frozenset((a.masks, b.masks)) for a, b in r.witnesses} == ties
+
+
+def test_shifted_count_past_the_witness_cap(monkeypatch):
+    # At p = 1/2 and t = 1 some of the 31 tied pairs have A != D(A) and
+    # equal weight, so the branch and bound scores them from both sides;
+    # with one witness retained each must still count once.
+    args = (6, 1, Fraction(1, 2), SearchBudget(restrict_shifted=True))
+    assert max_weight_product(*args).witness_count == 31
+    monkeypatch.setattr(ekrcross.search, "WITNESS_CAP", 1)
+    r = max_weight_product(*args)
+    assert (r.witness_count, len(r.witnesses)) == (31, 1)
+
+
+@pytest.mark.parametrize("n, k, t, best", [(10, 4, 2, 784), (11, 3, 1, 2025)])
+def test_shifted_reach_above_the_boundary(n, k, t, best):
+    # n > (t+1)(k-t+1): the star pair is the unique maximum, C(n-t, k-t)^2.
+    r = max_uniform_product(n, k, t, SearchBudget(restrict_shifted=True, time_limit=30))
+    assert best == math.comb(n - t, k - t) ** 2
+    assert (r.max_product, r.witness_count, r.witness_classes) == (best, 1, ("F0",))
+
+
+def test_shifted_budget_counts_visited_nodes():
+    # The walk visits about 800 shift-closed families here.
+    with pytest.raises(BudgetExceeded):
+        max_weight_product(7, 2, Fraction(1, 4),
+                           SearchBudget(restrict_shifted=True, max_family_bits=100))
+
+
+@pytest.mark.parametrize("n, k, same_size_only", [
+    *[(n, None, same) for n in range(1, 7) for same in (False, True)],
+    *[(n, k, True) for n in range(1, 8) for k in range(1, n + 1)],
+])
+def test_dominance_preds_match_shifts_to(n, k, same_size_only):
+    # The power set (k None) layer by layer or with supersets, and each layer.
+    masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
+    subs = [Subset(n, m) for m in masks]
+    want = [sum(1 << j for j, sj in enumerate(subs)
+                if j != i and shifts_to(si, sj) and not (same_size_only and len(si) != len(sj)))
+            for i, si in enumerate(subs)]
+    assert ekrcross.search._dominance_preds(masks, n, same_size_only) == want
 
 
 class TestPartnerOperator:
