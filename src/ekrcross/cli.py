@@ -78,6 +78,10 @@ class RunConfig:
         missing = [name for name in required if getattr(self, name) is None]
         if missing:
             raise ValueError(f"suite {self.suite} requires {', '.join('--' + m for m in missing)}")
+        size = {"search-uniform": "k", "search-weight": "n"}.get(self.suite)
+        if size and self.t > getattr(self, size):
+            raise ValueError(f"suite {self.suite} needs t <= {size}: nothing cross "
+                             f"{self.t}-intersects at {size}={getattr(self, size)}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -7,9 +7,10 @@ This holds for the k-uniform count, for the p-weight product measure
 and for sequence families (``seq`` encodes words as one-hot masks), so
 one closed-pair engine serves all three searches:
 
-- ``_iter_closed`` yields every intersection of the per-candidate
-  compatibility rows exactly once, and ``_best_pairs`` maximizes the
-  product w(A) w(D(A)) over them and keeps the tied pairs (full mode);
+- ``_best_closed`` walks the closed sets (the intersections of the
+  per-candidate compatibility rows) depth first by Close-by-One,
+  carrying D(A) and both weights, as a branch and bound that maximizes
+  the product w(A) w(D(A)) and keeps the tied pairs (full mode);
 - ``_downsets`` walks the shift-closed families depth first, carrying
   D(A) and both weights, and ``_best_shifted`` runs it as a branch and
   bound (shifted mode);
@@ -24,7 +25,9 @@ integral (weights are scaled to integers), so maxima and ties are exact.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -51,9 +54,9 @@ WITNESS_CAP = 4096
 class SearchBudget:
     """Caps for the exhaustive searches.
 
-    ``max_family_bits`` bounds the number of enumeration nodes: closed
-    sets in full mode; shift-closed families visited in shifted mode,
-    where the branch and bound prunes most of them, and in
+    ``max_family_bits`` bounds the number of enumeration nodes visited:
+    closed sets in full mode and shift-closed families in shifted mode,
+    where the branch and bounds prune many of them, and in
     ``iter_shifted_families``.  ``time_limit`` is wall-clock seconds.
     """
 
@@ -109,61 +112,93 @@ def _partner(mask: int, rows: Sequence[int], full: int) -> int:
     return out
 
 
-def _iter_closed(rows: Sequence[int], budget: SearchBudget) -> Iterable[int]:
-    """Every intersection of rows (the closed sets), as index masks, built
-    breadth-first and then yielded in the iteration order of ``seen``."""
-    full = (1 << len(rows)) - 1
-    deadline = _Deadline(budget)
-    seen = {full}
-    frontier = [full]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for r in rows:
-                x = a & r
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        if len(seen) > budget.max_family_bits:
-            raise BudgetExceeded(
-                f"closure system exceeds max_family_bits={budget.max_family_bits}"
-            )
-        deadline.check()
-        frontier = nxt
-    for tick, a in enumerate(seen, 1):
-        if tick & 0xFFF == 0:
-            deadline.check()
-        yield a
+def _chunk_tables(values: Sequence[int], combine: Callable[[int, int], int],
+                  unit: int) -> list[list[int]]:
+    """tabs[c][v] folds ``combine`` from ``unit`` over values[8c + b] for
+    the bits b of the byte v, so a fold over the bits of a mask takes one
+    lookup per byte."""
+    tabs = []
+    for c in range(0, len(values), 8):
+        tab = [unit] * 256
+        for v in range(1, 256):
+            b = c + (v & -v).bit_length() - 1
+            tab[v] = combine(tab[v & v - 1], values[b]) if b < len(values) else tab[v & v - 1]
+        tabs.append(tab)
+    return tabs
 
 
-def _best_pairs(nodes: Iterable[int], rows: Sequence[int],
-                weights: Optional[Sequence[int]]) -> tuple[int, list, int, int]:
-    """Maximize w(A) w(D(A)) over the index masks A in ``nodes``.
+def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]],
+                 budget: SearchBudget) -> tuple[int, list, int, int]:
+    """Full mode's scorer (see ``_search``): a Close-by-One branch and
+    bound over the closed sets, the intersections of rows, as index
+    masks; returns (best, pairs, count, nodes visited).
 
-    Returns (best, argmax pairs as unordered index-mask pairs capped at
-    WITNESS_CAP, argmax count, nodes visited).  Weights None means
-    counting measure.
+    It walks depth first from (D(full), full), carrying (A, D(A), w(A),
+    w(D(A))).  A child adds a j not in A above the one that made A:
+    D(A') = D(A) & rows[j] and A' = D(D(A')), a lookup per byte.  It is
+    canonical, so each closed set is reached once, when A' holds no new
+    candidate below j.  Weights None means counting measure.
     """
     full = (1 << len(rows)) - 1
-    uniformw = weights is None
-    best = count = visited = 0
-    argmax: set[tuple[int, int]] = set()
-    for a in nodes:
-        visited += 1
-        b = _partner(a, rows, full)
-        wa = a.bit_count() if uniformw else _weight_sum(a, weights)
-        wb = b.bit_count() if uniformw else _weight_sum(b, weights)
-        prod = wa * wb
-        if prod < best:
+    and_tabs = _chunk_tables(rows, operator.and_, full)
+    size = len(and_tabs)
+
+    def d(x: int) -> int:
+        out = full
+        for tab, byte in zip(and_tabs, x.to_bytes(size, "little")):
+            out &= tab[byte]
+        return out
+
+    if weights is None:
+        w = int.bit_count
+    else:
+        sum_tabs = _chunk_tables(weights, operator.add, 0)
+
+        def w(x: int) -> int:
+            return sum([tab[byte] for tab, byte in zip(sum_tabs, x.to_bytes(size, "little"))])
+
+    cap = WITNESS_CAP
+    deadline = _Deadline(budget)
+    best = ties = split = visited = 0
+    kept: list[tuple[int, int]] = []  # the cap least tied pairs, negated: a max-heap
+    root = d(full)
+    stack = [(root, full, w(root), w(full), 0)]
+    while stack:
+        a, b, wa, wb, start = stack.pop()
+        if wb * wb < best:
             continue
-        pair = (a, b) if a <= b else (b, a)
+        visited += 1
+        if visited > budget.max_family_bits:
+            raise BudgetExceeded(
+                f"closed-set search exceeds max_family_bits={budget.max_family_bits}")
+        if visited & 0xFFF == 0:
+            deadline.check()
+        prod = wa * wb
         if prod > best:
-            best, argmax, count = prod, {pair}, 1
-        elif pair not in argmax:
-            count += 1
-            if len(argmax) < WITNESS_CAP:
-                argmax.add(pair)
-    return best, sorted(argmax), count, visited
+            best, ties, split, kept = prod, 0, 0, []
+        if prod == best and (wa < wb or wa == wb and a <= b):
+            ties, split = ties + 1, split + (a != b)
+            pair = (-a, -b) if a <= b else (-b, -a)
+            if len(kept) < cap:
+                heapq.heappush(kept, pair)
+            else:
+                heapq.heappushpop(kept, pair)
+        free = full & ~a >> start << start
+        while free:
+            j = free.bit_length() - 1
+            free ^= 1 << j
+            nb = b & rows[j]
+            wnb = w(nb)
+            if wnb * wnb < best:
+                continue
+            na = d(nb)
+            if (na ^ a) & ((1 << j) - 1):
+                continue
+            wna = w(na)
+            if not wna > wnb > 0:
+                stack.append((na, nb, wna, wnb, j + 1))
+    pairs = sorted((-x, -y) for x, y in kept)
+    return best, pairs, ties + split - sum(x != y for x, y in pairs), visited
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +333,16 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
     Every scored partner is checked to be shift-closed; if one is not,
     the restriction is unsound here and every closed set is scored
     instead (``full-fallback``).
+
+    Full mode walks every closed set under the same two strict prunes,
+    unseeded: a tie with w(A) <= w(D(A)) lies below no pruned node, as
+    each ancestor A'' has w(A'') <= w(A) <= w(D(A)) <= w(D(A'')).  A tie
+    counts once, on its side with w(A) < w(D(A)), or w(A) = w(D(A)) and
+    A <= D(A).  The WITNESS_CAP least (min, max) index-mask pairs are
+    retained, and ``witness_count`` is S + 2P - R over the S ties with
+    A = D(A) and the P others, R of them retained: past the cap the
+    P - R others not retained count twice, a known over-count that the
+    benchmark pins.
     """
     if budget.restrict_shifted:
         best, pairs, count, nodes, violations = _best_shifted(
@@ -309,8 +354,8 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
         mode = "full-fallback"
     else:
         mode = "full"
-    best, pairs, count, closed = _best_pairs(_iter_closed(rows, budget), rows, weights)
-    return best, pairs, count, {"mode": mode, "closed_sets": closed}
+    best, pairs, count, nodes = _best_closed(rows, weights, budget)
+    return best, pairs, count, {"mode": mode, "nodes": nodes}
 
 
 def iter_shifted_families(

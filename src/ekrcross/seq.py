@@ -18,10 +18,9 @@ from .measure import WeightParams, mu
 from .search import (
     SearchBudget,
     SearchResult,
-    _best_pairs,
+    _best_closed,
     _bits,
     _finish,
-    _iter_closed,
     compatibility_rows,
 )
 from .setfam import BudgetExceeded, Family, Subset, make_threshold_family
@@ -259,7 +258,7 @@ def verify_seq_theorem(
     started = time.perf_counter()
     cands = list(itertools.product(range(1, m + 1), repeat=n))
     rows = compatibility_rows([onehot_mask(w, m) for w in cands], t)
-    best, pairs, count, closed = _best_pairs(_iter_closed(rows, budget), rows, None)
+    best, pairs, count, nodes = _best_closed(rows, None, budget)
 
     def fam_of(mask: int) -> SeqFamily:
         return SeqFamily(m, n, tuple(sorted(cands[i] for i in _bits(mask))))
@@ -267,7 +266,7 @@ def verify_seq_theorem(
     def label(mask: int) -> Optional[str]:
         return _cylinder_label(frozenset(cands[i] for i in _bits(mask)), m, n, t)
 
-    notes: dict = {"closed_sets": closed, "target": (m ** (n - t)) ** 2}
+    notes: dict = {"nodes": nodes, "target": (m ** (n - t)) ** 2}
     if m == 2:
         notes["layer_comparison"] = "skipped: alphabet 2 leaves the layer index undefined"
     else:

@@ -40,6 +40,16 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == USAGE_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        ("search", "uniform", "--n", "4", "--k", "2", "--t", "3"),
+        ("search", "weight", "--n", "3", "--t", "4", "--p", "1/3"),
+    ])
+    def test_t_above_the_set_size(self, capsys, argv):
+        # Nothing cross t-intersects there, and the maximum 0 ties everywhere.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (USAGE_ERROR, "")
+        assert "needs t <=" in err
+
 
 class TestSearchCommands:
     def test_uniform_search_output(self, capsys):
@@ -92,7 +102,7 @@ class TestSearchCommands:
         assert "no shifted mode" in err
         code, out, _ = run(capsys, *seq, "--config", str(cfg), "--no-shifted")
         assert code == 0
-        assert json.loads(out)["notes"]["closed_sets"] == 256
+        assert json.loads(out)["notes"]["nodes"] == 163
 
 
 class TestVerifyCommands:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ekrcross.search
+import ekrcross.seq
 from ekrcross import graphs as gr
 from ekrcross.measure import WeightParams, mu
 from ekrcross.search import (
@@ -128,31 +129,31 @@ def _search_digest(r) -> str:
     def members(f):
         return f.masks if isinstance(f, Family) else f.members
 
-    # A pruning search may visit fewer nodes, so the shifted-mode node
-    # count is left out; full and seq notes have no "nodes" key.
-    notes = {key: val for key, val in r.notes.items() if key != "nodes"}
+    # A pruning search may visit fewer nodes, so node counts are left out.
+    notes = {key: val for key, val in r.notes.items()
+             if key not in ("nodes", "closed_sets")}
     key = (str(r.max_product), r.witness_count, r.witness_classes, r.matched_construction,
            [(members(a), members(b)) for a, b in r.witnesses], notes)
     return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
 # sha256 of _search_digest's key, recorded before the uniform, weighted
-# and sequence searches shared one engine (the shifted entries re-taken
-# there without the node count); any change to a maximum, tie count,
-# class, witness or other note shows.
+# and sequence searches shared one engine, and re-taken without the node
+# count on the engine each mode used before its walk began to prune; any
+# change to a maximum, tie count, class, witness or other note shows.
 PINNED_SEARCHES = (
-    ("uniform", (6, 3, 1), False, "488be1c07da6e34f82ff722f9397bca1bb806940bbacc1e3ab88220fd72fd1d5"),
-    ("uniform", (6, 3, 2), False, "4b70be55aae9e0f751482be7dbd9ec7077d95d9e4ac6203f8649bf5985c18375"),
-    ("uniform", (5, 2, 1), False, "48be5f9412fcf6f18865f1a959113ddb25b2c7f45512ae6f69f5282c6adc5ef4"),
+    ("uniform", (6, 3, 1), False, "b42749f298c91343cf3762769f45e9591745a31259cb9f3be1ad65800fd964ad"),
+    ("uniform", (6, 3, 2), False, "c621fa188b7e1e5c3c050ad99ccd6b5ba53e1c1e735a50cbece86d99f7f29a9b"),
+    ("uniform", (5, 2, 1), False, "c94da89ee3597ba43226dc31d51a4a81191f923036efabcc1cfdd85697d0768e"),
     ("weight", (4, 2, Fraction(1, 4)), False,
-     "c7e19dd0a7abc1f42599606a13ae1372f26a95389c31b2452c161c4a694cc026"),
+     "5cef307fa417243cf77220e48ff641e76979b9235b450b0df59a9e865146e078"),
     ("uniform", (6, 3, 1), True, "bedea5dfcb6be010b7fbb38fb52666448a7e540894f8322e3cdcfd7254c398da"),
     ("uniform", (6, 3, 2), True, "d89eee006e924c9baa2e7aaf6f807e8b87a394d4b261a635f16c9b1449771481"),
     ("uniform", (5, 2, 1), True, "dfadf53329eafbf94816955bd589f839cbd38725d7789e2994650e456e4eebfe"),
     ("weight", (4, 2, Fraction(1, 4)), True,
      "895cc93078f3935c6f10e0e153850ad1bba29ae97f26b945df4d2fdd01a9d98f"),
-    ("seq", (3, 2, 1), False, "e1ff2fa514ddf6bccac75440b2b4dc26c74b2b0349cae80612767bbaf4c06397"),
-    ("seq", (2, 3, 1), False, "bb911ddac4c753f5ba1dc1dbfe05b520a235643651bc288fbcccbd570534546a"),
+    ("seq", (3, 2, 1), False, "31388a80d0107f35ecf961b94c9de161995e7bd4d00463ba3d33f845ad8a8460"),
+    ("seq", (2, 3, 1), False, "c9e5af9e1e561b1e37b060b28080f92c4dc7a98822c69398ad034e7ebde62541"),
 )
 
 
@@ -165,6 +166,84 @@ def test_pinned_search_outputs():
         if shifted:
             assert r.notes["mode"] == "shifted", (kind, args)
             assert r.notes["partner_shift_violations"] == 0, (kind, args)
+
+
+def _breadth_first_closed_sets(rows):
+    """Every intersection of rows, built breadth first as full mode did
+    before the Close-by-One walk (budget checks dropped), ascending."""
+    full = (1 << len(rows)) - 1
+    seen = {full}
+    frontier = [full]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for r in rows:
+                x = a & r
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _breadth_first_best_pairs(nodes, rows, weights):
+    """Full mode's scorer before the Close-by-One walk, verbatim but for
+    reading WITNESS_CAP at call time: it scores each closed set, so it
+    meets a pair A != D(A) from both sides, and deduplicates only
+    against the retained witnesses."""
+    full = (1 << len(rows)) - 1
+    uniformw = weights is None
+    best = count = visited = 0
+    argmax = set()
+    for a in nodes:
+        visited += 1
+        b = ekrcross.search._partner(a, rows, full)
+        wa = a.bit_count() if uniformw else ekrcross.search._weight_sum(a, weights)
+        wb = b.bit_count() if uniformw else ekrcross.search._weight_sum(b, weights)
+        prod = wa * wb
+        if prod < best:
+            continue
+        pair = (a, b) if a <= b else (b, a)
+        if prod > best:
+            best, argmax, count = prod, {pair}, 1
+        elif pair not in argmax:
+            count += 1
+            if len(argmax) < ekrcross.search.WITNESS_CAP:
+                argmax.add(pair)
+    return best, sorted(argmax), count, visited
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+@pytest.mark.parametrize("kind, args", [
+    ("uniform", (4, 2, 1)), ("uniform", (5, 2, 1)), ("uniform", (6, 3, 2)),
+    ("uniform", (4, 2, 3)), ("weight", (4, 2, Fraction(1, 4))),
+    ("weight", (3, 4, Fraction(1, 3))), ("seq", (3, 2, 1)),
+])
+def test_full_mode_matches_the_breadth_first_counts(monkeypatch, kind, args, cap):
+    # Past the cap the breadth-first scorer, run in ascending order,
+    # counts each unretained pair A != D(A) twice; full mode must keep
+    # that count and the same retained witnesses.
+    searches = {"uniform": max_uniform_product, "weight": max_weight_product,
+                "seq": verify_seq_theorem}
+    walk, runs = ekrcross.search._best_closed, []
+
+    def recorded(rows, weights, budget):
+        runs.append((rows, weights, walk(rows, weights, budget)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(ekrcross.search, "WITNESS_CAP", cap)
+    monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
+    monkeypatch.setattr(ekrcross.seq, "_best_closed", recorded)
+    searches[kind](*args)
+    [(rows, weights, (best, pairs, count, _))] = runs
+    want = _breadth_first_best_pairs(_breadth_first_closed_sets(rows), rows, weights)
+    assert (best, pairs, count) == want[:3]
+
+
+def test_full_mode_budget_counts_visited_nodes():
+    # (6, 3, 1) has 2^20 closed sets; the branch and bound visits 616,666.
+    r = max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=700_000))
+    assert (r.max_product, r.witness_count, r.notes["nodes"]) == (100, 180705, 616666)
 
 
 @pytest.mark.parametrize("search, args", [
@@ -184,7 +263,7 @@ def test_shifted_fallback_matches_full_mode(monkeypatch, search, args):
     monkeypatch.setattr(ekrcross.search, "_best_shifted", one_violation)
     fallback = search(*args, SearchBudget(restrict_shifted=True))
     assert full.notes["mode"] == "full"
-    assert fallback.notes == {"mode": "full-fallback", "closed_sets": full.notes["closed_sets"]}
+    assert fallback.notes == {"mode": "full-fallback", "nodes": full.notes["nodes"]}
     fallback.notes, fallback.elapsed_ms = full.notes, full.elapsed_ms
     assert fallback == full
 
