@@ -78,7 +78,13 @@ class RunConfig:
         missing = [name for name in required if getattr(self, name) is None]
         if missing:
             raise ValueError(f"suite {self.suite} requires {', '.join('--' + m for m in missing)}")
-        size = {"search-uniform": "k", "search-weight": "n"}.get(self.suite)
+        if self.suite.startswith("search-") and self.t < 1:
+            raise ValueError(f"suite {self.suite} needs t >= 1, got t={self.t}")
+        if self.suite == "search-uniform" and not 1 <= self.k <= self.n:
+            raise ValueError(f"suite search-uniform needs 1 <= k <= n, got k={self.k}, n={self.n}")
+        if self.suite == "search-weight" and not 0 < self.p < 1:
+            raise ValueError(f"suite search-weight needs 0 < p < 1, got p={self.p}")
+        size = {"search-uniform": "k", "search-weight": "n", "search-seq": "n"}.get(self.suite)
         if size and self.t > getattr(self, size):
             raise ValueError(f"suite {self.suite} needs t <= {size}: nothing cross "
                              f"{self.t}-intersects at {size}={getattr(self, size)}")

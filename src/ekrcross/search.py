@@ -601,25 +601,33 @@ def generate_shifted_pairs(
     t-intersecting; a failure would falsify the compression lemma and
     raises.
 
-    Small configurations run out of new pairs long before the attempt
-    cap, so repeats are made cheap without changing the stream.  The
-    chain seed -> partner -> partner -> fixpoint depends only on the
-    seed's member set, so a memo local to the call computes it once per
-    distinct seed.  The checks depend only on the pair's masks, so they
-    run once per distinct pair, on its first appearance; a repeat is
-    dropped by the ``seen`` lookup before any family is built.  Every
-    random draw is made exactly as without the memo, so the output is
-    the same.
+    The chain seed -> b0 -> D(b0) -> fixpoint depends only on b0 =
+    D(seed), one AND of compatibility rows, so a memo local to the call,
+    keyed by b0, runs it once per distinct b0.  The checks run once per
+    distinct pair.
+
+    Small configurations run out of new pairs long before the cap.  So
+    before drawing, U collects S(a) x S(b) over the fixpoints (a, b) of
+    every seed of one to three candidates, where S(x) is {x} for
+    |x| <= 1 and otherwise every nonempty subfamily of x closed under
+    ``preds``: every result ``shrink`` can return.  The loop stops once
+    every key of U is emitted; a new key outside U raises.  U is given
+    up (the loop runs to the cap) when there are more seeds than
+    attempts, or once it reaches ``count`` keys or a fixpoint side is
+    not closed under ``preds``.  The stream cannot change: each draw
+    before the stop is the one made without it, every later attempt
+    could only repeat a key of ``seen``, and ``rng`` is local.
     """
     rng = random.Random(seed)
     cands = uniform_layer(n, k) if k is not None else list(range(1 << n))
     preds = _dominance_preds(cands, n, same_size_only=k is not None)
+    rows = compatibility_rows(cands, t)
     index = {m: i for i, m in enumerate(cands)}
     Masks = tuple[int, ...]
-    fixpoints: dict[Masks, Optional[tuple[Masks, Masks]]] = {}
+    fixpoints: dict[int, Optional[tuple[Masks, Masks]]] = {}
     pairs: list[tuple[Family, Family]] = []
     seen = set()
-    attempts = 0
+    attempts, cap = 0, 400 * count + 100
 
     def shrink(masks: Masks) -> Masks:
         if len(masks) <= 1 or rng.random() < 0.4:
@@ -629,29 +637,55 @@ def generate_shifted_pairs(
         return _dominance_closure(sample, cands, index, preds)
 
     def fixpoint(members: Masks) -> Optional[tuple[Masks, Masks]]:
-        b0 = maximal_cross_partner(Family(n, members, k), t, k)
-        if not b0.masks:
-            return None
-        a0 = maximal_cross_partner(b0, t, k)
-        if not a0.masks:
-            return None
-        a, b, _ = shift_pair_to_fixpoint(a0, b0)
-        if not a.masks or not b.masks:
-            return None
-        return a.masks, b.masks
+        partner = _partner(sum(1 << index[m] for m in members), rows, (1 << len(cands)) - 1)
+        if partner not in fixpoints:
+            b0 = maximal_cross_partner(Family(n, members, k), t, k)
+            a0 = maximal_cross_partner(b0, t, k) if b0.masks else b0
+            a, b, _ = shift_pair_to_fixpoint(a0, b0) if a0.masks else (a0, b0, [])
+            fixpoints[partner] = (a.masks, b.masks) if a.masks and b.masks else None
+        return fixpoints[partner]
 
-    while len(pairs) < count and attempts < 400 * count + 100:
+    def shrinks(masks: Masks) -> Optional[list[Masks]]:
+        """S(masks), cut off after ``count``; None if not closed under preds."""
+        if len(masks) <= 1:
+            return [masks]
+        local = {index[m]: q for q, m in enumerate(masks)}
+        inside = sum(1 << i for i in local)
+        if any(preds[i] & ~inside for i in local):
+            return None
+        sub = [sum(1 << local[j] for j in _bits(preds[i])) for i in local]
+        walk = _downsets(masks, sub, [0] * len(masks), None, SearchBudget(), lambda wa, wb: False)
+        return [tuple(masks[q] for q in _bits(a)) for a, *_ in itertools.islice(walk, count + 1) if a]
+
+    def universe() -> Optional[set[tuple[Masks, Masks]]]:
+        if (len(cands) ** 3 + 5 * len(cands)) // 6 > cap:  # more seeds than attempts
+            return None
+        keys, walked = set(), set()
+        for seed_masks in (c for r in (1, 2, 3) for c in itertools.combinations(cands, r)):
+            shifted = fixpoint(tuple(sorted(seed_masks)))
+            if shifted is None or shifted in walked:
+                continue
+            walked.add(shifted)
+            sides = [shrinks(x) for x in shifted]
+            if None in sides or len(sides[0]) * len(sides[1]) >= count:
+                return None
+            keys.update(itertools.product(*sides))
+            if len(keys) >= count:
+                return None
+        return keys
+
+    reachable = universe()
+    while len(pairs) < count and attempts < cap and (reachable is None or len(seen) < len(reachable)):
         attempts += 1
         seed_masks = rng.sample(cands, rng.randint(1, min(3, len(cands))))
-        members = tuple(sorted(set(seed_masks)))
-        if members not in fixpoints:
-            fixpoints[members] = fixpoint(members)
-        shifted = fixpoints[members]
+        shifted = fixpoint(tuple(sorted(set(seed_masks))))
         if shifted is None:
             continue
         key = (shrink(shifted[0]), shrink(shifted[1]))
         if key in seen:
             continue
+        if reachable is not None and key not in reachable:
+            raise RuntimeError("generated pair lies outside the reachable set")
         a, b = Family(n, key[0], k), Family(n, key[1], k)
         if not (is_shifted(a) and is_shifted(b)):
             raise RuntimeError("compression fixpoint is not shifted")

@@ -50,6 +50,24 @@ class TestUsage:
         assert (code, out) == (USAGE_ERROR, "")
         assert "needs t <=" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("search", "uniform", "--n", "3", "--k", "4", "--t", "1"), "needs 1 <= k <= n"),
+        (("search", "uniform", "--n", "5", "--k", "0", "--t", "1"), "needs 1 <= k <= n"),
+        (("search", "uniform", "--n", "5", "--k", "2", "--t", "0"), "needs t >= 1"),
+        (("search", "weight", "--n", "4", "--t", "0", "--p", "1/3"), "needs t >= 1"),
+        (("search", "seq", "--n", "2", "--m", "2", "--t", "0"), "needs t >= 1"),
+        (("search", "seq", "--n", "1", "--m", "2", "--t", "2"), "needs t <= n"),
+        (("search", "weight", "--n", "4", "--t", "1", "--p", "3/2"), "needs 0 < p < 1"),
+        (("search", "weight", "--n", "4", "--t", "1", "--p", "1"), "needs 0 < p < 1"),
+    ])
+    def test_sizes_outside_the_search_range(self, capsys, argv, message):
+        # The library raises ValueError on these; exit 1 would read as a
+        # refutation, so the CLI must reject them before searching.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestSearchCommands:
     def test_uniform_search_output(self, capsys):

@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,7 @@ from ekrcross.setfam import (
     mask_of,
     maximal_cross_partner,
     shift_ij,
+    shift_pair_to_fixpoint,
     shifts_to,
 )
 from ekrcross.walks import lambda_family
@@ -438,6 +441,107 @@ class TestShiftedEnumeration:
         assert len(fams) == len({f.masks for f in fams})
 
 
+class _CountingRandom(random.Random):
+    """``random.Random`` that logs the generator's draws.  Overriding
+    ``getrandbits`` keeps the base class's bit-based integer draws, so
+    the stream is the base class's."""
+
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+    def random(self):
+        self.draws.append(("random",))
+        return super().random()
+
+    def randint(self, a, b):
+        self.draws.append(("randint", a, b))
+        return super().randint(a, b)
+
+    def sample(self, population, k):
+        self.draws.append(("sample", tuple(population), k))
+        return super().sample(population, k)
+
+
+def _reference_stream(n, k, t, count, rng):
+    """``generate_shifted_pairs`` with its fixpoint memo keyed by the
+    seed's members and no early stop: the loop runs until ``count``
+    pairs or the attempt cap.  The checks on emitted pairs are left out."""
+    cands = uniform_layer(n, k) if k is not None else list(range(1 << n))
+    preds = ekrcross.search._dominance_preds(cands, n, same_size_only=k is not None)
+    index = {m: i for i, m in enumerate(cands)}
+    fixpoints = {}
+    pairs, seen, attempts = [], set(), 0
+
+    def shrink(masks):
+        if len(masks) <= 1 or rng.random() < 0.4:
+            return masks
+        take = rng.randint(1, len(masks))
+        sample = rng.sample(masks, take)
+        return ekrcross.search._dominance_closure(sample, cands, index, preds)
+
+    def fixpoint(members):
+        b0 = maximal_cross_partner(Family(n, members, k), t, k)
+        if not b0.masks:
+            return None
+        a0 = maximal_cross_partner(b0, t, k)
+        if not a0.masks:
+            return None
+        a, b, _ = shift_pair_to_fixpoint(a0, b0)
+        if not a.masks or not b.masks:
+            return None
+        return a.masks, b.masks
+
+    while len(pairs) < count and attempts < 400 * count + 100:
+        attempts += 1
+        seed_masks = rng.sample(cands, rng.randint(1, min(3, len(cands))))
+        members = tuple(sorted(set(seed_masks)))
+        if members not in fixpoints:
+            fixpoints[members] = fixpoint(members)
+        shifted = fixpoints[members]
+        if shifted is None:
+            continue
+        key = (shrink(shifted[0]), shrink(shifted[1]))
+        if key in seen:
+            continue
+        seen.add(key)
+        pairs.append(key)
+    return pairs
+
+
+def _reachable_pairs(n, k, t):
+    """Every pair an attempt can emit in the k-layer, from the setfam
+    chain of every seed of one to three members: a side of one member
+    as it is, else each of its nonempty shifted subfamilies."""
+    def shrinks(masks):
+        if len(masks) <= 1:
+            return [masks]
+        subs = (sub for r in range(1, len(masks) + 1) for sub in itertools.combinations(masks, r))
+        return [sub for sub in subs if is_shifted(Family(n, sub, k))]
+
+    fixpoints = set()
+    for r in (1, 2, 3):
+        for seed in itertools.combinations(sorted(uniform_layer(n, k)), r):
+            b0 = maximal_cross_partner(Family(n, seed, k), t, k)
+            a0 = maximal_cross_partner(b0, t, k)
+            if b0.masks and a0.masks:
+                a, b, _ = shift_pair_to_fixpoint(a0, b0)
+                fixpoints.add((a.masks, b.masks))
+    return {key for a, b in fixpoints for key in itertools.product(shrinks(a), shrinks(b))}
+
+
+def _attempts(rng, n, k):
+    cands = tuple(uniform_layer(n, k) if k is not None else range(1 << n))
+    return sum(d[0] == "sample" and d[1] == cands for d in rng.draws)
+
+
+CRITERION_7 = ((5, None, 1), (5, None, 2), (6, None, 1), (6, None, 2),
+               (6, 3, 1), (6, 3, 2), (6, 2, 1), (5, 2, 1))
+
+
 class TestGeneratedPairs:
     def test_determinism(self):
         a = generate_shifted_pairs(5, None, 2, 12, seed=7)
@@ -497,6 +601,76 @@ class TestGeneratedPairs:
         with pytest.raises(RuntimeError, match="not shifted"):
             generate_shifted_pairs(n, k, t, 10, seed=1)
         assert calls
+
+    @pytest.mark.parametrize("n, k, t", [(5, None, 1), (6, 3, 2)])
+    def test_unclosed_fixpoint_gives_up_the_stop(self, monkeypatch, n, k, t):
+        # A two-member side that is not closed under the dominance order:
+        # shrink can leave it, so the stop set is given up.  The other
+        # side is one unshifted member, never shrunk, so the shift check
+        # refuses the first pair.  At count 80 there are fewer seeds than
+        # attempts, so the seeds are walked and the side is reached.
+        base = list(range(1, k or 1))
+        side = Family(n, tuple(sorted(mask_of([*base, j], n) for j in (n - 1, n))), k)
+        lone = Family(n, (mask_of([*base, n], n),), k)
+        assert not is_shifted(side)
+        monkeypatch.setattr(ekrcross.search, "shift_pair_to_fixpoint",
+                            lambda a, b: (side, lone, []))
+        for seed in range(10):
+            with pytest.raises(RuntimeError, match="not shifted"):
+                generate_shifted_pairs(n, k, t, 80, seed)
+
+    # (5, 2, 1), (6, 2, 1) and (6, 3, 2) hold 32, 48 and 64 reachable
+    # pairs: counts below, at and above that, then criterion 7 at 80.
+    @pytest.mark.parametrize("n, k, t, count, seed", [
+        *[(5, 2, 1, c, 0) for c in (20, 32, 33)],
+        *[(6, 2, 1, c, 2) for c in (30, 48)],
+        *[(6, 3, 2, c, 3) for c in (40, 64)],
+        *[(*cfg, 80, 7 + idx) for idx, cfg in enumerate(CRITERION_7)],
+    ])
+    def test_stream_matches_the_reference(self, n, k, t, count, seed):
+        pairs = generate_shifted_pairs(n, k, t, count, seed)
+        want = _reference_stream(n, k, t, count, random.Random(seed))
+        assert [(a.masks, b.masks) for a, b in pairs] == want
+
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        made = []
+
+        def make(seed):
+            made.append(_CountingRandom(seed))
+            return made[-1]
+
+        monkeypatch.setattr(ekrcross.search, "random", SimpleNamespace(Random=make))
+        return made
+
+    def test_stop_fires_once_every_pair_is_out(self, counting):
+        cap = 400 * 80 + 100
+        pairs = generate_shifted_pairs(5, 2, 1, 80, seed=0)
+        ref = _CountingRandom(0)
+        assert [(a.masks, b.masks) for a, b in pairs] == _reference_stream(5, 2, 1, 80, ref)
+        assert len(pairs) == 32
+        assert _attempts(ref, 5, 2) == cap
+        assert _attempts(counting[0], 5, 2) < cap
+        assert counting[0].draws == ref.draws[:len(counting[0].draws)]
+        # Far more than 80 pairs: the stop is given up, every draw is made.
+        generate_shifted_pairs(5, None, 1, 80, seed=0)
+        ref = _CountingRandom(0)
+        _reference_stream(5, None, 1, 80, ref)
+        assert counting[1].draws == ref.draws
+
+    @pytest.mark.parametrize("n, k, t", [(5, 2, 1), (6, 2, 1), (6, 3, 2)])
+    def test_stop_set_is_every_reachable_pair(self, counting, n, k, t):
+        # Below the cap a run with count above |U| ends only by the stop,
+        # which fires once it has emitted all of U, so each run's pairs
+        # are U; they must be every pair the chain can reach.
+        reachable = _reachable_pairs(n, k, t)
+        emitted = set()
+        for seed in range(5):
+            pairs = {(a.masks, b.masks) for a, b in generate_shifted_pairs(n, k, t, 80, seed)}
+            assert _attempts(counting[-1], n, k) < 400 * 80 + 100
+            assert pairs == reachable, seed
+            emitted |= pairs
+        assert emitted == reachable
 
 
 class TestReferenceFamilyRigidity:
