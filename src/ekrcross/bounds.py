@@ -11,14 +11,13 @@ of the threshold.  Decimal constants from the proofs (0.87, 0.999,
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .intervals import RationalInterval, decide, e_enclosure, exp_enclosure
 from .measure import WeightParams, mu
-from .report import SKIPPED, VerificationReport, claim
+from .report import SKIPPED, Stopwatch, VerificationReport, claim
 from .setfam import Family
 
 Rat = Union[Fraction, int]
@@ -28,10 +27,6 @@ def _comb(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
-
-
-def _frac(x: Rat) -> Fraction:
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +87,7 @@ def envelope(r: int, i: int, p: Rat) -> Fraction:
     """
     if r < 1 or i < 0:
         raise ValueError(f"need r >= 1 and i >= 0, got r={r}, i={i}")
-    p = _frac(p)
+    p = Fraction(p)
     if not 0 < p < Fraction(1, 2):
         raise ValueError(f"envelope needs 0 < p < 1/2, got {p}")
     q = 1 - p
@@ -122,7 +117,7 @@ def verify_envelope_monotonicity(
     """Check the envelope decreases in the touch index, both by direct
     exact evaluation and through the rearranged quadratic positivity."""
     t_range, s_range = list(t_range), list(s_range)
-    started = time.perf_counter()
+    clock = Stopwatch()
     low_ok, high_ok, poly_ok = True, True, True
     bad = None
     for t in t_range:
@@ -136,15 +131,15 @@ def verify_envelope_monotonicity(
                 high_ok, bad = False, {"t": t, "s": s, "side": "high"}
     grid = {"t": [min(t_range), max(t_range)], "s": [min(s_range), max(s_range)]}
     return [
-        claim("envelope-mono-low", low_ok, witness=bad if not low_ok else grid, started=started),
-        claim("envelope-mono-high", high_ok, witness=bad if not high_ok else grid, started=started),
-        claim("envelope-mono-poly", poly_ok, witness=bad if not poly_ok else grid, started=started),
+        claim("envelope-mono-low", low_ok, witness=bad if not low_ok else grid, clock=clock),
+        claim("envelope-mono-high", high_ok, witness=bad if not high_ok else grid, clock=clock),
+        claim("envelope-mono-poly", poly_ok, witness=bad if not poly_ok else grid, clock=clock),
     ]
 
 
 def verify_envelope_products() -> list[VerificationReport]:
     """The four headline envelope-product constants."""
-    started = time.perf_counter()
+    clock = Stopwatch()
     checks = [
         ("envelope-product-g3h1", envelope_low(3, 14) * envelope_high(1, 14), Fraction(87, 100)),
         ("envelope-product-g2", envelope_low(2, 14) * 1, Fraction(96, 100)),
@@ -155,7 +150,7 @@ def verify_envelope_products() -> list[VerificationReport]:
         ),
         ("envelope-product-f14sq", envelope(14, 2, Fraction(1, 15)) ** 2, Fraction(46, 100)),
     ]
-    return [claim(cid, lhs < rhs, lhs=lhs, rhs=rhs, started=started) for cid, lhs, rhs in checks]
+    return [claim(cid, lhs < rhs, lhs=lhs, rhs=rhs, clock=clock) for cid, lhs, rhs in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +226,13 @@ def verify_side_bound_shapes(t_max: int = 100,
     """Threshold instances and shape claims for the three case bounds;
     ``deep`` is ``deep_pair_sweep(t_max)`` if the caller already has it."""
     out: list[VerificationReport] = []
-    started = time.perf_counter()
+    clock = Stopwatch()
 
     ok = decide(lambda o: deep_pair_bound(7, o), Fraction(999, 1000), "<")
     out.append(claim("deep-pair-g7", ok, lhs=deep_pair_bound(7, 48),
-                     rhs=Fraction(999, 1000), started=started))
+                     rhs=Fraction(999, 1000), clock=clock))
 
-    out.append(claim("deep-pair-sweep", started=started, **(deep or deep_pair_sweep(t_max))))
+    out.append(claim("deep-pair-sweep", clock=clock, **(deep or deep_pair_sweep(t_max))))
 
     # Consecutive differences of the deep-pair bound flip sign at most
     # once over the sweep; the location is recorded, not assumed.
@@ -261,13 +256,13 @@ def verify_side_bound_shapes(t_max: int = 100,
             single_flip = False
     out.append(claim("deep-pair-trend", single_flip,
                      witness={"first_increase_at_t": flip_at, "signs": signs},
-                     started=started))
+                     clock=clock))
 
     g13 = low_side_bound(13)
-    out.append(claim("low-side-g13", g13 < 1, lhs=g13, rhs=Fraction(1), started=started))
+    out.append(claim("low-side-g13", g13 < 1, lhs=g13, rhs=Fraction(1), clock=clock))
     ok = decide(lambda o: low_side_bound_relaxed(14, o), 1, "<")
     out.append(claim("low-side-relaxed-g14", ok, lhs=low_side_bound_relaxed(14, 48),
-                     rhs=Fraction(1), started=started))
+                     rhs=Fraction(1), clock=clock))
 
     dec_ok: Optional[bool] = True
     for t in range(14, t_max):
@@ -276,7 +271,7 @@ def verify_side_bound_shapes(t_max: int = 100,
             dec_ok = False
             break
     out.append(claim("low-side-relaxed-trend", dec_ok, witness={"t_range": [14, t_max]},
-                     started=started))
+                     clock=clock))
 
     # (1-a)(tq-(t-1)q^3) increases in p up to p = 1/(t+1), where it equals
     # t(t-1)(3t+1)/(t+1)^3 exactly.
@@ -295,11 +290,11 @@ def verify_side_bound_shapes(t_max: int = 100,
             mono_ok = False
             witness = {"t": t, "bad_index": bad, "endpoint": vals[-1], "cap": cap}
             break
-    out.append(claim("low-side-p-mono", mono_ok, witness=witness, started=started))
+    out.append(claim("low-side-p-mono", mono_ok, witness=witness, clock=clock))
 
     ok = decide(lambda o: high_side_bound(13, o), Fraction(96, 100), "<")
     out.append(claim("high-side-h13", ok, lhs=high_side_bound(13, 48),
-                     rhs=Fraction(96, 100), started=started))
+                     rhs=Fraction(96, 100), clock=clock))
 
     dec_ok = True
     for t in range(13, t_max):
@@ -308,7 +303,7 @@ def verify_side_bound_shapes(t_max: int = 100,
             dec_ok = False
             break
     out.append(claim("high-side-trend", dec_ok, witness={"t_range": [13, t_max]},
-                     started=started))
+                     clock=clock))
 
     # (1-a)(1-q^2) increasing in p for p <= 0.274, on a 1/1000-step grid.
     vals = []
@@ -318,7 +313,7 @@ def verify_side_bound_shapes(t_max: int = 100,
         vals.append((1 - p / q) * (1 - q * q))
     bad = _grid_increasing(vals)
     out.append(claim("high-side-p-mono", bad is None,
-                     witness={"grid_step": "1/1000", "bad_index": bad}, started=started))
+                     witness={"grid_step": "1/1000", "bad_index": bad}, clock=clock))
     return out
 
 
@@ -329,7 +324,7 @@ def verify_side_bound_shapes(t_max: int = 100,
 
 def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
     out: list[VerificationReport] = []
-    started = time.perf_counter()
+    clock = Stopwatch()
 
     def exp_over(t: int, order: int) -> RationalInterval:
         return exp_enclosure(Fraction(2 * t + 1, t), order) * Fraction(1, t + 1)
@@ -341,7 +336,7 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
             ok = r
             break
     out.append(claim("prefactor-exp-over-t", ok, witness={"t_range": [8, t_max]},
-                     started=started))
+                     clock=clock))
 
     ok = True
     for t in range(15, t_max + 1):
@@ -350,11 +345,11 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
             ok = r
             break
     out.append(claim("prefactor-exp-half", ok, witness={"t_range": [15, t_max]},
-                     started=started))
+                     clock=clock))
 
     lhs = Fraction(15, 14) ** 29 / 15
     out.append(claim("prefactor-rational-half-t14", lhs < Fraction(1, 2), lhs=lhs,
-                     rhs=Fraction(1, 2), started=started))
+                     rhs=Fraction(1, 2), clock=clock))
 
     ok = True
     bad = None
@@ -366,7 +361,7 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
             ok, bad = False, {"t": t, "value": val}
             break
     out.append(claim("prefactor-alpha-power", ok, witness=bad or {"t_range": [14, t_max]},
-                     started=started))
+                     clock=clock))
 
     ok = True
     bad = None
@@ -384,7 +379,7 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
         if not ok:
             break
     out.append(claim("prefactor-binomial-half", ok, witness=bad or {"samples": len(samples)},
-                     started=started))
+                     clock=clock))
     return out
 
 
@@ -406,11 +401,11 @@ def extremal_gap(t: int, i: int, order: int = 24) -> RationalInterval:
 
 def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationReport]:
     out: list[VerificationReport] = []
-    started = time.perf_counter()
+    clock = Stopwatch()
 
     ok = decide(lambda o: extremal_gap(8, 1, o), Fraction(12, 10), ">")
     out.append(claim("extremal-gap-f81", ok, lhs=extremal_gap(8, 1, 48),
-                     rhs=Fraction(12, 10), started=started))
+                     rhs=Fraction(12, 10), clock=clock))
 
     grid_ok: Optional[bool] = True
     bad = None
@@ -424,7 +419,7 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
             break
     out.append(claim("extremal-gap-grid", grid_ok,
                      witness=bad or {"t_range": [8, t_max], "i_range": [1, i_max]},
-                     started=started))
+                     clock=clock))
 
     # i = 0 sits outside the claimed range (the value drops below 1);
     # recorded as skipped with the computed enclosure.
@@ -436,7 +431,7 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
             lhs=val,
             rhs=Fraction(1),
             witness={"note": "i = 0 outside the claimed range; value below 1"},
-            elapsed_ms=(time.perf_counter() - started) * 1000,
+            elapsed_ms=clock.lap_ms(),
         )
     )
 
@@ -453,7 +448,7 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
         if not chain_ok:
             break
     out.append(claim("extremal-gap-ratio-chain", chain_ok,
-                     witness=bad or {"t_range": [6, t_max]}, started=started))
+                     witness=bad or {"t_range": [6, t_max]}, clock=clock))
     return out
 
 
@@ -494,17 +489,17 @@ def uniform_envelope_cap(t: int, u: int, s: int) -> Fraction:
 def verify_uniform_envelope_caps() -> list[VerificationReport]:
     """Headline cap constants and the term combinations they certify."""
     out: list[VerificationReport] = []
-    started = time.perf_counter()
+    clock = Stopwatch()
 
     h_14_14_2 = uniform_envelope_cap(14, 14, 2)
     out.append(claim("uniform-envelope-h-14-14-2", h_14_14_2 == Fraction(153, 225),
-                     lhs=h_14_14_2, rhs=Fraction(153, 225), started=started))
+                     lhs=h_14_14_2, rhs=Fraction(153, 225), clock=clock))
     h_14_28_2 = uniform_envelope_cap(14, 28, 2)
     out.append(claim("uniform-envelope-h-14-28-2", h_14_28_2 < Fraction(221, 100),
-                     lhs=h_14_28_2, rhs=Fraction(221, 100), started=started))
+                     lhs=h_14_28_2, rhs=Fraction(221, 100), clock=clock))
     h_14_16_1 = uniform_envelope_cap(14, 16, 1)
     out.append(claim("uniform-envelope-h-14-16-1", h_14_16_1 == Fraction(6, 5),
-                     lhs=h_14_16_1, rhs=Fraction(6, 5), started=started))
+                     lhs=h_14_16_1, rhs=Fraction(6, 5), clock=clock))
 
     # The s = 2 cap on the second family: coupling the line level to the
     # touch index (v = t+2-s') gives max over s' of cap(14, 16-s', s'),
@@ -512,7 +507,7 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
     # only gives 1.2.  Both readings are evaluated and reported.
     coupled = max(uniform_envelope_cap(14, 16 - sp, sp) for sp in (0, 1, 2))
     out.append(claim("uniform-envelope-s2-coupled-cap", coupled < Fraction(114, 100),
-                     lhs=coupled, rhs=Fraction(114, 100), started=started))
+                     lhs=coupled, rhs=Fraction(114, 100), clock=clock))
 
     def combo(b2: Fraction) -> Fraction:
         return (
@@ -524,11 +519,11 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
 
     tight = combo(Fraction(114, 100))
     out.append(claim("uniform-envelope-s2-combo", tight < Fraction(89, 100),
-                     lhs=tight, rhs=Fraction(89, 100), started=started))
+                     lhs=tight, rhs=Fraction(89, 100), clock=clock))
     loose = combo(Fraction(6, 5))
     out.append(claim("uniform-envelope-s2-decoupled", loose < 1, lhs=loose, rhs=Fraction(1),
                      witness={"exceeds_0.89": bool(loose >= Fraction(89, 100))},
-                     started=started))
+                     clock=clock))
 
     s3 = (
         Fraction(38, 1000)
@@ -537,7 +532,7 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
         + Fraction(12, 100)
     )
     out.append(claim("uniform-envelope-s3-combo", s3 < Fraction(77, 100),
-                     lhs=s3, rhs=Fraction(77, 100), started=started))
+                     lhs=s3, rhs=Fraction(77, 100), clock=clock))
 
     # Decimal component caps used above, certified against e.
     comp_ok: Optional[bool] = True
@@ -559,7 +554,7 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
     out.append(claim("uniform-envelope-s2-combo-components",
                      bool(comp_ok) and square_ok if comp_ok is not None else None,
                      witness={"e_caps": bool(comp_ok), "squares": square_ok},
-                     started=started))
+                     clock=clock))
 
     # cap(t, u, s) decreases in s from s = 2 on.
     mono_ok = True
@@ -570,7 +565,7 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
                 if uniform_envelope_cap(t, u, s) <= uniform_envelope_cap(t, u, s + 1):
                     mono_ok, bad = False, {"t": t, "u": u, "s": s}
                     break
-    out.append(claim("uniform-envelope-cap-mono", mono_ok, witness=bad, started=started))
+    out.append(claim("uniform-envelope-cap-mono", mono_ok, witness=bad, clock=clock))
     return out
 
 
@@ -595,6 +590,17 @@ def finite_sweep_ks(t: int) -> list[int]:
     return [k for k in range(t, n_max // (t + 1) + 1)]
 
 
+def _binomials_from(m: int, j: int) -> Iterator[int]:
+    """C(m, j), C(m+1, j), C(m+2, j), ... by C(m+1, j) = C(m, j)(m+1)/(m+1-j),
+    a division that is always exact; at m+1 = j it is taken from ``_comb``,
+    which restarts a column that starts at zero."""
+    c = _comb(m, j)
+    while True:
+        yield c
+        m += 1
+        c = c * m // (m - j) if m != j else _comb(m, j)
+
+
 def finite_sweep_chunk(t: int, ks: Sequence[int]) -> dict:
     """Exact check of the bracketed binomial ratio over all (k, n) cells
     with the given k values.  Chunks over disjoint k merge by max (see
@@ -605,14 +611,15 @@ def finite_sweep_chunk(t: int, ks: Sequence[int]) -> dict:
     cells = 0
     failures = []
     for k in ks:
-        for n in range((t + 1) * k, n_max + 1):
-            bracket = (
-                _comb(n, k - t)
-                + t * (_comb(n - t - 1, k - t) - _comb(n - t - 1, k - t - 1))
-                - (t - 1) * (_comb(n - t - 3, k - t) - _comb(n - t - 3, k - t - 1))
-            )
-            lhs = bracket * _comb(n, k - t - 1)
-            rhs = _comb(n - t, k - t) ** 2
+        r, n0 = k - t, (t + 1) * k
+        # C(n, r), C(n, r-1), C(n-t-1, r), C(n-t-1, r-1), C(n-t-3, r),
+        # C(n-t-3, r-1) and C(n-t, r), each a column walking n up from n0.
+        columns = zip(range(n0, n_max + 1), *(_binomials_from(n0 - d, j) for d, j in (
+            (0, r), (0, r - 1), (t + 1, r), (t + 1, r - 1), (t + 3, r), (t + 3, r - 1), (t, r))))
+        for n, c_n, c_n1, c_a, c_a1, c_b, c_b1, c_t in columns:
+            bracket = c_n + t * (c_a - c_a1) - (t - 1) * (c_b - c_b1)
+            lhs = bracket * c_n1
+            rhs = c_t * c_t
             cells += 1
             if lhs >= rhs:
                 failures.append((k, n))
@@ -647,7 +654,7 @@ def merge_finite_chunks(chunks: Iterable[dict]) -> dict:
 def verify_low_side_finite(t: int, ks: Optional[Sequence[int]] = None) -> VerificationReport:
     """The finite (k, n) sweep for one t in FINITE_T_RANGE, over every k
     of ``finite_sweep_ks(t)`` unless ``ks`` narrows it."""
-    started = time.perf_counter()
+    clock = Stopwatch()
     if t not in FINITE_T_RANGE:
         raise ValueError(f"finite sweep is defined for t in {list(FINITE_T_RANGE)}, got {t}")
     result = finite_sweep_chunk(t, ks if ks is not None else finite_sweep_ks(t))
@@ -664,7 +671,7 @@ def verify_low_side_finite(t: int, ks: Optional[Sequence[int]] = None) -> Verifi
             "n_max": math.floor(low_side_threshold(t)),
             "failures": result["failures"][:10],
         },
-        started=started,
+        clock=clock,
     )
 
 
@@ -672,14 +679,14 @@ def verify_threshold_floor(t: int) -> VerificationReport:
     """floor(n0) is the last n where the relaxed low-side estimate
     g(t) + c/n < 1, c = 2t(1+1/t)^t, does not close: (1-g) floor <= c <
     (1-g)(floor+1), checked without dividing.  At t = 14 it is 1023."""
-    started = time.perf_counter()
+    clock = Stopwatch()
     floor_n0 = math.floor(low_side_threshold(t))
     slack = 1 - low_side_bound(t)
     c = 2 * t * Fraction(t + 1, t) ** t
     expected = {14: 1023}
     ok = slack * floor_n0 <= c < slack * (floor_n0 + 1) and floor_n0 == expected.get(t, floor_n0)
     return claim(f"finite-threshold-floor[t={t}]", ok, lhs=floor_n0, rhs=expected.get(t),
-                 witness={"closes_at_n": floor_n0 + 1}, started=started)
+                 witness={"closes_at_n": floor_n0 + 1}, clock=clock)
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +714,14 @@ def verify_uniform_side_bounds(t_max: int = 100,
                                deep: Optional[dict] = None) -> list[VerificationReport]:
     """The uniform shallow-pair claims; ``deep`` as in ``verify_side_bound_shapes``."""
     out: list[VerificationReport] = []
-    started = time.perf_counter()
+    clock = Stopwatch()
     for t in (14, 15):
         val = uniform_high_side_exact(t)
         out.append(claim(f"uniform-side-exact[t={t}]", val < 1, lhs=val, rhs=Fraction(1),
-                         started=started))
+                         clock=clock))
     ok = decide(lambda o: uniform_high_side_relaxed(16, o), 1, "<")
     out.append(claim("uniform-side-relaxed[t=16]", ok, lhs=uniform_high_side_relaxed(16, 48),
-                     rhs=Fraction(1), started=started))
+                     rhs=Fraction(1), clock=clock))
 
     dec_ok: Optional[bool] = True
     for t in range(16, t_max):
@@ -723,9 +730,9 @@ def verify_uniform_side_bounds(t_max: int = 100,
             dec_ok = False
             break
     out.append(claim("uniform-side-relaxed-trend", dec_ok, witness={"t_range": [16, t_max]},
-                     started=started))
+                     clock=clock))
 
-    out.append(claim("uniform-deep-sweep", started=started,
+    out.append(claim("uniform-deep-sweep", clock=clock,
                      **(deep or deep_pair_sweep(t_max))))
     return out
 
@@ -740,7 +747,7 @@ def stability_ratio(t: int, p: Rat) -> Fraction:
     (t+2) p (1-p) + p^2."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    p = _frac(p)
+    p = Fraction(p)
     return (t + 2) * p * (1 - p) + p * p
 
 
@@ -756,21 +763,21 @@ def uniform_size_ratio(n: int, k: int, t: int) -> Fraction:
 
 def verify_stability(t: int, n: int, k: int, grid: int = 40) -> list[VerificationReport]:
     out = []
-    started = time.perf_counter()
+    clock = Stopwatch()
     at_inv = stability_ratio(t, Fraction(1, t + 1))
     out.append(claim(f"stability-unit-at-inverse[t={t}]", at_inv == 1, lhs=at_inv,
-                     rhs=Fraction(1), started=started))
+                     rhs=Fraction(1), clock=clock))
 
     pmax = Fraction(1, t + 1) * (1 + Fraction(t, 2))
     vals = [stability_ratio(t, pmax * j / grid) for j in range(1, grid + 1)]
     bad = _grid_increasing(vals)
     out.append(claim(f"stability-increasing[t={t}]", bad is None,
-                     witness={"p_max": pmax, "bad_index": bad}, started=started))
+                     witness={"p_max": pmax, "bad_index": bad}, clock=clock))
 
     ratio = uniform_size_ratio(n, k, t)
     cap = stability_ratio(t, Fraction(k, n))
     out.append(claim(f"stability-uniform-ratio[t={t},n={n},k={k}]", ratio < cap,
-                     lhs=ratio, rhs=cap, started=started))
+                     lhs=ratio, rhs=cap, clock=clock))
     return out
 
 

@@ -82,6 +82,8 @@ class RunConfig:
             raise ValueError(f"suite {self.suite} needs t >= 1, got t={self.t}")
         if self.suite == "search-uniform" and not 1 <= self.k <= self.n:
             raise ValueError(f"suite search-uniform needs 1 <= k <= n, got k={self.k}, n={self.n}")
+        if self.suite == "search-seq" and self.m < 1:
+            raise ValueError(f"suite search-seq needs m >= 1, got m={self.m}")
         if self.suite == "search-weight" and not 0 < self.p < 1:
             raise ValueError(f"suite search-weight needs 0 < p < 1, got p={self.p}")
         size = {"search-uniform": "k", "search-weight": "n", "search-seq": "n"}.get(self.suite)

@@ -5,7 +5,9 @@ compose without rounding concerns.  The only transcendental needed is
 exp; it is enclosed by a Taylor partial sum plus a geometric tail
 bound, with the series order raised adaptively until a comparison
 becomes conclusive (hard cap 64 terms, after which the comparison is
-reported as undecidable rather than guessed).
+reported as undecidable rather than guessed).  The series is summed
+over Python ints, by Horner's rule on x = a/b, and each endpoint
+becomes a ``Fraction`` only once, so one gcd normalizes it.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+            object.__setattr__(self, "hi", hi)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
 
@@ -67,6 +73,8 @@ class RationalInterval:
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if self.lo >= 0 and o.lo >= 0:
+            return RationalInterval(self.lo * o.lo, self.hi * o.hi)
         prods = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return RationalInterval(min(prods), max(prods))
 
@@ -133,17 +141,20 @@ def exp_enclosure(x: Rat, terms: int = 24) -> RationalInterval:
         n = EXP_TERM_CAP
         if x >= n + 1:
             raise ValueError(f"exponent {x} too large for a {EXP_TERM_CAP}-term enclosure")
-    partial = Fraction(0)
-    term = Fraction(1)
-    for k in range(1, n + 1):
-        partial += term
-        term = term * x / k
-    # term is now x^n / n!; the tail is term * sum_{j>=0} (x/(n+1))^j ...
-    # bounded by term / (1 - x/(n+1)) since successive ratios shrink.
-    ratio = x / (n + 1)
-    assert ratio < 1
-    tail = term / (1 - ratio)
-    return RationalInterval(partial, partial + tail)
+    # Horner from the inside out: 1 + x/k * (P/Q) = (bkQ + aP) / (bkQ),
+    # ending at the partial sum of x^j/j!, j < n, over Q = b^(n-1) (n-1)!.
+    a, b = x.numerator, x.denominator
+    num = den = 1
+    for k in range(n - 1, 0, -1):
+        den *= b * k
+        num = den + a * num
+    # The tail from x^n/n! on is below x^n/n! / (1 - x/(n+1)), since the
+    # ratio of successive terms is at most x/(n+1) < 1; over ints this is
+    # a^n (n+1) / (b^(n-1) n! (b(n+1) - a)), and b^(n-1) n! = nQ.
+    slack = b * (n + 1) - a
+    assert slack > 0
+    return RationalInterval(Fraction(num, den),
+                            Fraction(num * n * slack + a**n * (n + 1), n * den * slack))
 
 
 def e_enclosure(terms: int = 24) -> RationalInterval:

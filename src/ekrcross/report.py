@@ -120,21 +120,32 @@ class VerificationReport:
         return self.status in (VERIFIED, SKIPPED)
 
 
+class Stopwatch:
+    """Times consecutive report rows: each ``lap_ms`` reading restarts it."""
+
+    def __init__(self) -> None:
+        self.mark = time.perf_counter()
+
+    def lap_ms(self) -> float:
+        now = time.perf_counter()
+        elapsed, self.mark = (now - self.mark) * 1000, now
+        return elapsed
+
+
 def claim(claim_id: str, ok: Optional[bool], lhs=None, rhs=None, witness=None,
-          started: float = 0.0) -> VerificationReport:
+          clock: Optional[Stopwatch] = None) -> VerificationReport:
     """Report row for a checked claim: ``ok`` True, False or None gives
     verified, refuted or inconclusive.  A refutation without a witness
-    carries lhs and rhs as its witness; ``started`` is the
-    ``time.perf_counter()`` reading the check began at."""
+    carries lhs and rhs as its witness; the row's ``elapsed_ms`` is a lap
+    of ``clock``, so it times this check since the previous row."""
     if ok is None:
         status = INCONCLUSIVE
     else:
         status = VERIFIED if ok else REFUTED
     if status == REFUTED and witness is None:
         witness = {"lhs": lhs, "rhs": rhs}
-    elapsed = (time.perf_counter() - started) * 1000 if started else 0.0
     return VerificationReport(claim_id, status, lhs=lhs, rhs=rhs, witness=witness,
-                              elapsed_ms=elapsed)
+                              elapsed_ms=clock.lap_ms() if clock else 0.0)
 
 
 def encode_value(v: Any) -> Any:

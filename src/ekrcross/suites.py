@@ -9,13 +9,12 @@ measure values from sweeping the whole power set.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import graphs as gr
 from .measure import WeightParams, hit_probability_exact, hit_probability_limit, mu, mu_threshold_closed
-from .report import VerificationReport, claim
+from .report import Stopwatch, VerificationReport, claim
 from .setfam import Family, make_weight_counterexample
 from .walks import count_hit, count_miss, enumerate_walks, hits_line
 
@@ -30,7 +29,7 @@ DEFAULT_PS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 15))
 def run_walk_oracle(max_steps: int = 12) -> list[VerificationReport]:
     """Closed-form hit/miss counts against step-by-step enumeration for
     every admissible endpoint/line combination within the step budget."""
-    started = time.perf_counter()
+    clock = Stopwatch()
     cells = 0
     mismatches = []
     for total in range(2, max_steps + 1):
@@ -49,7 +48,7 @@ def run_walk_oracle(max_steps: int = 12) -> list[VerificationReport]:
             "walk-count-oracle",
             not mismatches,
             witness={"cells": cells, "max_steps": max_steps, "mismatches": mismatches[:10]},
-            started=started,
+            clock=clock,
         )
     ]
 
@@ -78,7 +77,7 @@ def run_measure_oracle(
     i_max: int = 2,
     ps: Sequence[Fraction] = DEFAULT_PS,
 ) -> list[VerificationReport]:
-    started = time.perf_counter()
+    clock = Stopwatch()
     combos = 0
     bad = []
     for t in range(1, t_max + 1):
@@ -93,10 +92,9 @@ def run_measure_oracle(
                         bad.append({"n": n, "t": t, "i": i, "p": p})
     reports = [
         claim("measure-threshold-oracle", not bad,
-              witness={"combos": combos, "bad": bad[:5]}, started=started)
+              witness={"combos": combos, "bad": bad[:5]}, clock=clock)
     ]
 
-    started = time.perf_counter()
     bad = []
     combos = 0
     for t in range(1, t_max + 1):
@@ -114,10 +112,9 @@ def run_measure_oracle(
                     bad.append({"n": n, "t": t, "p": p})
     reports.append(
         claim("measure-point-events", not bad,
-              witness={"combos": combos, "bad": bad[:5]}, started=started)
+              witness={"combos": combos, "bad": bad[:5]}, clock=clock)
     )
 
-    started = time.perf_counter()
     bad = []
     combos = 0
     for t in range(1, t_max + 1):
@@ -132,10 +129,9 @@ def run_measure_oracle(
                     bad.append({"n": n, "t": t, "p": p})
     reports.append(
         claim("measure-counterexample", not bad,
-              witness={"combos": combos, "bad": bad[:5]}, started=started)
+              witness={"combos": combos, "bad": bad[:5]}, clock=clock)
     )
 
-    started = time.perf_counter()
     mono_ok = True
     detail = None
     for t, p in ((2, Fraction(1, 4)), (3, Fraction(1, 5))):
@@ -149,7 +145,7 @@ def run_measure_oracle(
             prev = cur
         if not mono_ok:
             break
-    reports.append(claim("hit-limit-monotone", mono_ok, witness=detail, started=started))
+    reports.append(claim("hit-limit-monotone", mono_ok, witness=detail, clock=clock))
     return reports
 
 
@@ -173,7 +169,7 @@ def _random_connected_graph(rng: random.Random, size: int, extra: int) -> gr.Gra
 
 
 def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[VerificationReport]:
-    started = time.perf_counter()
+    clock = Stopwatch()
     bad = []
     checked = 0
     for k in range(1, n_max // 2 + 1):
@@ -184,10 +180,9 @@ def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[Verificat
                 bad.append({"n": n, "k": k})
     reports = [
         claim("graph-kneser", not bad, witness={"instances": checked, "bad": bad},
-              started=started)
+              clock=clock)
     ]
 
-    started = time.perf_counter()
     cyc = gr.kneser_spread_cycle(3)
     ok = (
         len(cyc) == 7
@@ -195,9 +190,8 @@ def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[Verificat
         and all(not cyc[i] & cyc[(i + 1) % 7] for i in range(7))
     )
     reports.append(claim("graph-kneser[odd-cycle-k3]", ok,
-                         witness={"length": len(cyc)}, started=started))
+                         witness={"length": len(cyc)}, clock=clock))
 
-    started = time.perf_counter()
     rng = random.Random(seed)
     bad = []
     for _ in range(pairs):
@@ -217,6 +211,6 @@ def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[Verificat
     reports.append(
         claim("graph-product", not bad and fixed_ok,
               witness={"random_pairs": pairs, "bad": bad[:3], "fixed_cases": fixed_ok},
-              started=started)
+              clock=clock)
     )
     return reports

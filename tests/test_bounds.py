@@ -46,6 +46,37 @@ class TestIntervals:
         cube = x**3
         assert cube.contains(x.lo**3) and cube.contains(x.hi**3)
 
+    @staticmethod
+    def _four_products(x, y):
+        prods = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+        return min(prods), max(prods)
+
+    @pytest.mark.parametrize("x, y", [
+        ((-3, 2), (5, 7)), ((5, 7), (-3, 2)), ((-3, -1), (-2, 4)), ((-3, -1), (2, 4)),
+        ((0, 2), (-1, 3)), ((-2, 0), (1, 3)), ((0, 0), (-5, 5)), ((0, 3), (0, 4)),
+        ((Fraction(1, 3),) * 2, (-2, 1)), ((Fraction(-1, 3),) * 2, (2, 5)),
+        ((Fraction(2, 7),) * 2, (Fraction(3, 5),) * 2), ((1, 2), (Fraction(3, 4), 6)),
+    ])
+    def test_product_is_the_four_product_hull(self, x, y):
+        # Exact equality, not containment: a loose fast path must fail here.
+        x, y = RationalInterval(*x), RationalInterval(*y)
+        for a, b in ((x, y), (y, x)):
+            prod = a * b
+            assert (prod.lo, prod.hi) == self._four_products(a, b)
+            assert type(prod.lo) is Fraction and type(prod.hi) is Fraction
+
+    @given(rationals, rationals, rationals, rationals)
+    def test_product_hull_exact(self, a, b, c, d):
+        x = RationalInterval(min(a, b), max(a, b))
+        y = RationalInterval(min(c, d), max(c, d))
+        prod = x * y
+        assert (prod.lo, prod.hi) == self._four_products(x, y)
+
+    def test_integer_endpoints_become_fractions(self):
+        iv = RationalInterval(1, 2) * 3
+        assert (iv.lo, iv.hi) == (3, 6)
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+
     def test_division(self):
         x = RationalInterval(Fraction(1, 3), Fraction(1, 2))
         y = 1 / x
@@ -58,7 +89,58 @@ class TestIntervals:
             RationalInterval(Fraction(2), Fraction(1))
 
 
+def _reference_exp_enclosure(x, terms=24):
+    """exp_enclosure as a loop of Fraction operations, the form it had
+    before the series moved to integer arithmetic."""
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(1), Fraction(1)
+    if x < 0:
+        lo, hi = _reference_exp_enclosure(-x, terms)
+        return 1 / hi, 1 / lo
+    n = max(terms, math.ceil(x) + 2)
+    if n > 64:
+        n = 64
+        if x >= n + 1:
+            raise ValueError(f"exponent {x} too large for a 64-term enclosure")
+    partial = Fraction(0)
+    term = Fraction(1)
+    for k in range(1, n + 1):
+        partial += term
+        term = term * x / k
+    ratio = x / (n + 1)
+    assert ratio < 1
+    return partial, partial + term / (1 - ratio)
+
+
+EXP_ARGUMENTS = [Fraction(1), Fraction(1, 2), Fraction(8, 7), Fraction(29, 14), Fraction(17, 8),
+                 Fraction(201, 100), Fraction(10), Fraction(63), Fraction(129, 2),
+                 Fraction(-1), Fraction(-11, 7), Fraction(-26, 7), Fraction(-112, 99),
+                 Fraction(-40), Fraction(1, 10**6), Fraction(-10**6 + 1, 10**6)]
+
+
 class TestExpEnclosure:
+    @pytest.mark.parametrize("x", EXP_ARGUMENTS)
+    @pytest.mark.parametrize("terms", [1, 2, 5, 12, 24, 48, 64])
+    def test_matches_the_fraction_loop(self, x, terms):
+        # Terms below ceil(x) + 2 are raised to it; 64 is the cap.
+        iv = exp_enclosure(x, terms)
+        assert (iv.lo, iv.hi) == _reference_exp_enclosure(x, terms)
+
+    def test_matches_over_the_suite_arguments(self):
+        for t in range(8, 101):
+            for x in (Fraction(2 * t + 1, t), Fraction(-(t + 12), t - 1)):
+                for order in (12, 24, 48, 64):
+                    iv = exp_enclosure(x, order)
+                    assert (iv.lo, iv.hi) == _reference_exp_enclosure(x, order), (x, order)
+
+    @pytest.mark.parametrize("x", [Fraction(65), Fraction(131, 2), Fraction(-70), 100])
+    def test_term_cap(self, x):
+        with pytest.raises(ValueError, match="too large for a 64-term enclosure"):
+            _reference_exp_enclosure(x)
+        with pytest.raises(ValueError, match="too large for a 64-term enclosure"):
+            exp_enclosure(x)
+
     def test_point_values(self):
         assert exp_enclosure(0).lo == exp_enclosure(0).hi == 1
 
@@ -205,7 +287,51 @@ class TestUniformEnvelope:
         assert bounds.uniform_high_side_relaxed(14, 32).strictly_above(1)
 
 
+def _reference_sweep_chunk(t, ks):
+    """finite_sweep_chunk with every binomial from math.comb, cell by cell."""
+    def comb(n, r):
+        return math.comb(n, r) if 0 <= r <= n else 0
+
+    n_max = math.floor(bounds.low_side_threshold(t))
+    best_num, best_den, best_cell, cells, failures = 0, 1, None, 0, []
+    for k in ks:
+        r = k - t
+        for n in range((t + 1) * k, n_max + 1):
+            bracket = (comb(n, r) + t * (comb(n - t - 1, r) - comb(n - t - 1, r - 1))
+                       - (t - 1) * (comb(n - t - 3, r) - comb(n - t - 3, r - 1)))
+            lhs, rhs = bracket * comb(n, r - 1), comb(n - t, r) ** 2
+            cells += 1
+            if lhs >= rhs:
+                failures.append((k, n))
+            if lhs * best_den > best_num * rhs:
+                best_num, best_den, best_cell = lhs, rhs, (k, n)
+    return {"t": t, "cells": cells, "failures": failures, "max_num": best_num,
+            "max_den": best_den, "argmax": best_cell}
+
+
 class TestFiniteSweep:
+    @pytest.mark.parametrize("t", list(bounds.FINITE_T_RANGE))
+    def test_chunk_matches_per_cell_binomials(self, t):
+        ks = bounds.finite_sweep_ks(t)
+        assert ks[0] == t
+        assert bounds.finite_sweep_chunk(t, ks) == _reference_sweep_chunk(t, ks)
+
+    @pytest.mark.parametrize("t, ks", [
+        (14, [14]), (14, [14, 15]), (15, [15, 21]), (16, [16, 17, 18]), (18, [18, 20]),
+        (14, [30]), (17, [17]), (14, [20, 14]),
+        # Outside the sweep: r = k - t < 0, columns that start at zero, empty ranges.
+        (14, [1, 2, 13]), (14, [69, 70, 100]),
+    ])
+    def test_narrowed_chunk_matches_per_cell_binomials(self, t, ks):
+        assert bounds.finite_sweep_chunk(t, ks) == _reference_sweep_chunk(t, ks)
+
+    @pytest.mark.parametrize("m, j", [(0, 0), (5, 0), (5, -1), (7, 3), (2, 6), (-3, 2), (-4, -2)])
+    def test_binomial_column(self, m, j):
+        # Columns that start at zero (j < 0, or m < j) included.
+        column = bounds._binomials_from(m, j)
+        assert [next(column) for _ in range(12)] == [
+            math.comb(mm, j) if 0 <= j <= mm else 0 for mm in range(m, m + 12)]
+
     def test_threshold_floor(self):
         assert math.floor(bounds.low_side_threshold(14)) == 1023
         r = bounds.verify_threshold_floor(14)

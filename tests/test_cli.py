@@ -1,7 +1,9 @@
 """CLI: argument handling, config files, report emission, exit codes,
 and the finite sweep's rows against ``bounds``."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -59,6 +61,8 @@ class TestUsage:
         (("search", "seq", "--n", "1", "--m", "2", "--t", "2"), "needs t <= n"),
         (("search", "weight", "--n", "4", "--t", "1", "--p", "3/2"), "needs 0 < p < 1"),
         (("search", "weight", "--n", "4", "--t", "1", "--p", "1"), "needs 0 < p < 1"),
+        (("search", "seq", "--n", "2", "--m", "0", "--t", "1"), "needs m >= 1"),
+        (("search", "seq", "--n", "2", "--m", "-1", "--t", "1"), "needs m >= 1"),
     ])
     def test_sizes_outside_the_search_range(self, capsys, argv, message):
         # The library raises ValueError on these; exit 1 would read as a
@@ -166,6 +170,17 @@ class TestVerifyCommands:
             base = row["claim_id"].split("[", 1)[0]
             assert base in ANCHORS, row["claim_id"]
             assert row["anchor"] == anchor_for(row["claim_id"]) == ANCHORS[base]
+
+    def test_rows_time_their_own_checks(self, capsys):
+        # Each row is a lap of one clock, so the rows cannot add up to
+        # more than the whole call.
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "bounds-all")
+        wall_ms = (time.perf_counter() - started) * 1000
+        assert code == 0
+        elapsed = [row["elapsed_ms"] for row in json.loads(out)]
+        assert sum(elapsed) <= wall_ms
+        assert len(elapsed) == 44 and all(ms >= 0 for ms in elapsed)
 
     def test_search_via_verify_alias(self, capsys):
         code, out, _ = run(
@@ -282,3 +297,25 @@ class TestFiniteSweepCommand:
         rows = json.loads(out)
         floor_row = next(r for r in rows if "threshold-floor" in r["claim_id"])
         assert floor_row["lhs"] == 1023
+
+
+# sha256 of each suite's JSON rows with elapsed_ms removed (json.dumps,
+# sort_keys), taken before exp_enclosure, the interval product and the
+# finite sweep moved to integer kernels; any change to a row's status,
+# value, enclosure or witness shows.
+PINNED_CERTIFY_ROWS = {
+    "bounds-all": "a0183ba6d56e6a0141fee7b5ab64d59beac69fd83d28416ade93476a98024aa0",
+    "case2-finite": "c1704f8f9992907bb259362cb52c83289ddd525aa94f7ae6e697dd67de9c5593",
+    "stability": "76442ea679cf7ebf845e6bed6ab20bc927d5fa8fac5f19a934cd928727e1ac75",
+}
+
+
+def test_pinned_certify_rows(capsys):
+    for suite, digest in PINNED_CERTIFY_ROWS.items():
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 0, suite
+        rows = json.loads(out)
+        for row in rows:
+            del row["elapsed_ms"]
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, suite
