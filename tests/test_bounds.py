@@ -36,6 +36,8 @@ class TestIntervals:
             for xx in (x.lo, x.hi):
                 for yy in (y.lo, y.hi):
                     assert combined.contains(getattr(xx, op)(yy))
+        prod = x * y
+        assert (prod.lo, prod.hi) == self._four_products(x, y)
 
     @given(rationals, rationals)
     def test_power(self, a, b):
@@ -64,13 +66,6 @@ class TestIntervals:
             prod = a * b
             assert (prod.lo, prod.hi) == self._four_products(a, b)
             assert type(prod.lo) is Fraction and type(prod.hi) is Fraction
-
-    @given(rationals, rationals, rationals, rationals)
-    def test_product_hull_exact(self, a, b, c, d):
-        x = RationalInterval(min(a, b), max(a, b))
-        y = RationalInterval(min(c, d), max(c, d))
-        prod = x * y
-        assert (prod.lo, prod.hi) == self._four_products(x, y)
 
     def test_integer_endpoints_become_fractions(self):
         iv = RationalInterval(1, 2) * 3
@@ -126,13 +121,6 @@ class TestExpEnclosure:
         # Terms below ceil(x) + 2 are raised to it; 64 is the cap.
         iv = exp_enclosure(x, terms)
         assert (iv.lo, iv.hi) == _reference_exp_enclosure(x, terms)
-
-    def test_matches_over_the_suite_arguments(self):
-        for t in range(8, 101):
-            for x in (Fraction(2 * t + 1, t), Fraction(-(t + 12), t - 1)):
-                for order in (12, 24, 48, 64):
-                    iv = exp_enclosure(x, order)
-                    assert (iv.lo, iv.hi) == _reference_exp_enclosure(x, order), (x, order)
 
     @pytest.mark.parametrize("x", [Fraction(65), Fraction(131, 2), Fraction(-70), 100])
     def test_term_cap(self, x):
@@ -320,7 +308,7 @@ class TestFiniteSweep:
         (14, [14]), (14, [14, 15]), (15, [15, 21]), (16, [16, 17, 18]), (18, [18, 20]),
         (14, [30]), (17, [17]), (14, [20, 14]),
         # Outside the sweep: r = k - t < 0, columns that start at zero, empty ranges.
-        (14, [1, 2, 13]), (14, [69, 70, 100]),
+        (14, [0, 1, 2, 13]), (14, [69, 70, 100]),
     ])
     def test_narrowed_chunk_matches_per_cell_binomials(self, t, ks):
         assert bounds.finite_sweep_chunk(t, ks) == _reference_sweep_chunk(t, ks)
