@@ -31,15 +31,12 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        lo, hi = self.lo, self.hi
-        if type(lo) is not Fraction:
-            lo = Fraction(lo)
-            object.__setattr__(self, "lo", lo)
-        if type(hi) is not Fraction:
-            hi = Fraction(hi)
-            object.__setattr__(self, "hi", hi)
-        if lo > hi:
-            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
+        if self.lo > self.hi:
+            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
     # -- constructors ------------------------------------------------------
 
