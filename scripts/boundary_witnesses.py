@@ -8,15 +8,15 @@ by many non-star pairs as well (the window family shows up at (4,2),
 complement-split pairs at (6,3)), while for n > 2k the star pair is the
 unique extremal configuration as far as this search can see.
 
-(7, 3) is the slowest row: full mode settles it within the default node
-budget, in about 2.5 million nodes.
+(8, 3) is the slowest row: full mode settles it within the default node
+budget, in about 610,000 nodes (about 480,000 at (7, 3)).
 """
 
 import math
 
 from ekrcross.search import max_uniform_product
 
-INSTANCES = [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3)]
+INSTANCES = [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 3)]
 
 if __name__ == "__main__":
     for n, k in INSTANCES:

@@ -863,6 +863,11 @@ def decomposition_check(
 # ---------------------------------------------------------------------------
 
 
+# The least t_max at which every grid sweep of ``run_bounds_suite`` checks
+# some t: uniform-side-relaxed-trend compares t with t + 1 from t = 16.
+SUITE_T_MAX_MIN = 17
+
+
 def run_bounds_suite(t_max: int = 100) -> list[VerificationReport]:
     """Every scalar claim, in registry order.  Runs in seconds."""
     reports: list[VerificationReport] = []

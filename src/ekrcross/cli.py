@@ -58,11 +58,26 @@ class RunConfig:
     shifted: bool = False
     seed: int = 0
 
+    def stability_sizes(self) -> tuple[int, int, int]:
+        """(t, n, k) for the stability suite: t defaults to 14, n to
+        (t+1)^2 and k to t+1."""
+        t = self.t if self.t is not None else 14
+        n = self.n if self.n is not None else (t + 1) * (t + 1)
+        return t, n, self.k if self.k is not None else t + 1
+
     def validate(self) -> None:
         if self.suite not in VERIFY_SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {VERIFY_SUITES}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.fmt!r}")
+        if self.suite == "bounds-all" and self.t_max < bounds.SUITE_T_MAX_MIN:
+            raise ValueError(f"suite bounds-all needs t_max >= {bounds.SUITE_T_MAX_MIN}, the "
+                             f"least at which every sweep checks some t, got {self.t_max}")
+        if self.suite == "stability":
+            t, n, k = self.stability_sizes()
+            if not 1 <= t <= k <= n:
+                raise ValueError(f"suite stability needs 1 <= t <= k <= n, "
+                                 f"got t={t}, k={k}, n={n}")
         if (self.suite == "case2-finite" and self.t is not None
                 and self.t not in bounds.FINITE_T_RANGE):
             raise ValueError(f"case2-finite covers t in {list(bounds.FINITE_T_RANGE)}, "
@@ -192,10 +207,7 @@ def run_verify(cfg: RunConfig) -> tuple[int, str]:
     elif cfg.suite == "measure-oracle":
         reports = suites.run_measure_oracle()
     elif cfg.suite == "stability":
-        t = cfg.t if cfg.t is not None else 14
-        n = cfg.n if cfg.n is not None else (t + 1) * (t + 1)
-        k = cfg.k if cfg.k is not None else t + 1
-        reports = bounds.verify_stability(t, n, k)
+        reports = bounds.verify_stability(*cfg.stability_sizes())
     elif cfg.suite == "graphs":
         reports = suites.run_graphs(seed=cfg.seed)
     else:  # pragma: no cover - guarded by validate()

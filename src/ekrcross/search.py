@@ -138,16 +138,21 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]],
     D(A') = D(A) & rows[j] and A' = D(D(A')), a lookup per byte.  It is
     canonical, so each closed set is reached once, when A' holds no new
     candidate below j.  Weights None means counting measure.
+
+    Two more strict bounds cut subtrees that hold no tie (they need
+    symmetric rows and positive weights; lo is the least weight):
+    - j not in A = D(D(A)) means some x in D(A) misses j, so every strict
+      descendant drops x from D(A): no child is walked when
+      (w(D(A)) - lo)^2 < best.
+    - a canonical descendant of child j adds only candidates >= j, so its
+      A lies within A | high[j] and its D within D(A'): the child is
+      skipped, before A' is computed, when w(A | high[j]) w(D(A')) < best.
     """
     full = (1 << len(rows)) - 1
+    high = [full >> j << j for j in range(len(rows))]
+    lo = min(weights or [1])
     and_tabs = _chunk_tables(rows, operator.and_, full)
     size = len(and_tabs)
-
-    def d(x: int) -> int:
-        out = full
-        for tab, byte in zip(and_tabs, x.to_bytes(size, "little")):
-            out &= tab[byte]
-        return out
 
     if weights is None:
         w = int.bit_count
@@ -161,7 +166,7 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]],
     deadline = _Deadline(budget)
     best = ties = split = visited = 0
     kept: list[tuple[int, int]] = []  # the cap least tied pairs, negated: a max-heap
-    root = d(full)
+    root = _partner(full, rows, full)
     stack = [(root, full, w(root), w(full), 0)]
     while stack:
         a, b, wa, wb, start = stack.pop()
@@ -181,17 +186,21 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]],
             pair = (-a, -b) if a <= b else (-b, -a)
             if len(kept) < cap:
                 heapq.heappush(kept, pair)
-            else:
-                heapq.heappushpop(kept, pair)
+            elif pair > kept[0]:
+                heapq.heapreplace(kept, pair)
+        if (wb - lo) * (wb - lo) < best:
+            continue
         free = full & ~a >> start << start
         while free:
             j = free.bit_length() - 1
             free ^= 1 << j
             nb = b & rows[j]
             wnb = w(nb)
-            if wnb * wnb < best:
+            if wnb * wnb < best or wnb * w(a | high[j]) < best:
                 continue
-            na = d(nb)
+            na = full
+            for tab, byte in zip(and_tabs, nb.to_bytes(size, "little")):
+                na &= tab[byte]
             if (na ^ a) & ((1 << j) - 1):
                 continue
             wna = w(na)
@@ -336,7 +345,11 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
 
     Full mode walks every closed set under the same two strict prunes,
     unseeded: a tie with w(A) <= w(D(A)) lies below no pruned node, as
-    each ancestor A'' has w(A'') <= w(A) <= w(D(A)) <= w(D(A'')).  A tie
+    each ancestor A'' has w(A'') <= w(A) <= w(D(A)) <= w(D(A'')).  The two
+    subtree bounds of ``_best_closed`` spare it too (rows symmetric,
+    weights positive, lo the least): w(D(A)) <= w(D(A'')) - lo, and if A
+    lies below the child of A'' that adds j, then A is within
+    A'' | high[j] and D(A) within D(A'' + j), by the canonicity test.  A tie
     counts once, on its side with w(A) < w(D(A)), or w(A) = w(D(A)) and
     A <= D(A).  The WITNESS_CAP least (min, max) index-mask pairs are
     retained, and ``witness_count`` is S + 2P - R over the S ties with

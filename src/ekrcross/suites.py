@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from . import graphs as gr
 from .measure import WeightParams, hit_probability_exact, hit_probability_limit, mu, mu_threshold_closed
 from .report import Stopwatch, VerificationReport, claim
-from .setfam import Family, make_weight_counterexample
+from .setfam import Family, Subset, make_weight_counterexample
 from .walks import count_hit, count_miss, enumerate_walks, hits_line
 
 DEFAULT_PS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 15))
@@ -38,9 +38,12 @@ def run_walk_oracle(max_steps: int = 12) -> list[VerificationReport]:
             for c in range(1, y0):
                 if not y0 < x0 + c:
                     continue
-                hit = enumerate_walks(x0, y0, lambda f, c=c: hits_line(f, c))
-                miss = enumerate_walks(x0, y0, lambda f, c=c: not hits_line(f, c))
-                if hit != count_hit(x0, y0, c) or miss != count_miss(x0, y0, c):
+                # One enumeration: a walk that misses is recorded, and
+                # append's None leaves it out of the hit count.
+                misses: list[Subset] = []
+                hit = enumerate_walks(x0, y0,
+                                      lambda f, c=c: hits_line(f, c) or misses.append(f))
+                if hit != count_hit(x0, y0, c) or len(misses) != count_miss(x0, y0, c):
                     mismatches.append((x0, y0, c))
                 cells += 1
     return [

@@ -259,9 +259,10 @@ def enumerate_walks(x0: int, y0: int, predicate: Callable[[Subset], bool]) -> in
         raise ValueError(f"enumeration capped at {ENUM_STEP_LIMIT} steps, got {steps}")
     if y0 < 0 or x0 < 0:
         raise ValueError("endpoint coordinates must be nonnegative")
+    bits = [1 << j for j in range(steps)]
     count = 0
-    for ups in itertools.combinations(range(1, steps + 1), y0):
-        if predicate(Subset.of(steps, ups)):
+    for ups in itertools.combinations(bits, y0):
+        if predicate(Subset(steps, sum(ups))):
             count += 1
     return count
 

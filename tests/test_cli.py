@@ -72,6 +72,29 @@ class TestUsage:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "bounds-all", "--t-max", "0"), "needs t_max >= 17"),
+        (("verify", "bounds-all", "--t-max", "16"), "needs t_max >= 17"),
+        (("verify", "stability", "--t", "0"), "got t=0, k=1, n=1"),
+        (("verify", "stability", "--n", "3"), "got t=14, k=15, n=3"),
+        (("verify", "stability", "--t", "14", "--k", "3"), "got t=14, k=3, n=225"),
+    ])
+    def test_sizes_outside_the_verified_range(self, capsys, argv, message):
+        # bounds-all below t_max 17 would report sweeps over empty t
+        # ranges as verified; stability would raise ValueError (exit 1).
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_least_t_max_checks_every_sweep(self, capsys):
+        code, out, _ = run(capsys, "verify", "bounds-all", "--t-max", "17")
+        assert code == 0
+        ranges = [row["witness"]["t_range"] for row in json.loads(out)
+                  if isinstance(row["witness"], dict) and "t_range" in row["witness"]]
+        # A trend row compares t with t + 1 over t_range, so it needs lo < hi.
+        assert ranges and all(lo < hi for lo, hi in ranges)
+
 
 class TestSearchCommands:
     def test_uniform_search_output(self, capsys):
@@ -124,7 +147,7 @@ class TestSearchCommands:
         assert "no shifted mode" in err
         code, out, _ = run(capsys, *seq, "--config", str(cfg), "--no-shifted")
         assert code == 0
-        assert json.loads(out)["notes"]["nodes"] == 163
+        assert json.loads(out)["notes"]["nodes"] == 137
 
 
 class TestVerifyCommands:

@@ -244,9 +244,41 @@ def test_full_mode_matches_the_breadth_first_counts(monkeypatch, kind, args, cap
 
 
 def test_full_mode_budget_counts_visited_nodes():
-    # (6, 3, 1) has 2^20 closed sets; the branch and bound visits 616,666.
-    r = max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=700_000))
-    assert (r.max_product, r.witness_count, r.notes["nodes"]) == (100, 180705, 616666)
+    # (6, 3, 1) has 2^20 closed sets; the branch and bound visits 433,454.
+    r = max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=433_454))
+    assert (r.max_product, r.witness_count, r.notes["nodes"]) == (100, 180705, 433454)
+    with pytest.raises(BudgetExceeded):
+        max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=433_453))
+
+
+@st.composite
+def _relations(draw):
+    """A random symmetric relation on up to 9 candidates, as rows, with
+    positive integer weights or None (counting measure)."""
+    size = draw(st.integers(0, 9))
+    pairs = [(i, j) for i in range(size) for j in range(i, size)]
+    rows = [0] * size
+    for (i, j), related in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                     max_size=len(pairs)))):
+        if related:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    weights = draw(st.none() | st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    return rows, weights
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+@given(_relations())
+@settings(max_examples=300, deadline=None)
+def test_subtree_bounds_keep_every_tie(cap, relation):
+    # The walk's bounds are sound for any symmetric rows and positive
+    # weights: it must score like the unpruned breadth-first engine.
+    rows, weights = relation
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ekrcross.search, "WITNESS_CAP", cap)
+        got = ekrcross.search._best_closed(rows, weights, SearchBudget())
+        want = _breadth_first_best_pairs(_breadth_first_closed_sets(rows), rows, weights)
+    assert got[:3] == want[:3]
 
 
 @pytest.mark.parametrize("search, args", [
