@@ -141,16 +141,16 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]],
 
     Two more strict bounds cut subtrees that hold no tie (they need
     symmetric rows and positive weights; lo is the least weight):
-    - j not in A = D(D(A)) means some x in D(A) misses j, so every strict
-      descendant drops x from D(A): no child is walked when
-      (w(D(A)) - lo)^2 < best.
+    - j not in A = D(D(A)) means some x in D(A) misses j, so each strict
+      descendant drops x: no child is walked if (w(D(A)) - lo)^2 < best.
     - a canonical descendant of child j adds only candidates >= j, so its
-      A lies within A | high[j] and its D within D(A'): the child is
-      skipped, before A' is computed, when w(A | high[j]) w(D(A')) < best.
+      weight is at most ``grown``, w(A) plus the free candidates >= j (the
+      children come in descending j): child j is skipped, before A' is
+      computed, when grown w(D(A')) < best.
     """
     full = (1 << len(rows)) - 1
-    high = [full >> j << j for j in range(len(rows))]
-    lo = min(weights or [1])
+    unit = weights or [1] * len(rows)
+    lo = min(unit, default=1)
     and_tabs = _chunk_tables(rows, operator.and_, full)
     size = len(and_tabs)
 
@@ -191,12 +191,14 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]],
         if (wb - lo) * (wb - lo) < best:
             continue
         free = full & ~a >> start << start
+        grown = wa
         while free:
             j = free.bit_length() - 1
             free ^= 1 << j
+            grown += unit[j]
             nb = b & rows[j]
             wnb = w(nb)
-            if wnb * wnb < best or wnb * w(a | high[j]) < best:
+            if wnb * wnb < best or wnb * grown < best:
                 continue
             na = full
             for tab, byte in zip(and_tabs, nb.to_bytes(size, "little")):
@@ -348,8 +350,8 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
     each ancestor A'' has w(A'') <= w(A) <= w(D(A)) <= w(D(A'')).  The two
     subtree bounds of ``_best_closed`` spare it too (rows symmetric,
     weights positive, lo the least): w(D(A)) <= w(D(A'')) - lo, and if A
-    lies below the child of A'' that adds j, then A is within
-    A'' | high[j] and D(A) within D(A'' + j), by the canonicity test.  A tie
+    lies below the child of A'' that adds j, then A is within A'' plus
+    the candidates >= j and D(A) within D(A'' + j), by the canonicity test.  A tie
     counts once, on its side with w(A) < w(D(A)), or w(A) = w(D(A)) and
     A <= D(A).  The WITNESS_CAP least (min, max) index-mask pairs are
     retained, and ``witness_count`` is S + 2P - R over the S ties with

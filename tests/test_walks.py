@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ekrcross import suites
 from ekrcross.setfam import (
     Family,
     Subset,
@@ -191,6 +192,28 @@ class TestCountOracles:
     def test_enumeration_budget(self):
         with pytest.raises(ValueError):
             enumerate_walks(20, 10, lambda f: True)
+
+    def test_oracle_enumerates_each_cell_once(self, monkeypatch):
+        cells = []
+
+        def recorded(x0, y0, predicate):
+            cells.append((x0, y0))
+            return enumerate_walks(x0, y0, predicate)
+
+        monkeypatch.setattr(suites, "enumerate_walks", recorded)
+        [row] = suites.run_walk_oracle()
+        assert row.status == "verified"
+        assert len(cells) == row.witness["cells"] == 95
+
+    @pytest.mark.parametrize("closed_form", ["count_hit", "count_miss"])
+    def test_oracle_counts_both_sides(self, monkeypatch, closed_form):
+        # The misses are counted by enumeration, not derived from the
+        # hits, so a closed form off by one on either side is refuted.
+        exact = getattr(suites, closed_form)
+        monkeypatch.setattr(suites, closed_form, lambda x0, y0, c: exact(x0, y0, c) + (c == 2))
+        [row] = suites.run_walk_oracle()
+        assert row.status == "refuted"
+        assert row.witness["mismatches"] and all(c == 2 for _, _, c in row.witness["mismatches"])
 
 
 class TestReflection:
