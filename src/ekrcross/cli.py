@@ -63,7 +63,8 @@ class RunConfig:
         (t+1)^2 and k to t+1."""
         t = self.t if self.t is not None else 14
         n = self.n if self.n is not None else (t + 1) * (t + 1)
-        return t, n, self.k if self.k is not None else t + 1
+        k = self.k if self.k is not None else t + 1
+        return t, n, k
 
     def validate(self) -> None:
         if self.suite not in VERIFY_SUITES:

@@ -351,13 +351,13 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
     subtree bounds of ``_best_closed`` spare it too (rows symmetric,
     weights positive, lo the least): w(D(A)) <= w(D(A'')) - lo, and if A
     lies below the child of A'' that adds j, then A is within A'' plus
-    the candidates >= j and D(A) within D(A'' + j), by the canonicity test.  A tie
-    counts once, on its side with w(A) < w(D(A)), or w(A) = w(D(A)) and
-    A <= D(A).  The WITNESS_CAP least (min, max) index-mask pairs are
-    retained, and ``witness_count`` is S + 2P - R over the S ties with
-    A = D(A) and the P others, R of them retained: past the cap the
-    P - R others not retained count twice, a known over-count that the
-    benchmark pins.
+    the candidates >= j (the canonicity test) and D(A) within
+    D(A'' + j).  A tie counts once, on its side with w(A) < w(D(A)), or
+    w(A) = w(D(A)) and A <= D(A).  The WITNESS_CAP least (min, max)
+    index-mask pairs are retained, and ``witness_count`` is S + 2P - R
+    over the S ties with A = D(A) and the P others, R of them retained:
+    past the cap the P - R others not retained count twice, a known
+    over-count that the benchmark pins.
     """
     if budget.restrict_shifted:
         best, pairs, count, nodes, violations = _best_shifted(
