@@ -207,8 +207,8 @@ class TestCountOracles:
 
     @pytest.mark.parametrize("closed_form", ["count_hit", "count_miss"])
     def test_oracle_counts_both_sides(self, monkeypatch, closed_form):
-        # The misses are counted by enumeration, not derived from the
-        # hits, so a closed form off by one on either side is refuted.
+        # Each closed form is compared with its own enumerated count, so
+        # one that is off by one on either side is refuted.
         exact = getattr(suites, closed_form)
         monkeypatch.setattr(suites, closed_form, lambda x0, y0, c: exact(x0, y0, c) + (c == 2))
         [row] = suites.run_walk_oracle()
