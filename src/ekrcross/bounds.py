@@ -66,10 +66,6 @@ class CaseParams:
             if not 0 < self.p < 1:
                 raise ValueError(f"p must lie in (0, 1), got {self.p}")
 
-    def require_p_bound(self) -> None:
-        if self.p is None or self.p > Fraction(1, self.t + 1):
-            raise ValueError(f"p = {self.p} must satisfy 0 < p <= 1/(t+1)")
-
 
 # ---------------------------------------------------------------------------
 # the weight envelope for families pinned to a line

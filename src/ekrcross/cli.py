@@ -35,6 +35,18 @@ VERIFY_SUITES = (
     "search-seq",
 )
 SEARCH_KINDS = ("uniform", "weight", "seq")
+# The settings each suite reads, beyond --out, which every suite reads.
+SUITE_READS = {
+    "bounds-all": ("t_max", "fmt"),
+    "case2-finite": ("t", "fmt"),
+    "walk-oracle": ("fmt",),
+    "measure-oracle": ("fmt",),
+    "stability": ("t", "n", "k", "fmt"),
+    "graphs": ("seed", "fmt"),
+    "search-uniform": ("n", "k", "t", "fmt", "shifted"),
+    "search-weight": ("n", "t", "p", "fmt", "shifted"),
+    "search-seq": ("n", "m", "t", "fmt", "shifted"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +69,7 @@ class RunConfig:
     fmt: str = "json"
     shifted: bool = False
     seed: int = 0
+    given: frozenset = frozenset()  # the settings named by a flag or the config file
 
     def stability_sizes(self) -> tuple[int, int, int]:
         """(t, n, k) for the stability suite: t defaults to 14, n to
@@ -65,6 +78,11 @@ class RunConfig:
         n = self.n if self.n is not None else (t + 1) * (t + 1)
         k = self.k if self.k is not None else t + 1
         return t, n, k
+
+    def unread(self) -> list[str]:
+        """The given settings that the suite does not read, as flags."""
+        extra = self.given - {"suite", "out", *SUITE_READS[self.suite]}
+        return sorted("--" + ("format" if key == "fmt" else key.replace("_", "-")) for key in extra)
 
     def validate(self) -> None:
         if self.suite not in VERIFY_SUITES:
@@ -83,6 +101,8 @@ class RunConfig:
                 and self.t not in bounds.FINITE_T_RANGE):
             raise ValueError(f"case2-finite covers t in {list(bounds.FINITE_T_RANGE)}, "
                              f"got {self.t}")
+        if self.suite.startswith("search-") and self.fmt != "json":
+            raise ValueError(f"suite {self.suite} writes JSON only, got format {self.fmt!r}")
         if self.suite == "search-seq" and self.shifted:
             raise ValueError("search-seq has no shifted mode (got --shifted or shifted = true)")
         required = {
@@ -181,10 +201,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.shifted = val.lower() in ("1", "true", "yes")
         else:
             raise ValueError(f"unknown config key {key!r}")
+    given = {"fmt" if key == "format" else key for key in file_values}
     for key in ("t", "t_max", "n", "k", "p", "m", "out", "fmt", "shifted", "seed"):
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
+            given.add(key)
+    cfg.given = frozenset(given)
     cfg.validate()
     return cfg
 
@@ -270,6 +293,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         cfg = config_from_args(args)
+        if cfg.unread():
+            raise ValueError(f"suite {cfg.suite} does not read {', '.join(cfg.unread())}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -40,10 +40,6 @@ class WeightParams:
     def alpha(self) -> Fraction:
         return self.p / self.q
 
-    def require_p_at_most_inverse(self, t: int) -> None:
-        if self.p > Fraction(1, t + 1):
-            raise ValueError(f"p = {self.p} exceeds 1/(t+1) = 1/{t + 1}")
-
 
 def mu(obj: Union[Subset, Family], params: WeightParams) -> Fraction:
     """Exact weight of a subset or family under the product measure."""

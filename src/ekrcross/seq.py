@@ -258,7 +258,7 @@ def verify_seq_theorem(
     started = time.perf_counter()
     cands = list(itertools.product(range(1, m + 1), repeat=n))
     rows = compatibility_rows([onehot_mask(w, m) for w in cands], t)
-    best, pairs, count, nodes = _best_closed(rows, None, budget)
+    best, pairs, count, unretained, nodes, _ = _best_closed(rows, None, budget)
 
     def fam_of(mask: int) -> SeqFamily:
         return SeqFamily(m, n, tuple(sorted(cands[i] for i in _bits(mask))))
@@ -272,7 +272,7 @@ def verify_seq_theorem(
     else:
         r = (t - 1) // (m - 2)
         notes["layer_comparison"] = {"r": r, "applicable": n >= t + 2 * r}
-    return _finish(best, pairs, count, label, fam_of, None, started, notes)
+    return _finish(best, pairs, count + unretained, label, fam_of, None, started, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,6 @@ class Family:
     def member_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(elements_of(m) for m in self.masks)
 
-    def without_uniformity(self) -> "Family":
-        return Family(self.n, self.masks, None)
-
     def __repr__(self) -> str:
         body = ", ".join("{" + ",".join(map(str, elements_of(m))) + "}" for m in self.masks)
         tag = f", k={self.k}" if self.k is not None else ""

@@ -17,8 +17,6 @@ from ekrcross import bounds
 from ekrcross.intervals import decide, exp_enclosure
 from ekrcross.measure import WeightParams, mu, mu_threshold_closed
 from ekrcross.search import (
-    brute_force_uniform_max,
-    brute_force_weight_max,
     generate_shifted_pairs,
     iter_shifted_families,
     max_uniform_product,
@@ -42,6 +40,7 @@ from ekrcross.suites import run_graphs, run_measure_oracle, run_walk_oracle
 from ekrcross.walks import WalkClass, WalkTag, classify, make_probe_walk
 
 from harness_lib import check_member_surplus_exhaustive, check_pair
+from helpers import brute_force_uniform_max, brute_force_weight_max
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -87,6 +87,42 @@ class TestUsage:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "walk-oracle", "--t-max", "5", "--n", "3", "--p", "1/2"),
+         "suite walk-oracle does not read --n, --p, --t-max"),
+        (("verify", "graphs", "--t", "0", "--k", "9"), "suite graphs does not read --k, --t"),
+        (("verify", "bounds-all", "--seed", "3"), "suite bounds-all does not read --seed"),
+        (("search", "uniform", "--n", "5", "--k", "2", "--t", "1", "--p", "1/3"),
+         "suite search-uniform does not read --p"),
+        (("search", "weight", "--n", "4", "--t", "1", "--p", "1/3", "--k", "2"),
+         "suite search-weight does not read --k"),
+        (("search", "seq", "--n", "2", "--m", "2", "--t", "1", "--seed", "1"),
+         "suite search-seq does not read --seed"),
+    ])
+    def test_settings_the_suite_does_not_read(self, capsys, argv, message):
+        # An ignored setting would report the default run as if it were
+        # the one asked for.
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (USAGE_ERROR, "", f"error: {message}\n")
+
+    def test_config_values_the_suite_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_max = 30\nformat = csv\n")
+        code, out, err = run(capsys, "verify", "walk-oracle", "--config", str(cfg))
+        assert (code, out) == (USAGE_ERROR, "")
+        assert "does not read --t-max" in err
+
+    def test_search_writes_json_only(self, capsys):
+        code, out, err = run(capsys, "search", "uniform", "--n", "5", "--k", "2", "--t", "1",
+                             "--format", "csv")
+        assert (code, out) == (USAGE_ERROR, "")
+        assert "writes JSON only" in err
+
+    def test_graphs_reads_its_seed(self, capsys):
+        code, out, _ = run(capsys, "verify", "graphs", "--seed", "3", "--format", "json")
+        assert code == 0
+        assert all(r["status"] == "verified" for r in json.loads(out))
+
     def test_least_t_max_checks_every_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "bounds-all", "--t-max", "17")
         assert code == 0

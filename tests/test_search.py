@@ -16,8 +16,7 @@ from ekrcross import graphs as gr
 from ekrcross.measure import WeightParams, mu
 from ekrcross.search import (
     SearchBudget,
-    brute_force_uniform_max,
-    brute_force_weight_max,
+    compatibility_rows,
     generate_shifted_pairs,
     iter_shifted_families,
     max_uniform_product,
@@ -42,6 +41,8 @@ from ekrcross.setfam import (
     shifts_to,
 )
 from ekrcross.walks import lambda_family
+
+from helpers import brute_force_uniform_max, brute_force_weight_max
 
 
 class TestUniformSearch:
@@ -191,9 +192,9 @@ def _breadth_first_closed_sets(rows):
 
 def _breadth_first_best_pairs(nodes, rows, weights):
     """Full mode's scorer before the Close-by-One walk, verbatim but for
-    reading WITNESS_CAP at call time: it scores each closed set, so it
-    meets a pair A != D(A) from both sides, and deduplicates only
-    against the retained witnesses."""
+    reading WITNESS_CAP at call time and summing weights inline: it
+    scores each closed set, so it meets a pair A != D(A) from both
+    sides, and deduplicates only against the retained witnesses."""
     full = (1 << len(rows)) - 1
     uniformw = weights is None
     best = count = visited = 0
@@ -201,8 +202,8 @@ def _breadth_first_best_pairs(nodes, rows, weights):
     for a in nodes:
         visited += 1
         b = ekrcross.search._partner(a, rows, full)
-        wa = a.bit_count() if uniformw else ekrcross.search._weight_sum(a, weights)
-        wb = b.bit_count() if uniformw else ekrcross.search._weight_sum(b, weights)
+        wa = a.bit_count() if uniformw else sum(w for i, w in enumerate(weights) if a >> i & 1)
+        wb = b.bit_count() if uniformw else sum(w for i, w in enumerate(weights) if b >> i & 1)
         prod = wa * wb
         if prod < best:
             continue
@@ -238,9 +239,9 @@ def test_full_mode_matches_the_breadth_first_counts(monkeypatch, kind, args, cap
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
     monkeypatch.setattr(ekrcross.seq, "_best_closed", recorded)
     searches[kind](*args)
-    [(rows, weights, (best, pairs, count, _))] = runs
+    [(rows, weights, (best, pairs, count, unretained, _, _))] = runs
     want = _breadth_first_best_pairs(_breadth_first_closed_sets(rows), rows, weights)
-    assert (best, pairs, count) == want[:3]
+    assert (best, pairs, count + unretained) == want[:3]
 
 
 def test_full_mode_budget_counts_visited_nodes():
@@ -276,9 +277,10 @@ def test_subtree_bounds_keep_every_tie(cap, relation):
     rows, weights = relation
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ekrcross.search, "WITNESS_CAP", cap)
-        got = ekrcross.search._best_closed(rows, weights, SearchBudget())
+        best, pairs, count, unretained, _, _ = ekrcross.search._best_closed(
+            rows, weights, SearchBudget())
         want = _breadth_first_best_pairs(_breadth_first_closed_sets(rows), rows, weights)
-    assert got[:3] == want[:3]
+    assert (best, pairs, count + unretained) == want[:3]
 
 
 @pytest.mark.parametrize("search, args", [
@@ -287,15 +289,15 @@ def test_subtree_bounds_keep_every_tie(cap, relation):
 ])
 def test_shifted_fallback_matches_full_mode(monkeypatch, search, args):
     # No instance tier-1 runs has a partner that is not shift-closed, so
-    # the shifted pass is made to report one violation.
-    scorer = ekrcross.search._best_shifted
+    # the shifted pass (the one given forcers) is made to report one violation.
+    scorer = ekrcross.search._best_closed
 
-    def one_violation(*args):
-        *found, violations = scorer(*args)
-        return (*found, violations + 1)
+    def one_violation(*args, **kwargs):
+        *found, violations = scorer(*args, **kwargs)
+        return (*found, violations + ("forcers" in kwargs))
 
     full = search(*args)
-    monkeypatch.setattr(ekrcross.search, "_best_shifted", one_violation)
+    monkeypatch.setattr(ekrcross.search, "_best_closed", one_violation)
     fallback = search(*args, SearchBudget(restrict_shifted=True))
     assert full.notes["mode"] == "full"
     assert fallback.notes == {"mode": "full-fallback", "nodes": full.notes["nodes"]}
@@ -334,10 +336,11 @@ def test_dominance_preds_once_per_shifted_search(monkeypatch):
 
 
 def _oracle_ties(families, partner, weight):
-    """Max, tie count and tied pairs of w(A) w(D(A)) over ``families``,
-    with D taken from ``setfam.maximal_cross_partner``."""
+    """Max, tie count and tied pairs of w(A) w(D(A)) over the closed
+    ``families`` (A = D(D(A))), with D taken from
+    ``setfam.maximal_cross_partner``."""
     scored = [(weight(a) * weight(b), frozenset((a.masks, b.masks)))
-              for a in families for b in [partner(a)]]
+              for a in families for b in [partner(a)] if partner(b) == a]
     best = max(prod for prod, _ in scored)
     ties = {pair for prod, pair in scored if prod == best}
     return best, len(ties), ties
@@ -349,9 +352,10 @@ def _oracle_ties(families, partner, weight):
     ("weight", (5, 1, Fraction(1, 3))),
 ])
 def test_shifted_ties_match_oracle(kind, args):
-    # The branch and bound must keep every tie that scoring each
-    # shift-closed family against its maximal partner finds; at
-    # (4, 2, 3) nothing cross 3-intersects and every family ties at 0.
+    # The branch and bound must keep every tie that scoring each closed
+    # shift-closed family against its maximal partner finds; at (4, 2, 3)
+    # nothing cross 3-intersects, and the one closed pair, (empty, layer),
+    # ties at 0.
     if kind == "uniform":
         n, k, t = args
         r = max_uniform_product(n, k, t, SearchBudget(restrict_shifted=True))
@@ -380,7 +384,9 @@ def test_shifted_count_past_the_witness_cap(monkeypatch):
     assert (r.witness_count, len(r.witnesses)) == (31, 1)
 
 
-@pytest.mark.parametrize("n, k, t, best", [(10, 4, 2, 784), (11, 3, 1, 2025)])
+@pytest.mark.parametrize("n, k, t, best", [
+    (10, 4, 2, 784), (11, 3, 1, 2025), (13, 5, 2, 27225),
+])
 def test_shifted_reach_above_the_boundary(n, k, t, best):
     # n > (t+1)(k-t+1): the star pair is the unique maximum, C(n-t, k-t)^2.
     r = max_uniform_product(n, k, t, SearchBudget(restrict_shifted=True, time_limit=30))
@@ -388,8 +394,58 @@ def test_shifted_reach_above_the_boundary(n, k, t, best):
     assert (r.max_product, r.witness_count, r.witness_classes) == (best, 1, ("F0",))
 
 
+def test_shifted_reach_below_the_boundary():
+    # n = 11 < (t+1)(k-t+1) = 12: F1, the 5-sets meeting [4] in at least
+    # 3, beats the star's C(9, 3)^2 = 84^2.
+    r = max_uniform_product(11, 5, 2, SearchBudget(restrict_shifted=True, time_limit=30))
+    assert math.comb(9, 3) ** 2 < r.max_product == 91 ** 2
+    assert r.witness_classes == ("F1",)
+
+
+@pytest.mark.parametrize("search, args", [
+    (max_uniform_product, (7, 3, 1)),
+    (max_weight_product, (5, 2, Fraction(1, 4))),
+])
+def test_shifted_inputs_match_their_definitions(monkeypatch, search, args):
+    # dpre[j] is D({j} + preds[j]) and forcers the transpose of preds, as
+    # handed to the scorer by a real shifted search.
+    scorer, seen = ekrcross.search._best_closed, []
+
+    def recorded(rows, weights, budget, **kwargs):
+        seen.append((rows, kwargs))
+        return scorer(rows, weights, budget, **kwargs)
+
+    monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
+    search(*args, SearchBudget(restrict_shifted=True))
+    [(rows, kwargs)] = seen
+    preds, full = kwargs["preds"], (1 << len(rows)) - 1
+    assert kwargs["dpre"] == [ekrcross.search._partner(1 << j | p, rows, full)
+                              for j, p in enumerate(preds)]
+    assert kwargs["forcers"] == [sum(1 << i for i, p in enumerate(preds) if p >> j & 1)
+                                 for j in range(len(rows))]
+
+
+@st.composite
+def _candidate_lists(draw):
+    """Random set masks over [n], or one-hot masks of random words."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        return draw(st.lists(st.integers(0, (1 << n) - 1), max_size=14))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    words = draw(st.lists(st.tuples(*[st.integers(1, m)] * n), max_size=14))
+    return [ekrcross.seq.onehot_mask(w, m) for w in words]
+
+
+@given(_candidate_lists(), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_compatibility_rows_match_the_pairwise_definition(cands, t):
+    want = [sum(1 << j for j, cj in enumerate(cands) if (ci & cj).bit_count() >= t)
+            for ci in cands]
+    assert compatibility_rows(cands, t) == want
+
+
 def test_shifted_budget_counts_visited_nodes():
-    # The walk visits about 800 shift-closed families here.
+    # The walk visits 119 closed shift-closed sets here.
     with pytest.raises(BudgetExceeded):
         max_weight_product(7, 2, Fraction(1, 4),
                            SearchBudget(restrict_shifted=True, max_family_bits=100))
