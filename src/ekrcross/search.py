@@ -23,7 +23,8 @@ one closed-pair engine serves all three searches:
   and keeps full mode's past-the-cap count, which the benchmark pins;
   ``_finish`` builds the ``SearchResult``;
 - ``_downsets`` lists the shift-closed families themselves, for
-  ``iter_shifted_families`` and the lemma-harness generator.
+  ``iter_shifted_families`` and the lemma-harness generator, whose
+  compressions ``_shift_fixpoint`` runs on index masks (tested against setfam's).
 
 That is exact: any cross-t pair (A0, B0) embeds into the visited pair
 (D(B0), D(D(B0))) with no smaller product.  All objective arithmetic is
@@ -47,9 +48,7 @@ from .setfam import (
     is_inclusion_maximal,
     is_shifted,
     mask_of,
-    maximal_cross_partner,
-    shift_pair_to_fixpoint,
-    shifts_to,  # noqa: F401  kept bound here: perfbench's tracer self-test rebinds it
+    shift_pair_to_fixpoint, shifts_to,  # noqa: F401  perfbench's tracer self-test rebinds both
 )
 
 DEFAULT_NODE_CAP = 1 << 22
@@ -568,6 +567,28 @@ def _dominance_closure(
     return tuple(sorted(all_masks[i] for i in _bits(chosen)))
 
 
+def _shift_moves(cands: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Per (i, j) in lex order, moves (d, g): the sources in g have their targets d > 0 below."""
+    index = {m: q for q, m in enumerate(cands)}
+    groups: dict[tuple[int, int, int], int] = {}
+    for (i, j), (q, m) in itertools.product(itertools.combinations(range(n), 2), enumerate(cands)):
+        if m >> j & 1 and not m >> i & 1:
+            key = (i, j, q - index[m ^ (1 << i | 1 << j)])
+            groups[key] = groups.get(key, 0) | 1 << q
+    return [(d, g) for (_, _, d), g in groups.items()]
+
+
+def _shift_fixpoint(x: int, y: int, moves: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """``setfam.shift_pair_to_fixpoint``'s sweep on index masks: x << d lifts targets to sources."""
+    while True:
+        x0, y0 = x, y
+        for d, g in moves:
+            sx, sy = x & g & ~(x << d), y & g & ~(y << d)
+            x, y = x ^ (sx | sx >> d), y ^ (sy | sy >> d)
+        if x == x0 and y == y0:
+            return x, y
+
+
 def generate_shifted_pairs(
     n: int,
     k: Optional[int],
@@ -586,10 +607,9 @@ def generate_shifted_pairs(
     t-intersecting; a failure would falsify the compression lemma and
     raises.
 
-    The chain seed -> b0 -> D(b0) -> fixpoint depends only on b0 =
-    D(seed), one AND of compatibility rows, so a memo local to the call,
-    keyed by b0, runs it once per distinct b0.  The checks run once per
-    distinct pair.
+    The chain seed -> b0 = D(seed) -> a0 = D(b0) -> fixpoint runs on index
+    masks and depends only on b0, so a memo local to the call, keyed by
+    b0, runs it once per distinct b0.  The checks run once per pair.
 
     Small configurations run out of new pairs long before the cap.  So
     before drawing, U collects S(a) x S(b) over the fixpoints (a, b) of
@@ -608,6 +628,7 @@ def generate_shifted_pairs(
     preds = _dominance_preds(cands, n, same_size_only=k is not None)
     rows = compatibility_rows(cands, t)
     index = {m: i for i, m in enumerate(cands)}
+    full, moves = (1 << len(cands)) - 1, _shift_moves(cands, n)
     Masks = tuple[int, ...]
     fixpoints: dict[int, Optional[tuple[Masks, Masks]]] = {}
     pairs: list[tuple[Family, Family]] = []
@@ -622,13 +643,12 @@ def generate_shifted_pairs(
         return _dominance_closure(sample, cands, index, preds)
 
     def fixpoint(members: Masks) -> Optional[tuple[Masks, Masks]]:
-        partner = _partner(sum(1 << index[m] for m in members), rows, (1 << len(cands)) - 1)
-        if partner not in fixpoints:
-            b0 = maximal_cross_partner(Family(n, members, k), t, k)
-            a0 = maximal_cross_partner(b0, t, k) if b0.masks else b0
-            a, b, _ = shift_pair_to_fixpoint(a0, b0) if a0.masks else (a0, b0, [])
-            fixpoints[partner] = (a.masks, b.masks) if a.masks and b.masks else None
-        return fixpoints[partner]
+        b0 = _partner(sum(1 << index[m] for m in members), rows, full)
+        if b0 not in fixpoints:
+            a0 = _partner(b0, rows, full) if b0 else 0
+            shifted = _shift_fixpoint(a0, b0, moves) if a0 else ()
+            fixpoints[b0] = tuple(tuple(sorted(cands[i] for i in _bits(x))) for x in shifted) or None
+        return fixpoints[b0]
 
     def shrinks(masks: Masks) -> Optional[list[Masks]]:
         """S(masks), cut off after ``count``; None if not closed under preds."""

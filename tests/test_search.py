@@ -621,6 +621,12 @@ def _reachable_pairs(n, k, t):
     return {key for a, b in fixpoints for key in itertools.product(shrinks(a), shrinks(b))}
 
 
+def _index_mask(n, k, masks):
+    """The generator's index mask of ``masks`` among its candidates."""
+    cands = uniform_layer(n, k) if k is not None else list(range(1 << n))
+    return sum(1 << cands.index(m) for m in masks)
+
+
 def _attempts(rng, n, k):
     cands = tuple(uniform_layer(n, k) if k is not None else range(1 << n))
     return sum(d[0] == "sample" and d[1] == cands for d in rng.draws)
@@ -679,13 +685,13 @@ class TestGeneratedPairs:
         # one-member side is never shrunk, so the generator must refuse
         # the first pair it would emit.
         calls = []
-        lone = Family(n, (mask_of([*range(1, (k or 1)), n], n),), k)
+        lone = _index_mask(n, k, [mask_of([*range(1, (k or 1)), n], n)])
 
-        def unshifted(a, b):
-            calls.append((a, b))
-            return lone, lone, []
+        def unshifted(x, y, moves):
+            calls.append((x, y))
+            return lone, lone
 
-        monkeypatch.setattr(ekrcross.search, "shift_pair_to_fixpoint", unshifted)
+        monkeypatch.setattr(ekrcross.search, "_shift_fixpoint", unshifted)
         with pytest.raises(RuntimeError, match="not shifted"):
             generate_shifted_pairs(n, k, t, 10, seed=1)
         assert calls
@@ -698,11 +704,11 @@ class TestGeneratedPairs:
         # refuses the first pair.  At count 80 there are fewer seeds than
         # attempts, so the seeds are walked and the side is reached.
         base = list(range(1, k or 1))
-        side = Family(n, tuple(sorted(mask_of([*base, j], n) for j in (n - 1, n))), k)
-        lone = Family(n, (mask_of([*base, n], n),), k)
-        assert not is_shifted(side)
-        monkeypatch.setattr(ekrcross.search, "shift_pair_to_fixpoint",
-                            lambda a, b: (side, lone, []))
+        side = sorted(mask_of([*base, j], n) for j in (n - 1, n))
+        lone = [mask_of([*base, n], n)]
+        assert not is_shifted(Family(n, tuple(side), k))
+        shifted = _index_mask(n, k, side), _index_mask(n, k, lone)
+        monkeypatch.setattr(ekrcross.search, "_shift_fixpoint", lambda x, y, moves: shifted)
         for seed in range(10):
             with pytest.raises(RuntimeError, match="not shifted"):
                 generate_shifted_pairs(n, k, t, 80, seed)
@@ -759,6 +765,43 @@ class TestGeneratedPairs:
             assert pairs == reachable, seed
             emitted |= pairs
         assert emitted == reachable
+
+
+# The generator's candidate spaces: power sets, and the criterion-7 layers.
+SHIFT_SPACES = (*[(n, None, t) for n in range(1, 7) for t in (1, 2)],
+                *[cfg for cfg in CRITERION_7 if cfg[1] is not None])
+
+
+class TestShiftKernel:
+    """The generator's index-mask chain against its setfam oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_setfam(self, data):
+        n, k, t = data.draw(st.sampled_from(SHIFT_SPACES))
+        cands = uniform_layer(n, k) if k is not None else list(range(1 << n))
+        full = (1 << len(cands)) - 1
+        x, y = data.draw(st.integers(0, full)), data.draw(st.integers(0, full))
+
+        def fam(z):
+            return Family(n, tuple(sorted(cands[i] for i in ekrcross.search._bits(z))), k)
+
+        a, b, _ = shift_pair_to_fixpoint(fam(x), fam(y))
+        sx, sy = ekrcross.search._shift_fixpoint(x, y, ekrcross.search._shift_moves(cands, n))
+        assert (fam(sx), fam(sy)) == (a, b)
+        partner = ekrcross.search._partner(x, compatibility_rows(cands, t), full)
+        assert fam(partner) == maximal_cross_partner(fam(x), t, k)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_shift_targets_lie_below_their_sources(self, n):
+        # _shift_fixpoint reads a source's target as x << d, so d > 0.
+        for cands in (list(range(1 << n)), *(uniform_layer(n, k) for k in range(1, n + 1))):
+            index = {m: q for q, m in enumerate(cands)}
+            for i, j in itertools.combinations(range(n), 2):
+                for q, m in enumerate(cands):
+                    if m >> j & 1 and not m >> i & 1:
+                        assert index[m ^ (1 << i | 1 << j)] < q, (n, m, i, j)
+            assert all(d > 0 for d, _ in ekrcross.search._shift_moves(cands, n))
 
 
 class TestReferenceFamilyRigidity:
