@@ -11,14 +11,11 @@ of the threshold.  Decimal constants from the proofs (0.87, 0.999,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .intervals import RationalInterval, decide, e_enclosure, exp_enclosure
-from .measure import WeightParams, mu
 from .report import SKIPPED, Stopwatch, VerificationReport, claim
-from .setfam import Family
 
 Rat = Union[Fraction, int]
 
@@ -27,44 +24,6 @@ def _comb(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
-
-
-# ---------------------------------------------------------------------------
-# parameter bundles
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CaseParams:
-    """Parameter bundle for a line-level case split, with the coupling
-    invariants validated on construction."""
-
-    t: int
-    u: Optional[int] = None
-    v: Optional[int] = None
-    s: Optional[int] = None
-    s_prime: Optional[int] = None
-    k: Optional[int] = None
-    n: Optional[int] = None
-    p: Optional[Fraction] = None
-
-    def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
-        u, v, s, sp = self.u, self.v, self.s, self.s_prime
-        if u is not None and v is not None:
-            if u + v != 2 * self.t:
-                raise ValueError(f"u + v = {u + v} must equal 2t = {2 * self.t}")
-            if not 0 <= u <= self.t <= v <= 2 * self.t:
-                raise ValueError(f"need 0 <= u <= t <= v <= 2t, got u={u}, v={v}")
-            if s is not None and sp is not None and 2 * (s - sp) != v - u:
-                raise ValueError(f"s - s' = {s - sp} must equal (v-u)/2 = {(v - u) // 2}")
-        if s is not None and sp is not None and not s >= sp >= 0:
-            raise ValueError(f"need s >= s' >= 0, got s={s}, s'={sp}")
-        if self.p is not None:
-            object.__setattr__(self, "p", Fraction(self.p))
-            if not 0 < self.p < 1:
-                raise ValueError(f"p must lie in (0, 1), got {self.p}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +408,8 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
 
 
 # ---------------------------------------------------------------------------
-# uniform envelope bounds (binomial ratios) and their caps
+# uniform envelope caps
 # ---------------------------------------------------------------------------
-
-
-def uniform_envelope_bounds(
-    n: int, k: int, t: int, u: int, v: int, s: int, s_prime: int
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """The four exact binomial-ratio components (a1, a2, b1, b2) bounding
-    |A| / C(n-u, k-u) and |B| / C(n-v, k-v)."""
-    CaseParams(t=t, u=u, v=v, s=s, s_prime=s_prime, k=k, n=n)
-    if not (t + s <= k <= n):
-        raise ValueError(f"need t+s <= k <= n, got t+s={t + s}, k={k}, n={n}")
-
-    def f_part(uu: int) -> Fraction:
-        den = _comb(n - uu, k - uu)
-        if den == 0:
-            raise ValueError(f"degenerate denominator C({n - uu},{k - uu})")
-        return Fraction(_comb(n, k - uu - 1), den)
-
-    def g_part(uu: int, ss: int) -> Fraction:
-        den = _comb(n - uu, k - uu)
-        return Fraction(math.comb(uu + 2 * ss, ss) * _comb(n - uu - 2 * ss, k - uu - ss), den)
-
-    return f_part(u), g_part(u, s), f_part(v), g_part(v, s_prime)
 
 
 def uniform_envelope_cap(t: int, u: int, s: int) -> Fraction:
@@ -775,83 +712,6 @@ def verify_stability(t: int, n: int, k: int, grid: int = 40) -> list[Verificatio
     out.append(claim(f"stability-uniform-ratio[t={t},n={n},k={k}]", ratio < cap,
                      lhs=ratio, rhs=cap, clock=clock))
     return out
-
-
-# ---------------------------------------------------------------------------
-# decomposition bookkeeping around a reference family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecompositionStats:
-    """The eleven masses of a pair (A, B) split around a reference
-    family, with the share coefficients xi.  The defining identities
-    f = a0 + fa, a = a0 + af, a1 = af + fa (and the b side) are
-    re-asserted after computation."""
-
-    f: Rat
-    a: Rat
-    a0: Rat
-    a1: Rat
-    af: Rat
-    fa: Rat
-    b: Rat
-    b0: Rat
-    b1: Rat
-    bf: Rat
-    fb: Rat
-    xi_a: Fraction
-    xi_b: Fraction
-
-    def __post_init__(self) -> None:
-        if self.f != self.a0 + self.fa or self.f != self.b0 + self.fb:
-            raise ValueError("reference mass must split as f = a0 + fa = b0 + fb")
-        if self.a != self.a0 + self.af or self.b != self.b0 + self.bf:
-            raise ValueError("family mass must split as a = a0 + af")
-        if self.a1 != self.af + self.fa or self.b1 != self.bf + self.fb:
-            raise ValueError("symmetric difference must split as a1 = af + fa")
-
-    def geometric_mean_within(self) -> bool:
-        """sqrt(a0 b0) <= (1 - xi/2) f, checked by exact squaring."""
-        xi = self.xi_a + self.xi_b
-        rhs = (1 - xi / 2) * Fraction(self.f)
-        if rhs < 0:
-            return False
-        return Fraction(self.a0) * Fraction(self.b0) <= rhs * rhs
-
-
-def decomposition_check(
-    a: Family, b: Family, ref: Family, p: Optional[Fraction] = None
-) -> DecompositionStats:
-    """Split the masses of a and b around the reference family.
-
-    With p given, masses are exact product weights; otherwise they are
-    plain cardinalities.
-    """
-    if not (a.n == b.n == ref.n):
-        raise ValueError("families must share a ground set")
-    ref_set = set(ref.masks)
-
-    def masses(fam: Family):
-        inside = [m for m in fam.masks if m in ref_set]
-        outside = [m for m in fam.masks if m not in ref_set]
-        missing = sorted(ref_set - set(fam.masks))
-        if p is None:
-            return len(fam.masks), len(inside), len(outside), len(missing)
-        params = WeightParams(fam.n, p)
-        w = lambda ms: mu(Family(fam.n, tuple(ms), None), params)  # noqa: E731
-        return w(fam.masks), w(inside), w(outside), w(missing)
-
-    fa_total, a0, af, fa = masses(a)
-    fb_total, b0, bf, fb = masses(b)
-    f = a0 + fa
-    if f == 0:
-        raise ValueError("reference family must have positive mass")
-    return DecompositionStats(
-        f=f, a=fa_total, a0=a0, a1=af + fa, af=af, fa=fa,
-        b=fb_total, b0=b0, b1=bf + fb, bf=bf, fb=fb,
-        xi_a=Fraction(fa) / Fraction(f), xi_b=Fraction(fb) / Fraction(f),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,6 @@ def cycle_graph(m: int) -> Graph:
     return Graph(m, tuple((i, (i + 1) % m) for i in range(m)))
 
 
-def complete_graph(m: int) -> Graph:
-    return Graph(m, tuple((i, j) for i in range(m) for j in range(i + 1, m)))
-
-
 def is_connected(g: Graph) -> bool:
     if g.num_vertices == 0:
         return True

@@ -124,32 +124,3 @@ def lift_family(fam: Family) -> Family:
     bit = 1 << n
     masks = sorted(set(fam.masks) | {m | bit for m in fam.masks})
     return Family(n + 1, tuple(masks), None)
-
-
-def product_monotone_check(n: int, t: int, p: Fraction, rng_seed: int = 0) -> bool:
-    """Check that the best cross-t weight product cannot drop when the
-    ground set grows, and that lifting preserves weights exactly.
-
-    Runs the exhaustive weighted search at n and n+1 and compares; also
-    lifts 50 pseudorandom families from [n] to [n+1] and confirms their
-    weights agree.  Desk-scale only (the searches must fit budget).
-    """
-    import random
-
-    from .search import max_weight_product
-
-    p = Fraction(p)
-    best_n = max_weight_product(n, t, p).max_product
-    best_n1 = max_weight_product(n + 1, t, p).max_product
-    if best_n > best_n1:
-        return False
-    rng = random.Random(rng_seed)
-    params_n = WeightParams(n, p)
-    params_n1 = WeightParams(n + 1, p)
-    for _ in range(50):
-        size = rng.randrange(0, 1 << n)
-        masks = tuple(sorted(rng.sample(range(1 << n), k=size.bit_count() + 1)))
-        fam = Family(n, masks, None)
-        if mu(lift_family(fam), params_n1) != mu(fam, params_n):
-            return False
-    return True

@@ -13,7 +13,7 @@ functions and safe to use concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_GROUND = 64
@@ -456,10 +456,6 @@ def make_saturated_walk(n: int, u: int) -> Subset:
     return Subset(n, m)
 
 
-def make_saturated_walk_k(n: int, k: int, u: int) -> Subset:
-    return first_k(make_saturated_walk(n, u), k)
-
-
 def make_uniform_counterexample(n: int, k: int, t: int) -> Family:
     """A shifted t-intersecting k-uniform family close to the star bound
     yet contained in no relabeled star: start from the star over [t],
@@ -490,15 +486,6 @@ def make_weight_counterexample(n: int, t: int) -> Family:
     return Family(
         n, tuple(sorted((set(star.masks) - {t_mask}) | set(co_singletons))), None
     )
-
-
-def make_stability_counterexamples(
-    n: int, k: Optional[int], t: int
-) -> tuple[Optional[Family], Family]:
-    """Both counterexample constructions; the uniform one needs k and
-    n > (t+1)k and is omitted (None) when k is not given."""
-    uniform = make_uniform_counterexample(n, k, t) if k is not None else None
-    return uniform, make_weight_counterexample(n, t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import graphs as gr
 from .measure import WeightParams, hit_probability_exact, hit_probability_limit, mu, mu_threshold_closed
 from .report import Stopwatch, VerificationReport, claim
-from .setfam import Family, Subset, make_weight_counterexample
+from .setfam import Subset, make_weight_counterexample
 from .walks import count_hit, count_miss, enumerate_walks, hits_line
 
 DEFAULT_PS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 15))

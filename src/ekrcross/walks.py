@@ -52,32 +52,9 @@ def hits_line(f: Subset, u: int) -> bool:
     return False
 
 
-def hit_count(f: Subset, u: int) -> int:
-    """Touches of y = x + u before the walk ever climbs above it."""
-    if u < 1:
-        raise ValueError(f"line index must be >= 1, got {u}")
-    cur = 0
-    count = 0
-    m = f.mask
-    for j in range(f.n):
-        cur += 1 if m >> j & 1 else -1
-        if cur > u:
-            break
-        if cur == u:
-            count += 1
-    return count
-
-
 def lambda_set(f: Subset) -> int:
     """The highest line the walk touches (0 if it never climbs)."""
-    best = 0
-    cur = 0
-    m = f.mask
-    for j in range(f.n):
-        cur += 1 if m >> j & 1 else -1
-        if cur > best:
-            best = cur
-    return best
+    return max(prefix_heights(f))
 
 
 def lambda_family(fam: Family) -> int:

@@ -19,7 +19,6 @@ from ekrcross.report import (
     reports_to_csv,
     reports_to_json,
 )
-from ekrcross.setfam import Family, make_threshold_family
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -242,21 +241,13 @@ class TestUniformEnvelope:
         assert bounds.uniform_envelope_cap(14, 16, 1) == Fraction(6, 5)
 
     def test_bounds_are_binomial_ratios(self):
+        # the parameter-free caps bound the exact ratios
+        # C(u+2s, s) C(n-u-2s, k-u-s) / C(n-u, k-u) at (u, s) = (13, 2), (15, 1)
         n, k, t = 240, 16, 14
-        a1, a2, b1, b2 = bounds.uniform_envelope_bounds(n, k, t, 13, 15, 2, 1)
-        assert a1 == Fraction(math.comb(n, k - 14), math.comb(n - 13, k - 13))
-        assert a2 == Fraction(
-            math.comb(17, 2) * math.comb(n - 17, k - 15), math.comb(n - 13, k - 13)
-        )
-        # the parameter-free caps really do cap the exact ratios
+        a2 = Fraction(math.comb(17, 2) * math.comb(n - 17, k - 15), math.comb(n - 13, k - 13))
+        b2 = Fraction(math.comb(17, 1) * math.comb(n - 17, k - 16), math.comb(n - 15, k - 15))
         assert a2 < bounds.uniform_envelope_cap(t, 13, 2)
         assert b2 < bounds.uniform_envelope_cap(t, 15, 1)
-
-    def test_inconsistent_parameters(self):
-        with pytest.raises(ValueError):
-            bounds.uniform_envelope_bounds(240, 16, 14, 13, 16, 2, 1)  # u+v != 2t
-        with pytest.raises(ValueError):
-            bounds.uniform_envelope_bounds(240, 15, 14, 13, 15, 2, 1)  # k < t+s
 
     def test_cap_verifier(self):
         statuses = {r.claim_id: r.status for r in bounds.verify_uniform_envelope_caps()}
@@ -391,56 +382,6 @@ class TestStability:
     def test_verifier(self):
         for r in bounds.verify_stability(14, 225, 15):
             assert r.status == VERIFIED, r
-
-    def test_case_params_validation(self):
-        with pytest.raises(ValueError):
-            bounds.CaseParams(t=14, u=13, v=16)
-        with pytest.raises(ValueError):
-            bounds.CaseParams(t=14, u=13, v=15, s=1, s_prime=1)
-        bounds.CaseParams(t=14, u=13, v=15, s=2, s_prime=1)
-
-
-class TestDecomposition:
-    def test_identical_families(self):
-        ref = make_threshold_family(5, 2, 0)
-        stats = bounds.decomposition_check(ref, ref, ref, Fraction(1, 4))
-        assert stats.a1 == stats.b1 == 0
-        assert stats.xi_a == stats.xi_b == 0
-        assert stats.geometric_mean_within()
-        assert stats.a0 * stats.b0 == stats.f ** 2
-
-    def test_one_member_removed(self):
-        n, t, p = 6, 2, Fraction(1, 4)
-        ref = make_threshold_family(n, t, 0)
-        a = Family(n, ref.masks[1:], None)
-        stats = bounds.decomposition_check(a, ref, ref, p)
-        assert stats.f == stats.a0 + stats.fa
-        assert stats.a == stats.a0 + stats.af
-        assert stats.a1 == stats.af + stats.fa
-        assert stats.af == 0 and stats.fa > 0
-        assert stats.geometric_mean_within()
-        assert stats.a0 * stats.b0 < stats.f ** 2
-
-    def test_uniform_counting_mode(self):
-        from ekrcross.setfam import make_threshold_family_uniform
-
-        ref = make_threshold_family_uniform(7, 3, 1, 0)
-        a = Family(7, ref.masks[2:], 3)
-        b = Family(7, ref.masks[:-1], 3)
-        stats = bounds.decomposition_check(a, b, ref)
-        assert isinstance(stats.f, int)
-        assert stats.fa == 2 and stats.fb == 1
-        assert stats.geometric_mean_within()
-
-    @given(
-        st.fractions(min_value=0, max_value=1, max_denominator=40),
-        st.fractions(min_value=0, max_value=1, max_denominator=40),
-    )
-    def test_am_gm_share_inequality(self, xa, xb):
-        # (1 - xa)(1 - xb) <= (1 - (xa+xb)/2)^2
-        lhs = (1 - xa) * (1 - xb)
-        rhs = (1 - (xa + xb) / 2) ** 2
-        assert lhs <= rhs
 
 
 class TestReports:

@@ -12,8 +12,8 @@ from ekrcross.measure import (
     lift_family,
     mu,
     mu_threshold_closed,
-    product_monotone_check,
 )
+from ekrcross.search import max_weight_product
 from ekrcross.setfam import (
     Family,
     GroundSetMismatch,
@@ -202,8 +202,13 @@ class TestLiftAndMonotone:
             f, WeightParams(f.n, p)
         )
 
+    # the best cross-t weight product cannot drop when the ground set grows
     def test_product_monotone_small(self):
-        assert product_monotone_check(3, 1, Fraction(1, 3))
+        n, t, p = 3, 1, Fraction(1, 3)
+        best_n = max_weight_product(n, t, p).max_product
+        assert best_n <= max_weight_product(n + 1, t, p).max_product
 
     def test_product_monotone_t2(self):
-        assert product_monotone_check(4, 2, Fraction(1, 4))
+        n, t, p = 4, 2, Fraction(1, 4)
+        best_n = max_weight_product(n, t, p).max_product
+        assert best_n <= max_weight_product(n + 1, t, p).max_product

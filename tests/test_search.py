@@ -897,7 +897,7 @@ class TestGraphFacts:
 
     def test_product_with_edge_graph(self):
         # product with a single edge stays connected for odd-cycle factors
-        k2 = gr.complete_graph(2)
+        k2 = gr.Graph(2, ((0, 1),))
         c5 = gr.cycle_graph(5)
         assert gr.is_connected(gr.direct_product(c5, k2))
 

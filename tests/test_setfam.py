@@ -21,8 +21,6 @@ from ekrcross.setfam import (
     is_inclusion_maximal,
     is_shifted,
     make_saturated_walk,
-    make_saturated_walk_k,
-    make_stability_counterexamples,
     make_threshold_family,
     make_threshold_family_uniform,
     make_uniform_counterexample,
@@ -230,8 +228,8 @@ class TestDuals:
 
     def test_uniform_dual_identity(self):
         n, k, t, u = 12, 6, 3, 2
-        lhs = dual_t_k(make_saturated_walk_k(n, k, u), t, k)
-        assert lhs == make_saturated_walk_k(n, k, 2 * t - u - 1)
+        lhs = dual_t_k(first_k(make_saturated_walk(n, u), k), t, k)
+        assert lhs == first_k(make_saturated_walk(n, 2 * t - u - 1), k)
 
     @given(st.data())
     @settings(max_examples=300)
@@ -369,13 +367,6 @@ class TestCounterexamples:
         q = 1 - p
         expected = p**t - p**t * q ** (n - t) + t * p ** (n - 1) * q
         assert mu(g, WeightParams(n, p)) == expected
-
-    def test_combined_wrapper(self):
-        u, w = make_stability_counterexamples(8, 3, 1)
-        assert u == make_uniform_counterexample(8, 3, 1)
-        assert w == make_weight_counterexample(8, 1)
-        u2, w2 = make_stability_counterexamples(6, None, 2)
-        assert u2 is None and w2 == make_weight_counterexample(6, 2)
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):

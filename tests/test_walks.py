@@ -23,7 +23,6 @@ from ekrcross.walks import (
     count_hit,
     count_miss,
     enumerate_walks,
-    hit_count,
     hits_line,
     lambda_family,
     lambda_set,
@@ -71,7 +70,7 @@ class TestLineStatistics:
             for u in (1, 2, 3):
                 w = make_saturated_walk(n, u)
                 if (n - u) % 2 == 0:
-                    assert hit_count(w, u) >= 2
+                    assert classify(w, u).tag is WalkTag.TOUCH_MANY
                 assert not hits_line(w, u + 1)
 
     def test_saturated_walk_dominates(self):
