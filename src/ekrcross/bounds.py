@@ -6,13 +6,18 @@ e^x are enclosed in rational intervals (see ``intervals``) and a
 comparison is accepted only when the whole enclosure sits on one side
 of the threshold.  Decimal constants from the proofs (0.87, 0.999,
 2.21, ...) are carried as exact fractions.
+
+A claim over a range of cells (t, or t with a second index) goes
+through ``_sweep``: it is verified with the range as its witness, or
+the first cell where it fails is named, refuted if the comparison is
+false and inconclusive if ``decide`` cannot order the enclosure.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .intervals import RationalInterval, decide, e_enclosure, exp_enclosure
 from .report import SKIPPED, Stopwatch, VerificationReport, claim
@@ -24,6 +29,34 @@ def _comb(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
+
+
+def _sweep(cells: Iterable[dict], holds: Callable[..., Optional[bool]], covered) -> dict:
+    """``claim`` keyword arguments for a claim that must hold at every cell:
+    verified with ``covered`` as the witness, or else the first cell where
+    ``holds(**cell)`` is not True, refuted on False and inconclusive on
+    None (an enclosure that ``decide`` could not order)."""
+    for cell in cells:
+        ok = holds(**cell)
+        if ok is not True:
+            return {"ok": ok, "witness": cell}
+    return {"ok": True, "witness": covered}
+
+
+def _decreasing(f: Callable[[int, int], RationalInterval], first: int, t_max: int) -> dict:
+    """``_sweep`` of f(t) > f(t+1) for first <= t < t_max, each decided on
+    an enclosure of the difference; ``f(t, order)`` encloses f(t)."""
+    return _sweep(({"t": t} for t in range(first, t_max)),
+                  lambda t: decide(lambda o: f(t, o) - f(t + 1, o), 0, ">"),
+                  {"t_range": [first, t_max]})
+
+
+def _enclosed(claim_id: str, build: Callable[[int], RationalInterval], rhs: Rat,
+              relation: str, clock: Stopwatch) -> VerificationReport:
+    """Row for ``build(order) relation rhs`` as ``decide`` settles it, shown
+    with the enclosure at order 48."""
+    return claim(claim_id, decide(build, rhs, relation), lhs=build(48), rhs=Fraction(rhs),
+                 clock=clock)
 
 
 # ---------------------------------------------------------------------------
@@ -73,23 +106,16 @@ def verify_envelope_monotonicity(
     exact evaluation and through the rearranged quadratic positivity."""
     t_range, s_range = list(t_range), list(s_range)
     clock = Stopwatch()
-    low_ok, high_ok, poly_ok = True, True, True
-    bad = None
-    for t in t_range:
-        for s in s_range:
-            if envelope_low(s, t) <= envelope_low(s + 1, t):
-                low_ok, bad = False, {"t": t, "s": s, "side": "low"}
-            poly = s * s * (t - 1) ** 2 + s * (t**3 + t**2 + t + 3) + (t**2 + 3 * t + 2)
-            if poly <= 0:
-                poly_ok, bad = False, {"t": t, "s": s, "poly": poly}
-            if s >= 1 and envelope_high(s, t) <= envelope_high(s + 1, t):
-                high_ok, bad = False, {"t": t, "s": s, "side": "high"}
+    cells = [{"t": t, "s": s} for t in t_range for s in s_range]
     grid = {"t": [min(t_range), max(t_range)], "s": [min(s_range), max(s_range)]}
-    return [
-        claim("envelope-mono-low", low_ok, witness=bad if not low_ok else grid, clock=clock),
-        claim("envelope-mono-high", high_ok, witness=bad if not high_ok else grid, clock=clock),
-        claim("envelope-mono-poly", poly_ok, witness=bad if not poly_ok else grid, clock=clock),
+    checks = [
+        ("envelope-mono-low", lambda t, s: envelope_low(s, t) > envelope_low(s + 1, t)),
+        ("envelope-mono-high",
+         lambda t, s: s < 1 or envelope_high(s, t) > envelope_high(s + 1, t)),
+        ("envelope-mono-poly",
+         lambda t, s: s * s * (t - 1) ** 2 + s * (t**3 + t**2 + t + 3) + (t**2 + 3 * t + 2) > 0),
     ]
+    return [claim(cid, clock=clock, **_sweep(cells, holds, grid)) for cid, holds in checks]
 
 
 def verify_envelope_products() -> list[VerificationReport]:
@@ -169,11 +195,9 @@ def _grid_increasing(values: Sequence[Fraction]) -> Optional[int]:
 def deep_pair_sweep(t_max: int) -> dict:
     """deep_pair_bound(t) < 1 at every t in 7..t_max, as ``claim`` keyword
     arguments: the outcome and the range, or the first t that fails."""
-    for t in range(7, t_max + 1):
-        r = decide(lambda o, t=t: deep_pair_bound(t, o), 1, "<")
-        if r is not True:
-            return {"ok": r, "witness": {"t": t}}
-    return {"ok": True, "witness": {"t_range": [7, t_max]}}
+    return _sweep(({"t": t} for t in range(7, t_max + 1)),
+                  lambda t: decide(lambda o: deep_pair_bound(t, o), 1, "<"),
+                  {"t_range": [7, t_max]})
 
 
 def verify_side_bound_shapes(t_max: int = 100,
@@ -183,9 +207,8 @@ def verify_side_bound_shapes(t_max: int = 100,
     out: list[VerificationReport] = []
     clock = Stopwatch()
 
-    ok = decide(lambda o: deep_pair_bound(7, o), Fraction(999, 1000), "<")
-    out.append(claim("deep-pair-g7", ok, lhs=deep_pair_bound(7, 48),
-                     rhs=Fraction(999, 1000), clock=clock))
+    out.append(_enclosed("deep-pair-g7", lambda o: deep_pair_bound(7, o),
+                         Fraction(999, 1000), "<", clock))
 
     out.append(claim("deep-pair-sweep", clock=clock, **(deep or deep_pair_sweep(t_max))))
 
@@ -215,18 +238,10 @@ def verify_side_bound_shapes(t_max: int = 100,
 
     g13 = low_side_bound(13)
     out.append(claim("low-side-g13", g13 < 1, lhs=g13, rhs=Fraction(1), clock=clock))
-    ok = decide(lambda o: low_side_bound_relaxed(14, o), 1, "<")
-    out.append(claim("low-side-relaxed-g14", ok, lhs=low_side_bound_relaxed(14, 48),
-                     rhs=Fraction(1), clock=clock))
-
-    dec_ok: Optional[bool] = True
-    for t in range(14, t_max):
-        a, b = low_side_bound_relaxed(t, 48), low_side_bound_relaxed(t + 1, 48)
-        if not a.lo > b.hi:
-            dec_ok = False
-            break
-    out.append(claim("low-side-relaxed-trend", dec_ok, witness={"t_range": [14, t_max]},
-                     clock=clock))
+    out.append(_enclosed("low-side-relaxed-g14", lambda o: low_side_bound_relaxed(14, o),
+                         1, "<", clock))
+    out.append(claim("low-side-relaxed-trend", clock=clock,
+                     **_decreasing(low_side_bound_relaxed, 14, t_max)))
 
     # (1-a)(tq-(t-1)q^3) increases in p up to p = 1/(t+1), where it equals
     # t(t-1)(3t+1)/(t+1)^3 exactly.
@@ -247,18 +262,9 @@ def verify_side_bound_shapes(t_max: int = 100,
             break
     out.append(claim("low-side-p-mono", mono_ok, witness=witness, clock=clock))
 
-    ok = decide(lambda o: high_side_bound(13, o), Fraction(96, 100), "<")
-    out.append(claim("high-side-h13", ok, lhs=high_side_bound(13, 48),
-                     rhs=Fraction(96, 100), clock=clock))
-
-    dec_ok = True
-    for t in range(13, t_max):
-        a, b = high_side_bound(t, 48), high_side_bound(t + 1, 48)
-        if not a.lo > b.hi:
-            dec_ok = False
-            break
-    out.append(claim("high-side-trend", dec_ok, witness={"t_range": [13, t_max]},
-                     clock=clock))
+    out.append(_enclosed("high-side-h13", lambda o: high_side_bound(13, o),
+                         Fraction(96, 100), "<", clock))
+    out.append(claim("high-side-trend", clock=clock, **_decreasing(high_side_bound, 13, t_max)))
 
     # (1-a)(1-q^2) increasing in p for p <= 0.274, on a 1/1000-step grid.
     vals = []
@@ -284,39 +290,20 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
     def exp_over(t: int, order: int) -> RationalInterval:
         return exp_enclosure(Fraction(2 * t + 1, t), order) * Fraction(1, t + 1)
 
-    ok: Optional[bool] = True
-    for t in range(8, t_max + 1):
-        r = decide(lambda o, t=t: exp_over(t, o), 1, "<")
-        if r is not True:
-            ok = r
-            break
-    out.append(claim("prefactor-exp-over-t", ok, witness={"t_range": [8, t_max]},
-                     clock=clock))
-
-    ok = True
-    for t in range(15, t_max + 1):
-        r = decide(lambda o, t=t: exp_over(t, o), Fraction(1, 2), "<")
-        if r is not True:
-            ok = r
-            break
-    out.append(claim("prefactor-exp-half", ok, witness={"t_range": [15, t_max]},
-                     clock=clock))
+    for cid, first, rhs in (("prefactor-exp-over-t", 8, 1),
+                            ("prefactor-exp-half", 15, Fraction(1, 2))):
+        out.append(claim(cid, clock=clock, **_sweep(
+            ({"t": t} for t in range(first, t_max + 1)),
+            lambda t: decide(lambda o: exp_over(t, o), rhs, "<"), {"t_range": [first, t_max]})))
 
     lhs = Fraction(15, 14) ** 29 / 15
     out.append(claim("prefactor-rational-half-t14", lhs < Fraction(1, 2), lhs=lhs,
                      rhs=Fraction(1, 2), clock=clock))
 
-    ok = True
-    bad = None
-    for t in range(14, t_max + 1):
-        p = Fraction(1, t + 1)
-        q = 1 - p
-        val = 2 * p / q ** (2 * t + 1)
-        if not val < 1:
-            ok, bad = False, {"t": t, "value": val}
-            break
-    out.append(claim("prefactor-alpha-power", ok, witness=bad or {"t_range": [14, t_max]},
-                     clock=clock))
+    out.append(claim("prefactor-alpha-power", clock=clock, **_sweep(
+        ({"t": t} for t in range(14, t_max + 1)),
+        lambda t: 2 * Fraction(1, t + 1) / Fraction(t, t + 1) ** (2 * t + 1) < 1,
+        {"t_range": [14, t_max]})))
 
     ok = True
     bad = None
@@ -358,23 +345,12 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
     out: list[VerificationReport] = []
     clock = Stopwatch()
 
-    ok = decide(lambda o: extremal_gap(8, 1, o), Fraction(12, 10), ">")
-    out.append(claim("extremal-gap-f81", ok, lhs=extremal_gap(8, 1, 48),
-                     rhs=Fraction(12, 10), clock=clock))
-
-    grid_ok: Optional[bool] = True
-    bad = None
-    for t in range(8, t_max + 1):
-        for i in range(1, i_max + 1):
-            r = decide(lambda o, t=t, i=i: extremal_gap(t, i, o), 1, ">")
-            if r is not True:
-                grid_ok, bad = r, {"t": t, "i": i}
-                break
-        if grid_ok is not True:
-            break
-    out.append(claim("extremal-gap-grid", grid_ok,
-                     witness=bad or {"t_range": [8, t_max], "i_range": [1, i_max]},
-                     clock=clock))
+    out.append(_enclosed("extremal-gap-f81", lambda o: extremal_gap(8, 1, o),
+                         Fraction(12, 10), ">", clock))
+    out.append(claim("extremal-gap-grid", clock=clock, **_sweep(
+        ({"t": t, "i": i} for t in range(8, t_max + 1) for i in range(1, i_max + 1)),
+        lambda t, i: decide(lambda o: extremal_gap(t, i, o), 1, ">"),
+        {"t_range": [8, t_max], "i_range": [1, i_max]})))
 
     # i = 0 sits outside the claimed range (the value drops below 1);
     # recorded as skipped with the computed enclosure.
@@ -390,20 +366,14 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
         )
     )
 
-    chain_ok = True
-    bad = None
-    for t in range(6, t_max + 1):
+    def chain_link(t: int, s: int) -> bool:
         p = Fraction(1, t + 1)
         q = 1 - p
-        for s in (0, 1):
-            val = math.comb(t, s) * p ** (s - 1) * q ** (t + s + 2) * (q - p)
-            if not val > 1:
-                chain_ok, bad = False, {"t": t, "s": s, "value": val}
-                break
-        if not chain_ok:
-            break
-    out.append(claim("extremal-gap-ratio-chain", chain_ok,
-                     witness=bad or {"t_range": [6, t_max]}, clock=clock))
+        return math.comb(t, s) * p ** (s - 1) * q ** (t + s + 2) * (q - p) > 1
+
+    out.append(claim("extremal-gap-ratio-chain", clock=clock, **_sweep(
+        ({"t": t, "s": s} for t in range(6, t_max + 1) for s in (0, 1)), chain_link,
+        {"t_range": [6, t_max]})))
     return out
 
 
@@ -490,15 +460,11 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
                      clock=clock))
 
     # cap(t, u, s) decreases in s from s = 2 on.
-    mono_ok = True
-    bad = None
-    for t in range(14, 40):
-        for u in range(0, 2 * t + 1):
-            for s in (2, 3, 4):
-                if uniform_envelope_cap(t, u, s) <= uniform_envelope_cap(t, u, s + 1):
-                    mono_ok, bad = False, {"t": t, "u": u, "s": s}
-                    break
-    out.append(claim("uniform-envelope-cap-mono", mono_ok, witness=bad, clock=clock))
+    out.append(claim("uniform-envelope-cap-mono", clock=clock, **_sweep(
+        ({"t": t, "u": u, "s": s} for t in range(14, 40) for u in range(0, 2 * t + 1)
+         for s in (2, 3, 4)),
+        lambda t, u, s: uniform_envelope_cap(t, u, s) > uniform_envelope_cap(t, u, s + 1),
+        None)))
     return out
 
 
@@ -584,13 +550,13 @@ def merge_finite_chunks(chunks: Iterable[dict]) -> dict:
     return merged if merged is not None else {}
 
 
-def verify_low_side_finite(t: int, ks: Optional[Sequence[int]] = None) -> VerificationReport:
+def verify_low_side_finite(t: int) -> VerificationReport:
     """The finite (k, n) sweep for one t in FINITE_T_RANGE, over every k
-    of ``finite_sweep_ks(t)`` unless ``ks`` narrows it."""
+    of ``finite_sweep_ks(t)``."""
     clock = Stopwatch()
     if t not in FINITE_T_RANGE:
         raise ValueError(f"finite sweep is defined for t in {list(FINITE_T_RANGE)}, got {t}")
-    result = finite_sweep_chunk(t, ks if ks is not None else finite_sweep_ks(t))
+    result = finite_sweep_chunk(t, finite_sweep_ks(t))
     ok = not result["failures"]
     ratio = Fraction(result["max_num"], result["max_den"]) if result["max_den"] else None
     return claim(
@@ -652,18 +618,10 @@ def verify_uniform_side_bounds(t_max: int = 100,
         val = uniform_high_side_exact(t)
         out.append(claim(f"uniform-side-exact[t={t}]", val < 1, lhs=val, rhs=Fraction(1),
                          clock=clock))
-    ok = decide(lambda o: uniform_high_side_relaxed(16, o), 1, "<")
-    out.append(claim("uniform-side-relaxed[t=16]", ok, lhs=uniform_high_side_relaxed(16, 48),
-                     rhs=Fraction(1), clock=clock))
-
-    dec_ok: Optional[bool] = True
-    for t in range(16, t_max):
-        a, b = uniform_high_side_relaxed(t, 48), uniform_high_side_relaxed(t + 1, 48)
-        if not a.lo > b.hi:
-            dec_ok = False
-            break
-    out.append(claim("uniform-side-relaxed-trend", dec_ok, witness={"t_range": [16, t_max]},
-                     clock=clock))
+    out.append(_enclosed("uniform-side-relaxed[t=16]",
+                         lambda o: uniform_high_side_relaxed(16, o), 1, "<", clock))
+    out.append(claim("uniform-side-relaxed-trend", clock=clock,
+                     **_decreasing(uniform_high_side_relaxed, 16, t_max)))
 
     out.append(claim("uniform-deep-sweep", clock=clock,
                      **(deep or deep_pair_sweep(t_max))))

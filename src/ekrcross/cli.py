@@ -81,7 +81,7 @@ class RunConfig:
 
     def unread(self) -> list[str]:
         """The given settings that the suite does not read, as flags."""
-        extra = self.given - {"suite", "out", *SUITE_READS[self.suite]}
+        extra = self.given - {"out", *SUITE_READS[self.suite]}
         return sorted("--" + ("format" if key == "fmt" else key.replace("_", "-")) for key in extra)
 
     def validate(self) -> None:
@@ -187,9 +187,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(suite=suite)
     file_values = load_config_file(args.config) if args.config else {}
     for key, val in file_values.items():
-        if key == "suite":
-            cfg.suite = val
-        elif key in ("t", "t_max", "n", "k", "m", "seed"):
+        if key in ("t", "t_max", "n", "k", "m", "seed"):
             setattr(cfg, key, int(val))
         elif key == "p":
             cfg.p = Fraction(val)
@@ -198,6 +196,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         elif key == "format":
             cfg.fmt = val
         elif key == "shifted":
+            if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise ValueError(f"shifted must be true, false, yes, no, 1 or 0, got {val!r}")
             cfg.shifted = val.lower() in ("1", "true", "yes")
         else:
             raise ValueError(f"unknown config key {key!r}")

@@ -80,9 +80,6 @@ ANCHORS: dict[str, str] = {
     "hit-limit-monotone": "hit probability nondecreasing in n and bounded by (p/q)^t",
     "graph-kneser": "disjointness graph connected and non-bipartite for 2k < n",
     "graph-product": "direct product connectivity matches the odd-cycle criterion",
-    "search-uniform": "max |A||B| over cross-t pairs in the k-layer",
-    "search-weight": "max weight product over cross-t pairs in the power set",
-    "search-seq": "max |A||B| over cross-t sequence families",
     "measure-threshold-oracle": "closed-form weights match power-set enumeration",
     "measure-point-events": "point-hitting event weights match enumeration",
     "measure-counterexample": "p^t - p^t q^(n-t) + t p^(n-1) q matches the constructed family",
@@ -114,10 +111,6 @@ class VerificationReport:
             raise ValueError("refuted reports must carry a witness")
         if not self.anchor:
             self.anchor = anchor_for(self.claim_id)
-
-    @property
-    def ok(self) -> bool:
-        return self.status in (VERIFIED, SKIPPED)
 
 
 class Stopwatch:

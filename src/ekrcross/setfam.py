@@ -70,14 +70,6 @@ class Subset:
     def of(cls, n: int, elements: Iterable[int]) -> "Subset":
         return cls(n, mask_of(elements, n))
 
-    @classmethod
-    def empty(cls, n: int) -> "Subset":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "Subset":
-        return cls(n, (1 << n) - 1)
-
     @property
     def members(self) -> tuple[int, ...]:
         return elements_of(self.mask)

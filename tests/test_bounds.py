@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ekrcross import bounds
 from ekrcross.intervals import RationalInterval, decide, e_enclosure, exp_enclosure
 from ekrcross.report import (
+    INCONCLUSIVE,
     REFUTED,
     SKIPPED,
     VERIFIED,
@@ -264,6 +265,43 @@ class TestUniformEnvelope:
         assert bounds.uniform_high_side_exact(15) < 1
         # the relaxed form is genuinely too weak at t = 14
         assert bounds.uniform_high_side_relaxed(14, 32).strictly_above(1)
+
+
+def _outcomes(reports):
+    return {r.claim_id: (r.status, r.witness) for r in reports}
+
+
+class TestSweepFailures:
+    """A range claim that fails names its first failing cell, and an
+    enclosure too wide to order leaves it inconclusive, not refuted."""
+
+    def test_undecided_trend_is_inconclusive(self, monkeypatch):
+        bound = bounds.high_side_bound
+        wide = RationalInterval(Fraction(0), Fraction(2))
+        monkeypatch.setattr(bounds, "high_side_bound",
+                            lambda t, order=24: wide if t == 30 else bound(t, order))
+        rows = _outcomes(bounds.verify_side_bound_shapes(60))
+        assert rows["high-side-trend"] == (INCONCLUSIVE, {"t": 29})
+
+    def test_refuted_prefactor_names_its_t(self, monkeypatch):
+        enclosure = bounds.exp_enclosure
+        monkeypatch.setattr(bounds, "exp_enclosure", lambda x, terms=24: enclosure(x, terms)
+                            * (10 if x == Fraction(61, 30) else 1))
+        rows = _outcomes(bounds.verify_prefactors(60))
+        assert rows["prefactor-exp-over-t"] == (REFUTED, {"t": 30})
+        assert rows["prefactor-exp-half"] == (REFUTED, {"t": 30})
+
+    def test_envelope_rows_keep_their_own_witness(self, monkeypatch):
+        low = bounds.envelope_low
+        monkeypatch.setattr(bounds, "envelope_low",
+                            lambda s, t: low(s, t) * (10 if (t, s) == (15, 3) else 1))
+        rows = _outcomes(bounds.verify_envelope_monotonicity(range(14, 21), range(0, 11)))
+        grid = {"t": [14, 20], "s": [0, 10]}
+        assert rows == {
+            "envelope-mono-low": (REFUTED, {"t": 15, "s": 2}),
+            "envelope-mono-high": (VERIFIED, grid),
+            "envelope-mono-poly": (VERIFIED, grid),
+        }
 
 
 def _reference_sweep_chunk(t, ks):

@@ -230,6 +230,15 @@ class TestVerifyCommands:
             assert base in ANCHORS, row["claim_id"]
             assert row["anchor"] == anchor_for(row["claim_id"]) == ANCHORS[base]
 
+    def test_every_anchor_names_a_claim(self, capsys):
+        bases = set()
+        for suite in VERIFY_SUITES:
+            if not suite.startswith("search-"):
+                code, out, _ = run(capsys, "verify", suite)
+                assert code == 0, suite
+                bases |= {row["claim_id"].split("[", 1)[0] for row in json.loads(out)}
+        assert set(ANCHORS) == bases
+
     def test_rows_time_their_own_checks(self, capsys):
         # Each row is a lap of one clock, so the rows cannot add up to
         # more than the whole call.
@@ -305,6 +314,33 @@ class TestConfigFile:
             cfg = config_from_args(parse(search + ["--config", str(cfg_file)] + flag))
             assert cfg.shifted is expected, (value, flag)
 
+    @pytest.mark.parametrize("value, expected", [
+        ("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("NO", False), ("0", False),
+    ])
+    def test_shifted_values(self, tmp_path, value, expected):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"shifted = {value}\n")
+        cfg = config_from_args(build_parser().parse_args(
+            ["search", "uniform", "--n", "5", "--k", "2", "--t", "1", "--config", str(cfg_file)]))
+        assert cfg.shifted is expected
+
+    def test_bad_shifted_value(self, tmp_path, capsys):
+        # "on" once read as false and ran full mode.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("shifted = on\n")
+        code, out, err = run(capsys, "search", "uniform", "--n", "5", "--k", "2", "--t", "1",
+                             "--config", str(cfg_file))
+        assert (code, out) == (USAGE_ERROR, "")
+        assert "shifted must be true, false, yes, no, 1 or 0, got 'on'" in err
+
+    def test_file_cannot_name_the_suite(self, tmp_path, capsys):
+        # The suite is the command line's positional; the file cannot replace it.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("suite = stability\n")
+        code, out, err = run(capsys, "verify", "graphs", "--config", str(cfg_file))
+        assert (code, out) == (USAGE_ERROR, "")
+        assert "unknown config key 'suite'" in err
+
     def test_eta_is_gone(self, tmp_path, capsys):
         # --workers and --resume went the same way as --eta.
         for flag, key in (
@@ -361,9 +397,12 @@ class TestFiniteSweepCommand:
 # sha256 of each suite's JSON rows with elapsed_ms removed (json.dumps,
 # sort_keys), taken before exp_enclosure, the interval product and the
 # finite sweep moved to integer kernels; any change to a row's status,
-# value, enclosure or witness shows.
+# value, enclosure or witness shows.  Each key is the command line after
+# "verify"; at --t-max 17, the least allowed, an off-by-one in a sweep's
+# range shows first (taken before the range claims moved to one helper).
 PINNED_CERTIFY_ROWS = {
     "bounds-all": "a0183ba6d56e6a0141fee7b5ab64d59beac69fd83d28416ade93476a98024aa0",
+    "bounds-all --t-max 17": "a2184d5d782dfb58db93763f2c8c7cac4a7602e6e964be21e692d8545fa69df3",
     "case2-finite": "c1704f8f9992907bb259362cb52c83289ddd525aa94f7ae6e697dd67de9c5593",
     "stability": "76442ea679cf7ebf845e6bed6ab20bc927d5fa8fac5f19a934cd928727e1ac75",
 }
@@ -371,7 +410,7 @@ PINNED_CERTIFY_ROWS = {
 
 def test_pinned_certify_rows(capsys):
     for suite, digest in PINNED_CERTIFY_ROWS.items():
-        code, out, _ = run(capsys, "verify", suite)
+        code, out, _ = run(capsys, "verify", *suite.split())
         assert code == 0, suite
         rows = json.loads(out)
         for row in rows:
