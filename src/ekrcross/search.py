@@ -15,9 +15,9 @@ one closed-pair engine serves all three searches:
   shift-closed sets, themselves a closure system, since D of a
   shift-closed family is shift-closed: a child adds a candidate with
   all it forces, through dpre[j], the AND of the rows over j and what
-  j forces; a prefilter drops a child that forces a missing candidate
-  below j before its closure is taken; and the star product seeds the
-  bound;
+  j forces; the children that force a missing candidate below them are
+  dropped as one mask before any closure; and the star product seeds
+  the bound;
 - ``_search`` picks the mode (shifted, falling back to every closed set
   when some partner is not shift-closed), builds the shifted inputs
   and keeps full mode's past-the-cap count, which the benchmark pins;
@@ -35,10 +35,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .setfam import (
@@ -110,21 +112,31 @@ def _partner(mask: int, rows: Sequence[int], full: int) -> int:
     return out
 
 
-def _and_tables(rows: Sequence[int], full: int) -> list[list[int]]:
-    """tabs[c][v] is ``full`` AND the rows[8c + b] over the bits b of the
-    byte v, so D of a mask takes one lookup per byte."""
+def _byte_tables(masks: Sequence[int], unit: int, op: Callable[[int, int], int]) -> list[list[int]]:
+    """tabs[c][v] folds ``unit`` with the masks[8c + b] over the bits b of
+    the byte v by ``op``, so a fold over the bits of x takes one lookup
+    per byte of x."""
     tabs = []
-    for c in range(0, len(rows), 8):
-        tab = [full]
-        for row in rows[c:c + 8]:
-            tab += [x & row for x in tab]
+    for c in range(0, len(masks), 8):
+        tab = [unit]
+        for m in masks[c:c + 8]:
+            tab += [op(x, m) for x in tab]
         tabs.append(tab)
     return tabs
 
 
+def _blocked(forcers: Sequence[int]) -> Callable[[int], int]:
+    """blocked(A) holds the j that force a candidate below j missing from
+    A: the OR of forcers[x] above x over the x not in A, one lookup per
+    byte of ~A."""
+    full = (1 << len(forcers)) - 1
+    tabs = _byte_tables([f >> x + 1 << x + 1 for x, f in enumerate(forcers)], 0, operator.or_)
+    return lambda a: reduce(operator.or_, map(list.__getitem__, tabs,
+                                              (full ^ a).to_bytes(len(tabs), "little")), 0)
+
+
 def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: SearchBudget,
                  dpre: Optional[Sequence[int]] = None, seed: int = 0,
-                 preds: Optional[Sequence[int]] = None,
                  forcers: Optional[Sequence[int]] = None) -> tuple[int, list, int, int, int, int]:
     """The scorer of both modes (see ``_search``): a Close-by-One branch
     and bound over a closure system of closed sets, as index masks.
@@ -135,38 +147,49 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
     D(A') = D(A) & dpre[j] and A' = D(D(A')), a lookup per byte.  It is
     canonical, so each closed set of the system is reached once, when A'
     holds no new candidate below j.  With dpre = rows (the default) the
-    system is every closed set; with dpre[j] the AND of the rows over j
-    and preds[j], A' is the least closed set holding A, j and all that j
-    forces.  A child is then not canonical when j forces a candidate
-    below j that A lacks: this prefilter drops it before D(A') is taken.
-    ``seed`` is a product some pair attains, the starting ``best``.
+    system is every closed set.  Shifted mode passes dpre[j], the AND of
+    the rows over j and all that j forces, so A' is the least closed set
+    holding A, j and what j forces, and ``forcers``: child j is then not
+    canonical when it lies in forcers[x] above x for an x not in A (j
+    forces a missing candidate below it), and ``_blocked`` drops all
+    such children as one mask.  ``seed`` is a product some pair attains,
+    the starting ``best``.
 
     Weights None means counting measure; otherwise w(x) sums v times
-    the size of x & mask_v over one mask_v per distinct weight v.
-    Two more strict bounds cut subtrees that hold no tie (they need
-    symmetric rows and positive weights; lo is the least weight):
+    the size of x & mask_v over one mask_v per distinct weight v.  The
+    rows are symmetric and the weights positive, so a child weighs more
+    than A, and D(D(A')) = A'.  Three strict rules drop what holds no
+    counted tie (lo is the least weight):
     - j not in A = D(D(A)) means some x in D(A) misses j, so each strict
       descendant drops x: no child is walked if (w(D(A)) - lo)^2 < best.
     - a canonical descendant of child j adds only candidates >= j, so its
-      weight is at most ``grown``, w(A) plus the free candidates >= j (the
-      children come in descending j): child j is skipped when grown
-      w(D(A')) < best.  Under weights, where w is a sum and not one
-      popcount, it is skipped before D(A') is taken when grown w(D(A))
-      < best; the prefilter runs first, as it drops most children.
+      weight is at most ``grown``, w(A) plus the free candidates >= j,
+      blocked or not: child j is skipped when grown w(D(A')) < best, and
+      before D(A') is taken when grown (w(D(A)) - lo) < best.
+    - the mirror rule: a child is not pushed when w(A') > w(D(A')) > 0,
+      or w(A') = w(D(A')) and A' > D(A').  Its mirror D(A') is a closed
+      set of the system with partner A' and the same product, counted
+      from that side, and each strict descendant weighs more than its
+      partner.  Full mode rules both cases out before the closure, as
+      w(A') >= w(A) + w(j), with A' = A + j at equality; shifted mode
+      takes it, as the partner-shift check must see every canonical child.
 
     ``count`` is S + P over the S ties with A = D(A) and the P others,
-    each counted on its side with w(A) < w(D(A)), or w(A) = w(D(A)) and
-    A <= D(A); the WITNESS_CAP least (min, max) pairs are kept, R of
-    them with A != D(A), and ``unretained`` is P - R.  ``violations``
-    counts the canonical children whose D(A') holds one of ``forcers[x]``
-    (the candidates forcing x) for a bit x that it dropped from D(A).
+    each counted once, from the side the mirror rule keeps.  The
+    WITNESS_CAP least (min, max) pairs are kept, as int keys min << L |
+    max over L candidates, which order like the tuples; R of them have
+    A != D(A), and ``unretained`` is P - R.  ``violations`` counts the
+    canonical children whose D(A') holds one of ``forcers[x]`` for a bit
+    x that it dropped from D(A).
     """
-    full = (1 << len(rows)) - 1
+    span = len(rows)
+    full = (1 << span) - 1
     dpre = dpre or rows
-    unit = weights or [1] * len(rows)
+    unit = weights or [1] * span
     lo = min(unit, default=1)
-    and_tabs = _and_tables(rows, full)
+    and_tabs = _byte_tables(rows, full, operator.and_)
     size = len(and_tabs)
+    blocked = _blocked(forcers) if forcers else None
 
     if weights is None:
         w = int.bit_count
@@ -177,12 +200,15 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
         level_masks = list(levels.items())
 
         def w(x: int) -> int:
-            return sum([v * (x & m).bit_count() for v, m in level_masks])
+            out = 0
+            for v, m in level_masks:
+                out += v * (x & m).bit_count()
+            return out
 
     cap = WITNESS_CAP
     deadline = _Deadline(budget)
     best, ties, split, visited, violations = seed, 0, 0, 0, 0
-    kept: list[tuple[int, int]] = []  # the cap least tied pairs, negated: a max-heap
+    kept: list[int] = []  # the cap least tie keys, negated: a max-heap
     root = _partner(full, rows, full)
     stack = [(root, full, w(root), w(full), 0)]
     while stack:
@@ -193,43 +219,48 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
         if visited > budget.max_family_bits:
             raise BudgetExceeded(
                 f"closed-set search exceeds max_family_bits={budget.max_family_bits}")
-        if visited & 0xFFF == 0:
+        if visited & 0xFF == 0:
             deadline.check()
         prod = wa * wb
         if prod > best:
             best, ties, split, kept = prod, 0, 0, []
-        if prod == best and (wa < wb or wa == wb and a <= b):
+        if prod == best and wa <= wb:
             ties, split = ties + 1, split + (a != b)
-            pair = (-a, -b) if a <= b else (-b, -a)
+            key = -(a << span | b if a <= b else b << span | a)
             if len(kept) < cap:
-                heapq.heappush(kept, pair)
-            elif pair > kept[0]:
-                heapq.heapreplace(kept, pair)
+                heapq.heappush(kept, key)
+            elif key > kept[0]:
+                heapq.heapreplace(kept, key)
         if (wb - lo) * (wb - lo) < best:
             continue
         free = full & ~a >> start << start
+        todo = free & ~blocked(a) if blocked else free
         grown = wa
-        while free:
-            j = free.bit_length() - 1
-            free ^= 1 << j
-            grown += unit[j]
-            if preds and preds[j] & ~a & (1 << j) - 1 or weights and wb * grown < best:
+        while todo:
+            j = todo.bit_length() - 1
+            todo ^= 1 << j
+            grown = wa + w(free >> j << j) if blocked else grown + unit[j]
+            if (wb - lo) * grown < best:
                 continue
             nb = b & dpre[j]
             wnb = w(nb)
             if wnb * wnb < best or wnb * grown < best:
                 continue
-            na = full
-            for tab, byte in zip(and_tabs, nb.to_bytes(size, "little")):
-                na &= tab[byte]
+            if not blocked and wnb and (wa + unit[j] > wnb
+                                        or wa + unit[j] == wnb and a | 1 << j > nb):
+                continue
+            na, c = full, 0
+            for byte in nb.to_bytes(size, "little"):
+                na &= and_tabs[c][byte]
+                c += 1
             if (na ^ a) & ((1 << j) - 1):
                 continue
             if forcers and any(forcers[x] & nb for x in _bits(b & ~nb)):
                 violations += 1
             wna = w(na)
-            if not wna > wnb > 0:
+            if wna < wnb or wna == wnb and na <= nb or not wnb:
                 stack.append((na, nb, wna, wnb, j + 1))
-    pairs = sorted((-x, -y) for x, y in kept)
+    pairs = sorted(divmod(-key, 1 << span) for key in kept)
     return best, pairs, ties, split - sum(x != y for x, y in pairs), visited, violations
 
 
@@ -284,7 +315,7 @@ def _downsets(masks: Sequence[int], preds: Sequence[int],
         visited += 1
         if visited > budget.max_family_bits:
             raise BudgetExceeded(f"downset search exceeds max_family_bits={budget.max_family_bits}")
-        if visited & 0xFFF == 0:
+        if visited & 0xFF == 0:
             deadline.check()
         yield a
         for q in range(len(order) - 1, pos - 1, -1):
@@ -341,17 +372,19 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
     from the bits it drops; if one is not, the restriction is unsound
     here and every closed set is scored instead (``full-fallback``).
 
-    Full mode walks every closed set, unseeded.  In both modes a tie
-    with w(A) <= w(D(A)) lies below no pruned node, as each ancestor A''
-    has w(A'') <= w(A) <= w(D(A)) <= w(D(A'')), and the subtree bounds
+    Full mode walks every closed set, unseeded.  Both modes count each
+    tied closed pair once, from its side A with w(A) < w(D(A)), or
+    w(A) = w(D(A)) and A <= D(A), which the mirror rule keeps.  That A
+    lies below no pruned or dropped node, as each strict ancestor A''
+    has w(A'') < w(A) <= w(D(A)) <= w(D(A'')), and the subtree bounds
     spare it (w(D(A)) <= w(D(A'')) - lo, and A lies within A'' plus the
     candidates >= j when it lies below the child of A'' that adds j).
-    So both modes count each tied closed pair once: shifted mode
-    reports that true count, S + P.  Full mode reports S + 2P - R, over
-    the S ties with A = D(A) and the P others, R of them retained: past
-    WITNESS_CAP it counts the P - R others not retained twice, as the
-    breadth-first scorer it replaced did, because the benchmark pins
-    those counts; dropping the term needs a benchmark re-pin.
+    Shifted mode reports that true count, S + P.  Full mode reports
+    S + 2P - R over the S ties with A = D(A) and the P others, R of
+    them retained: past WITNESS_CAP it counts the P - R others not
+    retained twice, as the breadth-first scorer it replaced did,
+    because the benchmark pins those counts; dropping the term needs a
+    benchmark re-pin.
     """
     if budget.restrict_shifted:
         preds = _dominance_preds(cands, n, same_size_only)
@@ -360,7 +393,7 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
         star = sum(1 if weights is None else weights[i]
                    for i, c in enumerate(cands) if c & core == core)
         best, pairs, count, _, nodes, violations = _best_closed(
-            rows, weights, budget, dpre=dpre, seed=star * star, preds=preds, forcers=forcers)
+            rows, weights, budget, dpre=dpre, seed=star * star, forcers=forcers)
         if not violations:
             return best, pairs, count, {"mode": "shifted", "nodes": nodes,
                                         "partner_shift_violations": 0}
@@ -398,13 +431,6 @@ def iter_shifted_families(
 # ---------------------------------------------------------------------------
 
 
-def _star_core(masks: Sequence[int]) -> int:
-    core = ~0
-    for m in masks:
-        core &= m
-    return core
-
-
 def _classify_family(amask: int, cands: Sequence[int], n: int, t: int,
                      window_cache: dict) -> Optional[str]:
     """Label the family A of a symmetric argmax pair (A, A).
@@ -416,7 +442,7 @@ def _classify_family(amask: int, cands: Sequence[int], n: int, t: int,
     members = [cands[i] for i in _bits(amask)]
     if not members:
         return None
-    core = _star_core(members)
+    core = reduce(operator.and_, members)
     if core.bit_count() == t:
         expected = window_cache.setdefault(
             ("star", core),

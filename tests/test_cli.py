@@ -183,7 +183,7 @@ class TestSearchCommands:
         assert "no shifted mode" in err
         code, out, _ = run(capsys, *seq, "--config", str(cfg), "--no-shifted")
         assert code == 0
-        assert json.loads(out)["notes"]["nodes"] == 137
+        assert json.loads(out)["notes"]["nodes"] == 110
 
 
 class TestVerifyCommands:

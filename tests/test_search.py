@@ -245,11 +245,11 @@ def test_full_mode_matches_the_breadth_first_counts(monkeypatch, kind, args, cap
 
 
 def test_full_mode_budget_counts_visited_nodes():
-    # (6, 3, 1) has 2^20 closed sets; the branch and bound visits 433,454.
-    r = max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=433_454))
-    assert (r.max_product, r.witness_count, r.notes["nodes"]) == (100, 180705, 433454)
+    # (6, 3, 1) has 2^20 closed sets; the branch and bound visits 341,588.
+    r = max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=341_588))
+    assert (r.max_product, r.witness_count, r.notes["nodes"]) == (100, 180705, 341588)
     with pytest.raises(BudgetExceeded):
-        max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=433_453))
+        max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=341_587))
 
 
 @st.composite
@@ -409,16 +409,22 @@ def test_shifted_reach_below_the_boundary():
 def test_shifted_inputs_match_their_definitions(monkeypatch, search, args):
     # dpre[j] is D({j} + preds[j]) and forcers the transpose of preds, as
     # handed to the scorer by a real shifted search.
-    scorer, seen = ekrcross.search._best_closed, []
+    scorer, dominance = ekrcross.search._best_closed, ekrcross.search._dominance_preds
+    seen, found = [], []
 
     def recorded(rows, weights, budget, **kwargs):
         seen.append((rows, kwargs))
         return scorer(rows, weights, budget, **kwargs)
 
+    def recorded_preds(*args):
+        found.append(dominance(*args))
+        return found[-1]
+
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
+    monkeypatch.setattr(ekrcross.search, "_dominance_preds", recorded_preds)
     search(*args, SearchBudget(restrict_shifted=True))
-    [(rows, kwargs)] = seen
-    preds, full = kwargs["preds"], (1 << len(rows)) - 1
+    [(rows, kwargs)], [preds] = seen, found
+    full = (1 << len(rows)) - 1
     assert kwargs["dpre"] == [ekrcross.search._partner(1 << j | p, rows, full)
                               for j, p in enumerate(preds)]
     assert kwargs["forcers"] == [sum(1 << i for i, p in enumerate(preds) if p >> j & 1)
@@ -444,11 +450,49 @@ def test_compatibility_rows_match_the_pairwise_definition(cands, t):
     assert compatibility_rows(cands, t) == want
 
 
-def test_shifted_budget_counts_visited_nodes():
-    # The walk visits 119 closed shift-closed sets here.
+@pytest.mark.parametrize("search, args, nodes", [
+    (max_weight_product, (7, 2, Fraction(1, 4)), 119),
+    (max_uniform_product, (11, 5, 2), 2385),
+    (max_uniform_product, (13, 5, 2), 1435),
+    (max_weight_product, (8, 1, Fraction(1, 3)), 16216),
+], ids=["weight-7-2-1_4", "uniform-11-5-2", "uniform-13-5-2", "weight-8-1-1_3"])
+def test_shifted_budget_counts_visited_nodes(search, args, nodes):
+    # The blocked mask drops only children the canonicity test would
+    # drop, so the walk visits exactly this many closed shift-closed sets.
+    r = search(*args, SearchBudget(restrict_shifted=True, max_family_bits=nodes))
+    assert r.notes["nodes"] == nodes
     with pytest.raises(BudgetExceeded):
-        max_weight_product(7, 2, Fraction(1, 4),
-                           SearchBudget(restrict_shifted=True, max_family_bits=100))
+        search(*args, SearchBudget(restrict_shifted=True, max_family_bits=nodes - 1))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: max_uniform_product(11, 5, 2, SearchBudget(restrict_shifted=True, time_limit=0.5)),
+    lambda: list(iter_shifted_families(7, k=3, budget=SearchBudget(time_limit=0.5))),
+], ids=["shifted-11-5-2", "downsets-7-3"])
+def test_time_limit_binds_below_4096_nodes(monkeypatch, walk):
+    # 2,385 and 352 nodes; the clock advances 1 s per reading, so the
+    # first deadline check must stop the walk.
+    clock = itertools.count()
+    monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: float(next(clock)))
+    with pytest.raises(BudgetExceeded, match="time limit"):
+        walk()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_blocked_mask_admits_exactly_the_canonical_children(data):
+    # Child j of A passes the canonicity prefilter when j forces no
+    # candidate below j that A lacks; the mask must block every other j.
+    n = data.draw(st.integers(1, 7))
+    k = data.draw(st.none() | st.integers(1, n)) if n <= 6 else data.draw(st.integers(1, n))
+    masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
+    preds = ekrcross.search._dominance_preds(masks, n, same_size_only=k is not None)
+    forcers = [sum(1 << i for i, p in enumerate(preds) if p >> x & 1) for x in range(len(masks))]
+    a = data.draw(st.integers(0, (1 << len(masks)) - 1))
+    free = (1 << len(masks)) - 1 & ~a
+    want = sum(1 << j for j in range(len(masks))
+               if free >> j & 1 and not preds[j] & ~a & (1 << j) - 1)
+    assert free & ~ekrcross.search._blocked(forcers)(a) == want
 
 
 @pytest.mark.parametrize("n, k, same_size_only", [
