@@ -23,8 +23,9 @@ one closed-pair engine serves all three searches:
   and keeps full mode's past-the-cap count, which the benchmark pins;
   ``_finish`` builds the ``SearchResult``;
 - ``_downsets`` lists the shift-closed families themselves, for
-  ``iter_shifted_families`` and the lemma-harness generator, whose
-  compressions ``_shift_fixpoint`` runs on index masks (tested against setfam's).
+  ``iter_shifted_families`` and the lemma-harness generator, whose memo
+  key, shrinks, ``seen``, U and ``_shift_fixpoint`` compressions are index
+  masks (tested against setfam's); it builds families only for emitted pairs.
 
 That is exact: any cross-t pair (A0, B0) embeds into the visited pair
 (D(B0), D(D(B0))) with no smaller product.  All objective arithmetic is
@@ -580,19 +581,6 @@ def max_weight_product(
 # ---------------------------------------------------------------------------
 
 
-def _dominance_closure(
-    members: Sequence[int],
-    all_masks: Sequence[int],
-    index: dict[int, int],
-    preds: Sequence[int],
-) -> tuple[int, ...]:
-    chosen = 0
-    for m in members:
-        i = index[m]
-        chosen |= (1 << i) | preds[i]
-    return tuple(sorted(all_masks[i] for i in _bits(chosen)))
-
-
 def _shift_moves(cands: Sequence[int], n: int) -> list[tuple[int, int]]:
     """Per (i, j) in lex order, moves (d, g): the sources in g have their targets d > 0 below."""
     index = {m: q for q, m in enumerate(cands)}
@@ -633,9 +621,11 @@ def generate_shifted_pairs(
     t-intersecting; a failure would falsify the compression lemma and
     raises.
 
-    The chain seed -> b0 = D(seed) -> a0 = D(b0) -> fixpoint runs on index
-    masks and depends only on b0, so a memo local to the call, keyed by
-    b0, runs it once per distinct b0.  The checks run once per pair.
+    The chain seed -> b0 = D(seed) -> a0 = D(b0) -> fixpoint depends only
+    on b0, so a call-local memo keyed by b0's index mask runs it once per
+    b0 and keeps each side as its index mask and sorted members; ``shrink``
+    ORs the closures of a sample of those members.  ``seen`` and U hold
+    pairs of index masks; only a new key becomes two families, then checked.
 
     Small configurations run out of new pairs long before the cap.  So
     before drawing, U collects S(a) x S(b) over the fixpoints (a, b) of
@@ -653,51 +643,57 @@ def generate_shifted_pairs(
     cands = uniform_layer(n, k) if k is not None else list(range(1 << n))
     preds = _dominance_preds(cands, n, same_size_only=k is not None)
     rows = compatibility_rows(cands, t)
-    index = {m: i for i, m in enumerate(cands)}
+    bit = {m: 1 << i for i, m in enumerate(cands)}
+    down = {m: bit[m] | preds[i] for i, m in enumerate(cands)}
     full, moves = (1 << len(cands)) - 1, _shift_moves(cands, n)
-    Masks = tuple[int, ...]
-    fixpoints: dict[int, Optional[tuple[Masks, Masks]]] = {}
+    Side = tuple[int, tuple[int, ...]]  # index mask, sorted members
+    fixpoints: dict[int, Optional[tuple[Side, Side]]] = {}
     pairs: list[tuple[Family, Family]] = []
     seen = set()
     attempts, cap = 0, 400 * count + 100
 
-    def shrink(masks: Masks) -> Masks:
-        if len(masks) <= 1 or rng.random() < 0.4:
-            return masks
-        take = rng.randint(1, len(masks))
-        sample = rng.sample(masks, take)
-        return _dominance_closure(sample, cands, index, preds)
+    def members(x: int) -> tuple[int, ...]:
+        return tuple(sorted(cands[i] for i in _bits(x)))
 
-    def fixpoint(members: Masks) -> Optional[tuple[Masks, Masks]]:
-        b0 = _partner(sum(1 << index[m] for m in members), rows, full)
+    def shrink(side: Side) -> int:
+        x, masks = side
+        if len(masks) <= 1 or rng.random() < 0.4:
+            return x
+        closed = 0
+        for m in rng.sample(masks, rng.randint(1, len(masks))):
+            closed |= down[m]
+        return closed
+
+    def fixpoint(seed_mask: int) -> Optional[tuple[Side, Side]]:
+        b0 = _partner(seed_mask, rows, full)
         if b0 not in fixpoints:
             a0 = _partner(b0, rows, full) if b0 else 0
             shifted = _shift_fixpoint(a0, b0, moves) if a0 else ()
-            fixpoints[b0] = tuple(tuple(sorted(cands[i] for i in _bits(x))) for x in shifted) or None
+            fixpoints[b0] = tuple((x, members(x)) for x in shifted) or None
         return fixpoints[b0]
 
-    def shrinks(masks: Masks) -> Optional[list[Masks]]:
-        """S(masks), cut off after ``count``; None if not closed under preds."""
-        if len(masks) <= 1:
-            return [masks]
-        local = {index[m]: q for q, m in enumerate(masks)}
-        inside = sum(1 << i for i in local)
-        if any(preds[i] & ~inside for i in local):
+    def shrinks(x: int) -> Optional[list[int]]:
+        """S(x) as index masks, cut off after ``count``; None if not closed under preds."""
+        idx = _bits(x)
+        if len(idx) <= 1:
+            return [x]
+        if any(preds[i] & ~x for i in idx):
             return None
-        sub = [sum(1 << local[j] for j in _bits(preds[i])) for i in local]
-        walk = _downsets(masks, sub, SearchBudget())
-        return [tuple(masks[q] for q in _bits(a)) for a in itertools.islice(walk, count + 1) if a]
+        local = {i: q for q, i in enumerate(idx)}
+        sub = [sum(1 << local[j] for j in _bits(preds[i])) for i in idx]
+        walk = _downsets([cands[i] for i in idx], sub, SearchBudget())
+        return [sum(1 << idx[q] for q in _bits(a)) for a in itertools.islice(walk, count + 1) if a]
 
-    def universe() -> Optional[set[tuple[Masks, Masks]]]:
+    def universe() -> Optional[set[tuple[int, int]]]:
         if (len(cands) ** 3 + 5 * len(cands)) // 6 > cap:  # more seeds than attempts
             return None
         keys, walked = set(), set()
-        for seed_masks in (c for r in (1, 2, 3) for c in itertools.combinations(cands, r)):
-            shifted = fixpoint(tuple(sorted(seed_masks)))
+        for seed_bits in (c for r in (1, 2, 3) for c in itertools.combinations(bit.values(), r)):
+            shifted = fixpoint(sum(seed_bits))
             if shifted is None or shifted in walked:
                 continue
             walked.add(shifted)
-            sides = [shrinks(x) for x in shifted]
+            sides = [shrinks(x) for x, _ in shifted]
             if None in sides or len(sides[0]) * len(sides[1]) >= count:
                 return None
             keys.update(itertools.product(*sides))
@@ -708,8 +704,10 @@ def generate_shifted_pairs(
     reachable = universe()
     while len(pairs) < count and attempts < cap and (reachable is None or len(seen) < len(reachable)):
         attempts += 1
-        seed_masks = rng.sample(cands, rng.randint(1, min(3, len(cands))))
-        shifted = fixpoint(tuple(sorted(set(seed_masks))))
+        seed_mask = 0
+        for m in rng.sample(cands, rng.randint(1, min(3, len(cands)))):
+            seed_mask |= bit[m]
+        shifted = fixpoint(seed_mask)
         if shifted is None:
             continue
         key = (shrink(shifted[0]), shrink(shifted[1]))
@@ -717,7 +715,7 @@ def generate_shifted_pairs(
             continue
         if reachable is not None and key not in reachable:
             raise RuntimeError("generated pair lies outside the reachable set")
-        a, b = Family(n, key[0], k), Family(n, key[1], k)
+        a, b = Family(n, members(key[0]), k), Family(n, members(key[1]), k)
         if not (is_shifted(a) and is_shifted(b)):
             raise RuntimeError("compression fixpoint is not shifted")
         if not is_cross_t_intersecting(a, b, t):

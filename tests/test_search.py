@@ -613,7 +613,11 @@ def _reference_stream(n, k, t, count, rng):
             return masks
         take = rng.randint(1, len(masks))
         sample = rng.sample(masks, take)
-        return ekrcross.search._dominance_closure(sample, cands, index, preds)
+        chosen = 0
+        for m in sample:
+            i = index[m]
+            chosen |= (1 << i) | preds[i]
+        return tuple(sorted(cands[i] for i in ekrcross.search._bits(chosen)))
 
     def fixpoint(members):
         b0 = maximal_cross_partner(Family(n, members, k), t, k)
@@ -758,11 +762,16 @@ class TestGeneratedPairs:
                 generate_shifted_pairs(n, k, t, 80, seed)
 
     # (5, 2, 1), (6, 2, 1) and (6, 3, 2) hold 32, 48 and 64 reachable
-    # pairs: counts below, at and above that, then criterion 7 at 80.
+    # pairs, and (4, None, 2), (5, 3, 2) and (7, 3, 2) hold 66, 32 and 105:
+    # counts below that give U up, counts above it stop on U (at these
+    # seeds before the cap); then criterion 7 at 80.
     @pytest.mark.parametrize("n, k, t, count, seed", [
         *[(5, 2, 1, c, 0) for c in (20, 32, 33)],
         *[(6, 2, 1, c, 2) for c in (30, 48)],
         *[(6, 3, 2, c, 3) for c in (40, 64)],
+        *[(4, None, 2, c, 9) for c in (40, 67)],
+        *[(5, 3, 2, c, 5) for c in (20, 33)],
+        *[(7, 3, 2, c, 5) for c in (80, 106)],
         *[(*cfg, 80, 7 + idx) for idx, cfg in enumerate(CRITERION_7)],
     ])
     def test_stream_matches_the_reference(self, n, k, t, count, seed):
