@@ -23,9 +23,9 @@ one closed-pair engine serves all three searches:
   and keeps full mode's past-the-cap count, which the benchmark pins;
   ``_finish`` builds the ``SearchResult``;
 - ``_downsets`` lists the shift-closed families themselves, for
-  ``iter_shifted_families`` and the lemma-harness generator, whose memo
-  key, shrinks, ``seen``, U and ``_shift_fixpoint`` compressions are index
-  masks (tested against setfam's); it builds families only for emitted pairs.
+  ``iter_shifted_families`` and the lemma-harness generator, whose
+  compressions ``_shift_fixpoint`` (tested against setfam's), memo key,
+  shrinks, ``seen`` and U are index masks; only emitted pairs become families.
 
 That is exact: any cross-t pair (A0, B0) embeds into the visited pair
 (D(B0), D(D(B0))) with no smaller product.  All objective arithmetic is

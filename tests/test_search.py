@@ -763,7 +763,7 @@ class TestGeneratedPairs:
 
     # (5, 2, 1), (6, 2, 1) and (6, 3, 2) hold 32, 48 and 64 reachable
     # pairs, and (4, None, 2), (5, 3, 2) and (7, 3, 2) hold 66, 32 and 105:
-    # counts below that give U up, counts above it stop on U (at these
+    # counts up to that give U up, counts above it stop on U (at these
     # seeds before the cap); then criterion 7 at 80.
     @pytest.mark.parametrize("n, k, t, count, seed", [
         *[(5, 2, 1, c, 0) for c in (20, 32, 33)],
