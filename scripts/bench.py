@@ -3,19 +3,25 @@
 
 Run from anywhere; it works on the repository that holds it:
 
-    python3 scripts/bench.py --label 16 [--runs 5] [--seconds 20]
+    python3 scripts/bench.py --label 16
 
 The file records:
 
 - for each workload in BENCHMARK.json, the median of each end-to-end
-  metric over ``--runs`` runs of ``perfbench/run.py`` (seeds 1 to R,
-  ``--seconds`` each, one run at a time), every run's values, and the
-  provenance perfbench records (revision, source digest, machine);
+  metric over RUNS runs of ``perfbench/run.py`` (seeds 1 to RUNS, each
+  as long as BENCHMARK.json's ``run_seconds``, one run at a time), every
+  run's values, and the provenance perfbench records (revision, source
+  digest, machine);
 - ``scripts/reach.py``'s row for each rung of its ladder;
 - the line count of src/ekrcross;
 - the wall time and summary line of one tier-1 run.
 
 It only records: the tests and perfbench's pinned outputs do the checking.
+
+Each workload's runs come in one block, so two BENCH files compare two
+separate sessions, and a slow phase of the machine shows up as a gap
+between them. Take the two files of a pair back to back on one machine,
+and back a speed claim with alternating parent/change runs at one seed.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+RUNS = 5
 
 
 def run(*args: str, check: bool = True) -> subprocess.CompletedProcess:
@@ -38,9 +45,9 @@ def run(*args: str, check: bool = True) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, check=check)
 
 
-def workload(name: str, runs: int, seconds: float) -> dict:
+def workload(name: str, seconds: float) -> dict:
     rows, provenance = [], None
-    for seed in range(1, runs + 1):
+    for seed in range(1, RUNS + 1):
         out = run("perfbench/run.py", "--workload", name, "--seed", str(seed),
                   "--seconds", str(seconds)).stdout.splitlines()
         detail, summary = json.loads(out[-2]), json.loads(out[-1])
@@ -64,16 +71,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args()
 
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     bench = {
         "label": args.label,
-        "runs": args.runs,
-        "seconds": args.seconds,
-        "workloads": {name: workload(name, args.runs, args.seconds) for name in names},
+        "runs": RUNS,
+        "seconds": seconds,
+        "workloads": {w["name"]: workload(w["name"], seconds) for w in spec["workloads"]},
         "reach": [json.loads(line) for line in run("scripts/reach.py").stdout.splitlines()],
         "src_lines": sum(len(p.read_text().splitlines())
                          for p in sorted((ROOT / "src" / "ekrcross").glob("*.py"))),
