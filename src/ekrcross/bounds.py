@@ -214,26 +214,13 @@ def verify_side_bound_shapes(t_max: int = 100,
 
     # Consecutive differences of the deep-pair bound flip sign at most
     # once over the sweep; the location is recorded, not assumed.
-    signs = []
-    prev = deep_pair_bound(7, 48)
-    flip_at = None
-    single_flip = True
-    for t in range(8, min(t_max, 60) + 1):
-        cur = deep_pair_bound(t, 48)
-        if cur.hi < prev.lo:
-            signs.append(-1)
-        elif cur.lo > prev.hi:
-            signs.append(1)
-        else:
-            signs.append(0)
-        prev = cur
+    encl = [deep_pair_bound(t, 48) for t in range(7, min(t_max, 60) + 1)]
+    signs = [-1 if cur.hi < prev.lo else 1 if cur.lo > prev.hi else 0
+             for prev, cur in zip(encl, encl[1:])]
     rises = [i for i, s in enumerate(signs) if s > 0]
-    if rises:
-        flip_at = 8 + rises[0]
-        if any(s < 0 for s in signs[rises[0]:]):
-            single_flip = False
-    out.append(claim("deep-pair-trend", single_flip,
-                     witness={"first_increase_at_t": flip_at, "signs": signs},
+    out.append(claim("deep-pair-trend", not rises or min(signs[rises[0]:]) >= 0,
+                     witness={"first_increase_at_t": 8 + rises[0] if rises else None,
+                              "signs": signs},
                      clock=clock))
 
     g13 = low_side_bound(13)
@@ -459,11 +446,12 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
                      witness={"e_caps": bool(comp_ok), "squares": square_ok},
                      clock=clock))
 
-    # cap(t, u, s) decreases in s from s = 2 on.
+    # cap(t, u, s) decreases in s from s = 2 on: cap(t, u, s) > cap(t, u, s+1)
+    # once both sides are multiplied by (t+1)^(s+1).
     out.append(claim("uniform-envelope-cap-mono", clock=clock, **_sweep(
         ({"t": t, "u": u, "s": s} for t in range(14, 40) for u in range(0, 2 * t + 1)
          for s in (2, 3, 4)),
-        lambda t, u, s: uniform_envelope_cap(t, u, s) > uniform_envelope_cap(t, u, s + 1),
+        lambda t, u, s: math.comb(u + 2 * s, s) * (t + 1) > math.comb(u + 2 * s + 2, s + 1),
         None)))
     return out
 

@@ -7,7 +7,10 @@ bound, with the series order raised adaptively until a comparison
 becomes conclusive (hard cap 64 terms, after which the comparison is
 reported as undecidable rather than guessed).  The series is summed
 over Python ints, by Horner's rule on x = a/b, and each endpoint
-becomes a ``Fraction`` only once, so one gcd normalizes it.
+becomes a ``Fraction`` only once, so one gcd normalizes it.  Likewise an
+``int`` or ``Fraction`` operand of +, - or * acts on the endpoints
+directly, with no point interval; any other operand (a float, say) is
+first made an exact point by ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 Rat = Union[Fraction, int]
+_SCALARS = (int, Fraction)
 
 EXP_TERM_CAP = 64
 _ORDERS = (12, 24, 48, EXP_TERM_CAP)
@@ -54,6 +58,8 @@ class RationalInterval:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            return RationalInterval(self.lo + other, self.hi + other)
         o = self._coerce(other)
         return RationalInterval(self.lo + o.lo, self.hi + o.hi)
 
@@ -63,12 +69,20 @@ class RationalInterval:
         return RationalInterval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if isinstance(other, _SCALARS):
+            return RationalInterval(self.lo - other, self.hi - other)
+        o = self._coerce(other)
+        return RationalInterval(self.lo - o.hi, self.hi - o.lo)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        if isinstance(other, _SCALARS):
+            return RationalInterval(other - self.hi, other - self.lo)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            lo, hi = self.lo * other, self.hi * other
+            return RationalInterval(lo, hi) if other >= 0 else RationalInterval(hi, lo)
         o = self._coerce(other)
         if self.lo >= 0 and o.lo >= 0:
             return RationalInterval(self.lo * o.lo, self.hi * o.hi)

@@ -4,6 +4,10 @@ A set of size s over [n] weighs p^s (1-p)^(n-s); a family weighs the
 sum over its members.  Every value here is an exact rational: there is
 no floating point on any path through this module, so strict
 inequalities against stated constants need no tolerances.
+
+With p = a/b, each sum runs over Python ints, a^s (b-a)^(n-s) over the
+common denominator b^n, and becomes a ``Fraction`` only once, so one
+gcd normalizes each result.
 """
 
 from __future__ import annotations
@@ -17,45 +21,38 @@ from typing import Union
 from .setfam import Family, GroundSetMismatch, Subset
 
 
+def _ratio(p) -> tuple[int, int]:
+    """Numerator and denominator of p, which must lie strictly in (0, 1)."""
+    p = Fraction(p)
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+    return p.numerator, p.denominator
+
+
 @dataclass(frozen=True)
 class WeightParams:
-    """Ground-set size n and up-step probability p, with q and alpha."""
+    """Ground-set size n and up-step probability p, with alpha = p/q."""
 
     n: int
     p: Fraction
 
     def __post_init__(self) -> None:
-        p = Fraction(self.p)
-        object.__setattr__(self, "p", p)
-        if not 0 < p < 1:
-            raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+        object.__setattr__(self, "p", Fraction(*_ratio(self.p)))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
     @property
-    def q(self) -> Fraction:
-        return 1 - self.p
-
-    @property
     def alpha(self) -> Fraction:
-        return self.p / self.q
+        return self.p / (1 - self.p)
 
 
 def mu(obj: Union[Subset, Family], params: WeightParams) -> Fraction:
     """Exact weight of a subset or family under the product measure."""
-    p, q = params.p, params.q
-    if isinstance(obj, Subset):
-        if obj.n != params.n:
-            raise GroundSetMismatch("ground-set mismatch")
-        s = len(obj)
-        return p**s * q ** (obj.n - s)
     if obj.n != params.n:
         raise GroundSetMismatch("ground-set mismatch")
-    by_size = Counter(m.bit_count() for m in obj.masks)
-    return sum(
-        (count * p**s * q ** (obj.n - s) for s, count in by_size.items()),
-        Fraction(0),
-    )
+    n, a, b = obj.n, params.p.numerator, params.p.denominator
+    by_size = {len(obj): 1} if isinstance(obj, Subset) else Counter(map(int.bit_count, obj.masks))
+    return Fraction(sum(c * a**s * (b - a) ** (n - s) for s, c in by_size.items()), b**n)
 
 
 def mu_threshold_closed(n: int, t: int, i: int, p: Fraction) -> Fraction:
@@ -69,49 +66,42 @@ def mu_threshold_closed(n: int, t: int, i: int, p: Fraction) -> Fraction:
     w = t + 2 * i
     if w > n:
         raise ValueError(f"window t+2i = {w} exceeds ground set {n}")
-    p = Fraction(p)
-    q = 1 - p
-    return sum(
-        (math.comb(w, j) * p**j * q ** (w - j) for j in range(t + i, w + 1)),
-        Fraction(0),
-    )
+    a, b = _ratio(p)
+    return Fraction(sum(math.comb(w, j) * a**j * (b - a) ** (w - j)
+                        for j in range(t + i, w + 1)), b**w)
 
 
 def hit_probability_exact(n: int, t: int, p: Fraction) -> Fraction:
     """Probability that an n-step random walk reaches height t.
 
     Height-indexed dynamic programming with an absorbing state at t;
-    O(n*t) exact rational operations.
+    O(n*t) exact integer operations.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    p = Fraction(p)
-    q = 1 - p
-    # dist[h] = probability of sitting at height h without having hit t.
-    dist = {0: Fraction(1)}
-    absorbed = Fraction(0)
+    if t < 1 or n < 0:
+        raise ValueError(f"need t >= 1 and n >= 0, got t={t}, n={n}")
+    a, b = _ratio(p)
+    c = b - a
+    # Numerators over b^step: dist[h] of sitting at height h without
+    # having hit t, and ``absorbed`` of having hit it.
+    dist = {0: 1}
+    absorbed = 0
     for _ in range(n):
-        nxt: dict[int, Fraction] = {}
+        absorbed = absorbed * b + dist.get(t - 1, 0) * a
+        nxt: dict[int, int] = {}
         for h, w in dist.items():
-            up = h + 1
-            if up >= t:
-                absorbed += w * p
-            else:
-                nxt[up] = nxt.get(up, Fraction(0)) + w * p
-            down = h - 1
-            nxt[down] = nxt.get(down, Fraction(0)) + w * q
+            if h + 1 < t:
+                nxt[h + 1] = nxt.get(h + 1, 0) + w * a
+            nxt[h - 1] = nxt.get(h - 1, 0) + w * c
         dist = nxt
-    return absorbed
+    return Fraction(absorbed, b**n)
 
 
 def hit_probability_limit(t: int, p: Fraction) -> Fraction:
     """Limit of the hit probability as the walk length grows: (p/q)^t."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    p = Fraction(p)
-    return (p / (1 - p)) ** t
+    a, b = _ratio(p)
+    return Fraction(a**t, (b - a) ** t)
 
 
 def lift_family(fam: Family) -> Family:

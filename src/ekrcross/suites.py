@@ -9,8 +9,9 @@ measure values from sweeping the whole power set.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import graphs as gr
 from .measure import WeightParams, hit_probability_exact, hit_probability_limit, mu, mu_threshold_closed
@@ -62,16 +63,32 @@ def run_walk_oracle(max_steps: int = 12) -> list[VerificationReport]:
 
 
 def _size_counts(n: int, member_test) -> list[int]:
-    counts = [0] * (n + 1)
-    for m in range(1 << n):
-        if member_test(m):
-            counts[m.bit_count()] += 1
-    return counts
+    """How many masks of each size pass ``member_test``, found by testing
+    all 2^n masks of the power set.  The oracle keeps this sweep rather
+    than counting members by formula, so that it stays independent of
+    the closed forms it checks."""
+    counts = Counter(map(int.bit_count, filter(member_test, range(1 << n))))
+    return [counts[s] for s in range(n + 1)]
 
 
 def _weigh(counts: Sequence[int], n: int, p: Fraction) -> Fraction:
-    q = 1 - p
-    return sum((c * p**s * q ** (n - s) for s, c in enumerate(counts) if c), Fraction(0))
+    """Weight of a family with ``counts[s]`` members of size s.  With
+    p = a/b this sums c a^s (b-a)^(n-s) over ints and divides by b^n once.
+    It is the oracle's own sum and calls nothing in ``measure``, so a
+    fault there cannot cancel against the same fault here."""
+    a, b = p.numerator, p.denominator
+    return Fraction(sum(c * a**s * (b - a) ** (n - s) for s, c in enumerate(counts) if c), b**n)
+
+
+def _matches(claim_id: str, cases: Iterable, clock: Stopwatch) -> VerificationReport:
+    """Row for an oracle that must equal its closed form in every case;
+    ``cases`` yields (cell, oracle value, closed form)."""
+    combos, bad = 0, []
+    for cell, got, want in cases:
+        combos += 1
+        if got != want:
+            bad.append(cell)
+    return claim(claim_id, not bad, witness={"combos": combos, "bad": bad[:5]}, clock=clock)
 
 
 def run_measure_oracle(
@@ -81,59 +98,42 @@ def run_measure_oracle(
     ps: Sequence[Fraction] = DEFAULT_PS,
 ) -> list[VerificationReport]:
     clock = Stopwatch()
-    combos = 0
-    bad = []
-    for t in range(1, t_max + 1):
-        for i in range(0, i_max + 1):
-            w = t + 2 * i
-            for n in range(w, n_max + 1):
-                window = (1 << w) - 1
-                counts = _size_counts(n, lambda m: (m & window).bit_count() >= t + i)
+
+    def threshold():
+        for t in range(1, t_max + 1):
+            for i in range(0, i_max + 1):
+                w = t + 2 * i
+                for n in range(w, n_max + 1):
+                    window = (1 << w) - 1
+                    counts = _size_counts(n, lambda m: (m & window).bit_count() >= t + i)
+                    for p in ps:
+                        yield ({"n": n, "t": t, "i": i, "p": p}, _weigh(counts, n, p),
+                               mu_threshold_closed(n, t, i, p))
+
+    def point_events():
+        for t in range(1, t_max + 1):
+            for n in range(t + 1, n_max + 1):
+                head = (1 << t) - 1
+                step_mask = (1 << (t + 1)) - 1
+                counts = _size_counts(
+                    n,
+                    lambda m: (m & step_mask).bit_count() == t and (m & head) != head,
+                )
                 for p in ps:
-                    combos += 1
-                    if _weigh(counts, n, p) != mu_threshold_closed(n, t, i, p):
-                        bad.append({"n": n, "t": t, "i": i, "p": p})
-    reports = [
-        claim("measure-threshold-oracle", not bad,
-              witness={"combos": combos, "bad": bad[:5]}, clock=clock)
-    ]
+                    yield {"n": n, "t": t, "p": p}, _weigh(counts, n, p), t * p**t * (1 - p)
 
-    bad = []
-    combos = 0
-    for t in range(1, t_max + 1):
-        for n in range(t + 1, n_max + 1):
-            head = (1 << t) - 1
-            step_mask = (1 << (t + 1)) - 1
-            counts = _size_counts(
-                n,
-                lambda m: (m & step_mask).bit_count() == t and (m & head) != head,
-            )
-            for p in ps:
-                combos += 1
-                q = 1 - p
-                if _weigh(counts, n, p) != t * p**t * q:
-                    bad.append({"n": n, "t": t, "p": p})
-    reports.append(
-        claim("measure-point-events", not bad,
-              witness={"combos": combos, "bad": bad[:5]}, clock=clock)
-    )
+    def counterexample():
+        for t in range(1, t_max + 1):
+            for n in range(t + 2, n_max + 1):
+                fam = make_weight_counterexample(n, t)
+                for p in ps:
+                    q = 1 - p
+                    yield ({"n": n, "t": t, "p": p}, mu(fam, WeightParams(n, p)),
+                           p**t - p**t * q ** (n - t) + t * p ** (n - 1) * q)
 
-    bad = []
-    combos = 0
-    for t in range(1, t_max + 1):
-        for n in range(t + 2, n_max + 1):
-            fam = make_weight_counterexample(n, t)
-            for p in ps:
-                combos += 1
-                params = WeightParams(n, p)
-                q = 1 - p
-                closed = p**t - p**t * q ** (n - t) + t * p ** (n - 1) * q
-                if mu(fam, params) != closed:
-                    bad.append({"n": n, "t": t, "p": p})
-    reports.append(
-        claim("measure-counterexample", not bad,
-              witness={"combos": combos, "bad": bad[:5]}, clock=clock)
-    )
+    reports = [_matches("measure-threshold-oracle", threshold(), clock),
+               _matches("measure-point-events", point_events(), clock),
+               _matches("measure-counterexample", counterexample(), clock)]
 
     mono_ok = True
     detail = None

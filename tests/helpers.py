@@ -77,3 +77,37 @@ def brute_force_weight_max(n: int, t: int, p: Fraction) -> Fraction:
     a, b = Fraction(p).numerator, Fraction(p).denominator
     weights = [a ** m.bit_count() * (b - a) ** (n - m.bit_count()) for m in range(1 << n)]
     return Fraction(_brute_force_max(n, None, t, list(range(1 << n)), weights), b ** (2 * n))
+
+
+# p = a/b with a > 1 as well as a = 1, so that a slip of b-1 for b-a in an
+# integer-numerator sum shows.
+NUMERATOR_PS = (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(5, 8))
+
+
+def fraction_weight(counts, n: int, p: Fraction) -> Fraction:
+    """sum_s counts[s] p^s q^(n-s), one ``Fraction`` operation per term:
+    the reference for the integer-numerator sums of ``measure`` and of
+    the measure oracle."""
+    p = Fraction(p)
+    total = Fraction(0)
+    for s, c in enumerate(counts):
+        total += c * p**s * (1 - p) ** (n - s)
+    return total
+
+
+def fraction_hit_probability(n: int, t: int, p: Fraction) -> Fraction:
+    """Probability that an n-step walk reaches height t, by the height
+    DP with one ``Fraction`` per entry and an absorbing state at t."""
+    p = Fraction(p)
+    dist = {0: Fraction(1)}
+    absorbed = Fraction(0)
+    for _ in range(n):
+        nxt: dict[int, Fraction] = {}
+        for h, w in dist.items():
+            if h + 1 >= t:
+                absorbed += w * p
+            else:
+                nxt[h + 1] = nxt.get(h + 1, Fraction(0)) + w * p
+            nxt[h - 1] = nxt.get(h - 1, Fraction(0)) + w * (1 - p)
+        dist = nxt
+    return absorbed

@@ -72,6 +72,49 @@ class TestIntervals:
         assert (iv.lo, iv.hi) == (3, 6)
         assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
 
+    @pytest.mark.parametrize("c", [0.1, -0.1, 1e-17])
+    def test_float_operand_is_read_exactly(self, c):
+        # 1 + 0.1 in float arithmetic is not 1 + Fraction(0.1); the scalar
+        # path must make the float an exact point before any arithmetic.
+        x, exact = RationalInterval(1, 3), Fraction(c)
+        assert Fraction(1 + c) != 1 + exact
+        for got, want in ((x + c, (1 + exact, 3 + exact)), (c + x, (1 + exact, 3 + exact)),
+                          (x - c, (1 - exact, 3 - exact)), (c - x, (exact - 3, exact - 1)),
+                          (x * c, tuple(sorted((exact, 3 * exact)))),
+                          (c * x, tuple(sorted((exact, 3 * exact))))):
+            assert (got.lo, got.hi) == want
+            assert type(got.lo) is Fraction and type(got.hi) is Fraction
+
+    @pytest.mark.parametrize("c", [-2, Fraction(-1, 3)])
+    def test_negative_factor_swaps_the_endpoints(self, c):
+        x = RationalInterval(Fraction(1, 2), 3)
+        for prod in (x * c, c * x):
+            assert (prod.lo, prod.hi) == (3 * c, c / 2)
+
+    # every sign case of an interval, and scalars of each sign and type
+    SIGNED = [(-3, -1), (-3, 0), (-2, 5), (0, 0), (0, 4), (Fraction(1, 3), 7),
+              (Fraction(-5, 2), Fraction(-5, 2))]
+    SCALARS = [-3, 0, 4, Fraction(-2, 7), Fraction(5, 3)]
+
+    @pytest.mark.parametrize("x", SIGNED)
+    def test_scalar_operands_match_the_point_interval_route(self, x):
+        x = RationalInterval(*x)
+        for c in self.SCALARS:
+            point = RationalInterval.point(c)
+            for got, want in ((x + c, x + point), (c + x, point + x), (x * c, x * point),
+                              (c * x, point * x), (x - c, x + (-point)),
+                              (c - x, point + (-x))):
+                assert (got.lo, got.hi) == (want.lo, want.hi)
+                assert type(got.lo) is Fraction and type(got.hi) is Fraction
+
+    @pytest.mark.parametrize("x", SIGNED)
+    @pytest.mark.parametrize("y", SIGNED)
+    def test_difference_is_the_sum_with_the_negation(self, x, y):
+        x, y = RationalInterval(*x), RationalInterval(*y)
+        diff = x - y
+        assert (diff.lo, diff.hi) == ((x + (-y)).lo, (x + (-y)).hi)
+        assert type(diff.lo) is Fraction and type(diff.hi) is Fraction
+
     def test_division(self):
         x = RationalInterval(Fraction(1, 3), Fraction(1, 2))
         y = 1 / x

@@ -1,5 +1,6 @@
 """Exact product weights: closed forms against power-set enumeration."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from ekrcross.measure import (
     mu_threshold_closed,
 )
 from ekrcross.search import max_weight_product
+from ekrcross.suites import _size_counts, _weigh
 from ekrcross.setfam import (
     Family,
     GroundSetMismatch,
@@ -23,7 +25,7 @@ from ekrcross.setfam import (
 )
 from ekrcross.walks import WalkTag, classify, hits_line
 
-from helpers import families, small_ps
+from helpers import NUMERATOR_PS, families, fraction_hit_probability, fraction_weight, small_ps
 
 
 def full_power_set(n):
@@ -116,6 +118,87 @@ class TestClosedForms:
     def test_range_errors(self):
         with pytest.raises(ValueError):
             mu_threshold_closed(4, 2, 2, Fraction(1, 3))
+
+
+class TestProbabilityRange:
+    @pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(1), Fraction(0), Fraction(-1, 3), 2])
+    def test_p_outside_the_unit_interval_is_refused(self, p):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            mu_threshold_closed(5, 2, 0, p)
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            hit_probability_exact(5, 2, p)
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            hit_probability_limit(2, p)
+
+    def test_p_of_one_half_has_limit_one(self):
+        assert hit_probability_limit(3, Fraction(1, 2)) == 1
+
+
+def _random_families(n, rng, count=6):
+    for _ in range(count):
+        yield Family(n, tuple(sorted(rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n))))),
+                     None)
+
+
+class TestIntegerNumerators:
+    """The integer-numerator sums against term-by-term Fraction sums, at
+    p = a/b with a > 1 as well as a = 1."""
+
+    @pytest.mark.parametrize("p", NUMERATOR_PS)
+    def test_mu(self, p):
+        rng = random.Random(17)
+        for n in range(1, 13):
+            params = WeightParams(n, p)
+            for s in range(n + 1):
+                assert mu(Subset(n, (1 << s) - 1), params) == p**s * (1 - p) ** (n - s)
+            for fam in (*_random_families(n, rng), full_power_set(n)):
+                counts = [0] * (n + 1)
+                for m in fam.masks:
+                    counts[m.bit_count()] += 1
+                assert mu(fam, params) == fraction_weight(counts, n, p)
+
+    @pytest.mark.parametrize("p", NUMERATOR_PS)
+    def test_mu_threshold_closed(self, p):
+        for t in range(1, 5):
+            for i in range(0, 3):
+                w = t + 2 * i
+                for n in range(w, 13):
+                    window = (1 << w) - 1
+                    counts = [0] * (n + 1)
+                    for m in range(1 << n):
+                        if (m & window).bit_count() >= t + i:
+                            counts[m.bit_count()] += 1
+                    assert mu_threshold_closed(n, t, i, p) == fraction_weight(counts, n, p)
+
+    @pytest.mark.parametrize("p", NUMERATOR_PS)
+    def test_hit_probability_exact(self, p):
+        for t in range(1, 5):
+            for n in range(0, t + 21):
+                assert hit_probability_exact(n, t, p) == fraction_hit_probability(n, t, p)
+        for t in range(1, 4):
+            for n in range(1, 11):
+                counts = [0] * (n + 1)
+                for m in range(1 << n):
+                    if hits_line(Subset(n, m), t):
+                        counts[m.bit_count()] += 1
+                assert hit_probability_exact(n, t, p) == fraction_weight(counts, n, p)
+
+    @pytest.mark.parametrize("p", NUMERATOR_PS)
+    def test_oracle_weigh(self, p):
+        rng = random.Random(5)
+        for n in range(0, 13):
+            for _ in range(8):
+                counts = [rng.choice((0, rng.randint(1, 1 << n))) for _ in range(n + 1)]
+                assert _weigh(counts, n, p) == fraction_weight(counts, n, p)
+
+    def test_oracle_size_counts_tests_every_mask(self):
+        n, tested = 9, []
+        counts = _size_counts(n, lambda m: tested.append(m) or m % 3 == 0)
+        assert tested == list(range(1 << n))
+        expected = [0] * (n + 1)
+        for m in range(0, 1 << n, 3):
+            expected[m.bit_count()] += 1
+        assert counts == expected
 
 
 class TestPointEvents:
