@@ -130,8 +130,12 @@ class TestProbabilityRange:
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
             hit_probability_limit(2, p)
 
-    def test_p_of_one_half_has_limit_one(self):
-        assert hit_probability_limit(3, Fraction(1, 2)) == 1
+
+def _sizes(n, masks):
+    counts = [0] * (n + 1)
+    for m in masks:
+        counts[m.bit_count()] += 1
+    return counts
 
 
 def _random_families(n, rng, count=6):
@@ -152,10 +156,7 @@ class TestIntegerNumerators:
             for s in range(n + 1):
                 assert mu(Subset(n, (1 << s) - 1), params) == p**s * (1 - p) ** (n - s)
             for fam in (*_random_families(n, rng), full_power_set(n)):
-                counts = [0] * (n + 1)
-                for m in fam.masks:
-                    counts[m.bit_count()] += 1
-                assert mu(fam, params) == fraction_weight(counts, n, p)
+                assert mu(fam, params) == fraction_weight(_sizes(n, fam.masks), n, p)
 
     @pytest.mark.parametrize("p", NUMERATOR_PS)
     def test_mu_threshold_closed(self, p):
@@ -164,11 +165,9 @@ class TestIntegerNumerators:
                 w = t + 2 * i
                 for n in range(w, 13):
                     window = (1 << w) - 1
-                    counts = [0] * (n + 1)
-                    for m in range(1 << n):
-                        if (m & window).bit_count() >= t + i:
-                            counts[m.bit_count()] += 1
-                    assert mu_threshold_closed(n, t, i, p) == fraction_weight(counts, n, p)
+                    members = (m for m in range(1 << n) if (m & window).bit_count() >= t + i)
+                    assert mu_threshold_closed(n, t, i, p) == fraction_weight(
+                        _sizes(n, members), n, p)
 
     @pytest.mark.parametrize("p", NUMERATOR_PS)
     def test_hit_probability_exact(self, p):
@@ -177,11 +176,13 @@ class TestIntegerNumerators:
                 assert hit_probability_exact(n, t, p) == fraction_hit_probability(n, t, p)
         for t in range(1, 4):
             for n in range(1, 11):
-                counts = [0] * (n + 1)
-                for m in range(1 << n):
-                    if hits_line(Subset(n, m), t):
-                        counts[m.bit_count()] += 1
-                assert hit_probability_exact(n, t, p) == fraction_weight(counts, n, p)
+                members = (m for m in range(1 << n) if hits_line(Subset(n, m), t))
+                assert hit_probability_exact(n, t, p) == fraction_weight(_sizes(n, members), n, p)
+
+    @pytest.mark.parametrize("p", NUMERATOR_PS)
+    def test_hit_probability_limit(self, p):
+        for t in range(1, 6):
+            assert hit_probability_limit(t, p) == (p / (1 - p)) ** t
 
     @pytest.mark.parametrize("p", NUMERATOR_PS)
     def test_oracle_weigh(self, p):
@@ -195,10 +196,7 @@ class TestIntegerNumerators:
         n, tested = 9, []
         counts = _size_counts(n, lambda m: tested.append(m) or m % 3 == 0)
         assert tested == list(range(1 << n))
-        expected = [0] * (n + 1)
-        for m in range(0, 1 << n, 3):
-            expected[m.bit_count()] += 1
-        assert counts == expected
+        assert counts == _sizes(n, range(0, 1 << n, 3))
 
 
 class TestPointEvents:
