@@ -12,14 +12,10 @@ one closed-pair engine serves all three searches:
   bound that maximizes the product w(A) w(D(A)) and keeps the tied
   pairs.  Full mode walks every closed set (the intersections of the
   per-candidate compatibility rows).  Shifted mode walks the closed
-  shift-closed sets, themselves a closure system, since D of a
-  shift-closed family is shift-closed: a child adds a candidate with
-  all it forces, through dpre[j], the AND of the rows over j and what
-  j forces; the children that force a missing candidate below them are
-  dropped as one mask before any closure; and the star product seeds
-  the bound;
-- ``_search`` picks the mode (shifted, falling back to every closed set
-  when some partner is not shift-closed), builds the shifted inputs
+  shift-closed sets, a closure system since D of a shift-closed family
+  is shift-closed, seeded with the star product;
+- ``_search`` picks the mode (shifted, or every closed set when its
+  check before the walk fails), builds the shifted inputs
   and keeps full mode's past-the-cap count, which the benchmark pins;
   ``_finish`` builds the ``SearchResult``;
 - ``_downsets`` lists the shift-closed families themselves, for
@@ -126,22 +122,31 @@ def _byte_tables(masks: Sequence[int], unit: int, op: Callable[[int, int], int])
     return tabs
 
 
-def _blocked(forcers: Sequence[int]) -> Callable[[int], int]:
-    """blocked(A) holds the j that force a candidate below j missing from
-    A: the OR of forcers[x] above x over the x not in A, one lookup per
-    byte of ~A."""
-    full = (1 << len(forcers)) - 1
-    tabs = _byte_tables([f >> x + 1 << x + 1 for x, f in enumerate(forcers)], 0, operator.or_)
+def _missing_or(masks: Sequence[int]) -> Callable[[int], int]:
+    """A -> the OR of masks[x] over the x not in A, one lookup per byte of ~A."""
+    full = (1 << len(masks)) - 1
+    tabs = _byte_tables(masks, 0, operator.or_)
     return lambda a: reduce(operator.or_, map(list.__getitem__, tabs,
                                               (full ^ a).to_bytes(len(tabs), "little")), 0)
 
 
+def _blocked(forcers: Sequence[int]) -> Callable[[int], int]:
+    """blocked(A) holds the j that force a candidate below j missing from A."""
+    return _missing_or([f >> x + 1 << x + 1 for x, f in enumerate(forcers)])
+
+
+def _partner_shift_violations(dpre: Sequence[int], forcers: Sequence[int]) -> int:
+    """Count the dpre[j] that are not preds-closed: they meet forcers[x] for an x outside."""
+    missing = _missing_or(forcers)
+    return sum(1 for d in dpre if d & missing(d))
+
+
 def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: SearchBudget,
                  dpre: Optional[Sequence[int]] = None, seed: int = 0,
-                 forcers: Optional[Sequence[int]] = None) -> tuple[int, list, int, int, int, int]:
+                 forcers: Optional[Sequence[int]] = None) -> tuple[int, list, int, int, int]:
     """The scorer of both modes (see ``_search``): a Close-by-One branch
     and bound over a closure system of closed sets, as index masks.
-    Returns (best, pairs, count, unretained, nodes visited, violations).
+    Returns (best, pairs, count, unretained, nodes visited).
 
     It walks depth first from (D(full), full), carrying (A, D(A), w(A),
     w(D(A))).  A child adds a j not in A above the one that made A:
@@ -171,17 +176,14 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
       or w(A') = w(D(A')) and A' > D(A').  Its mirror D(A') is a closed
       set of the system with partner A' and the same product, counted
       from that side, and each strict descendant weighs more than its
-      partner.  Full mode rules both cases out before the closure, as
-      w(A') >= w(A) + w(j), with A' = A + j at equality; shifted mode
-      takes it, as the partner-shift check must see every canonical child.
+      partner.  Both cases are ruled out before the closure, as
+      w(A') >= w(A) + w(j), with A' = A + j at equality.
 
     ``count`` is S + P over the S ties with A = D(A) and the P others,
     each counted once, from the side the mirror rule keeps.  The
     WITNESS_CAP least (min, max) pairs are kept, as int keys min << L |
     max over L candidates, which order like the tuples; R of them have
-    A != D(A), and ``unretained`` is P - R.  ``violations`` counts the
-    canonical children whose D(A') holds one of ``forcers[x]`` for a bit
-    x that it dropped from D(A).
+    A != D(A), and ``unretained`` is P - R.
     """
     span = len(rows)
     full = (1 << span) - 1
@@ -208,7 +210,7 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
 
     cap = WITNESS_CAP
     deadline = _Deadline(budget)
-    best, ties, split, visited, violations = seed, 0, 0, 0, 0
+    best, ties, split, visited = seed, 0, 0, 0
     kept: list[int] = []  # the cap least tie keys, negated: a max-heap
     root = _partner(full, rows, full)
     stack = [(root, full, w(root), w(full), 0)]
@@ -247,8 +249,7 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
             wnb = w(nb)
             if wnb * wnb < best or wnb * grown < best:
                 continue
-            if not blocked and wnb and (wa + unit[j] > wnb
-                                        or wa + unit[j] == wnb and a | 1 << j > nb):
+            if wnb and (wa + unit[j] > wnb or wa + unit[j] == wnb and a | 1 << j > nb):
                 continue
             na, c = full, 0
             for byte in nb.to_bytes(size, "little"):
@@ -256,13 +257,11 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
                 c += 1
             if (na ^ a) & ((1 << j) - 1):
                 continue
-            if forcers and any(forcers[x] & nb for x in _bits(b & ~nb)):
-                violations += 1
             wna = w(na)
             if wna < wnb or wna == wnb and na <= nb or not wnb:
                 stack.append((na, nb, wna, wnb, j + 1))
     pairs = sorted(divmod(-key, 1 << span) for key in kept)
-    return best, pairs, ties, split - sum(x != y for x, y in pairs), visited, violations
+    return best, pairs, ties, split - sum(x != y for x, y in pairs), visited
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +324,17 @@ def _downsets(masks: Sequence[int], preds: Sequence[int],
                 stack.append((q + 1, a | 1 << i))
 
 
-def _forced_rows(cands: Sequence[int], preds: Sequence[int],
-                 rows: Sequence[int]) -> tuple[list[int], list[int]]:
+def _forced_rows(preds: Sequence[int], rows: Sequence[int]) -> tuple[list[int], list[int]]:
     """(dpre, forcers): dpre[j] is the AND of the rows over j and
     preds[j], and forcers[i] the candidates whose preds hold i.
 
-    In linear-extension order (each candidate after those it forces),
-    dpre[j] takes in dpre[i] for the highest i still in preds[j] and
-    drops i and preds[i] from it (preds is transitive), so a few
+    In order of |preds[j]| (each candidate after those it forces, as
+    preds is transitive), dpre[j] takes in dpre[i] for the highest i
+    still in preds[j] and drops i and preds[i] from it, so a few
     generators i stand for all of preds[j]; then, in reverse order,
     each generator's forcers gain j and forcers[j]."""
-    order = _linear_extension(cands)
-    dpre, gens = list(rows), [[] for _ in cands]
+    order = sorted(range(len(preds)), key=lambda j: preds[j].bit_count())
+    dpre, gens = list(rows), [[] for _ in preds]
     for j in order:
         rest = preds[j]
         while rest:
@@ -344,7 +342,7 @@ def _forced_rows(cands: Sequence[int], preds: Sequence[int],
             dpre[j] &= dpre[i]
             gens[j].append(i)
             rest &= ~(1 << i | preds[i])
-    forcers = [0] * len(cands)
+    forcers = [0] * len(preds)
     for j in reversed(order):
         for i in gens[j]:
             forcers[i] |= 1 << j | forcers[j]
@@ -369,9 +367,11 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
     unchanged, as a descendant of child j still adds only candidates
     >= j.  Its ``best`` starts at the product of the star pair (every
     candidate holding [t], twice), which is cross t-intersecting.  The
-    partner D(A') of every canonical child is checked to be shift-closed,
-    from the bits it drops; if one is not, the restriction is unsound
-    here and every closed set is scored instead (``full-fallback``).
+    lemma is checked once, before the walk: D of a preds-closed A is the
+    AND of dpre[c] over c in A, and an intersection of preds-closed sets
+    is one, so if every dpre[j] is, D of every shift-closed family is
+    shift-closed (``_partner_shift_violations`` reads 0); else every
+    closed set is scored instead (``full-fallback``).
 
     Full mode walks every closed set, unseeded.  Both modes count each
     tied closed pair once, from its side A with w(A) < w(D(A)), or
@@ -387,22 +387,21 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
     because the benchmark pins those counts; dropping the term needs a
     benchmark re-pin.
     """
+    mode, extra = "full", {}
     if budget.restrict_shifted:
-        preds = _dominance_preds(cands, n, same_size_only)
-        dpre, forcers = _forced_rows(cands, preds, rows)
-        core = (1 << t) - 1
-        star = sum(1 if weights is None else weights[i]
-                   for i, c in enumerate(cands) if c & core == core)
-        best, pairs, count, _, nodes, violations = _best_closed(
-            rows, weights, budget, dpre=dpre, seed=star * star, forcers=forcers)
+        dpre, forcers = _forced_rows(_dominance_preds(cands, n, same_size_only), rows)
+        violations = _partner_shift_violations(dpre, forcers)
         if not violations:
+            core = (1 << t) - 1
+            star = sum(1 if weights is None else weights[i]
+                       for i, c in enumerate(cands) if c & core == core)
+            best, pairs, count, _, nodes = _best_closed(
+                rows, weights, budget, dpre=dpre, seed=star * star, forcers=forcers)
             return best, pairs, count, {"mode": "shifted", "nodes": nodes,
                                         "partner_shift_violations": 0}
-        mode = "full-fallback"
-    else:
-        mode = "full"
-    best, pairs, count, unretained, nodes, _ = _best_closed(rows, weights, budget)
-    return best, pairs, count + unretained, {"mode": mode, "nodes": nodes}
+        mode, extra = "full-fallback", {"partner_shift_violations": violations}
+    best, pairs, count, unretained, nodes = _best_closed(rows, weights, budget)
+    return best, pairs, count + unretained, {"mode": mode, "nodes": nodes, **extra}
 
 
 def iter_shifted_families(

@@ -258,7 +258,7 @@ def verify_seq_theorem(
     started = time.perf_counter()
     cands = list(itertools.product(range(1, m + 1), repeat=n))
     rows = compatibility_rows([onehot_mask(w, m) for w in cands], t)
-    best, pairs, count, unretained, nodes, _ = _best_closed(rows, None, budget)
+    best, pairs, count, unretained, nodes = _best_closed(rows, None, budget)
 
     def fam_of(mask: int) -> SeqFamily:
         return SeqFamily(m, n, tuple(sorted(cands[i] for i in _bits(mask))))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import strategies as st
 
@@ -111,3 +113,19 @@ def fraction_hit_probability(n: int, t: int, p: Fraction) -> Fraction:
             nxt[h - 1] = nxt.get(h - 1, Fraction(0)) + w * (1 - p)
         dist = nxt
     return absorbed
+
+
+def partner_shift_oracle(rows: list[int], preds: list[int]) -> tuple[int, bool]:
+    """By definition, over index masks of the candidates: the number of j
+    whose partner D({j} + preds[j]) is not closed under ``preds``, and
+    whether D(A) is closed under ``preds`` for every closed A."""
+    full = (1 << len(rows)) - 1
+
+    def partner(a: int) -> int:
+        return reduce(operator.and_, (r for i, r in enumerate(rows) if a >> i & 1), full)
+
+    def closed(a: int) -> bool:
+        return all(not p & ~a for i, p in enumerate(preds) if a >> i & 1)
+
+    bad = sum(not closed(partner(1 << j | p)) for j, p in enumerate(preds))
+    return bad, all(closed(partner(a)) for a in range(full + 1) if closed(a))

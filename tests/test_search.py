@@ -42,7 +42,7 @@ from ekrcross.setfam import (
 )
 from ekrcross.walks import lambda_family
 
-from helpers import brute_force_uniform_max, brute_force_weight_max
+from helpers import brute_force_uniform_max, brute_force_weight_max, partner_shift_oracle
 
 
 class TestUniformSearch:
@@ -239,7 +239,7 @@ def test_full_mode_matches_the_breadth_first_counts(monkeypatch, kind, args, cap
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
     monkeypatch.setattr(ekrcross.seq, "_best_closed", recorded)
     searches[kind](*args)
-    [(rows, weights, (best, pairs, count, unretained, _, _))] = runs
+    [(rows, weights, (best, pairs, count, unretained, _))] = runs
     want = _breadth_first_best_pairs(_breadth_first_closed_sets(rows), rows, weights)
     assert (best, pairs, count + unretained) == want[:3]
 
@@ -277,7 +277,7 @@ def test_subtree_bounds_keep_every_tie(cap, relation):
     rows, weights = relation
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ekrcross.search, "WITNESS_CAP", cap)
-        best, pairs, count, unretained, _, _ = ekrcross.search._best_closed(
+        best, pairs, count, unretained, _ = ekrcross.search._best_closed(
             rows, weights, SearchBudget())
         want = _breadth_first_best_pairs(_breadth_first_closed_sets(rows), rows, weights)
     assert (best, pairs, count + unretained) == want[:3]
@@ -289,18 +289,13 @@ def test_subtree_bounds_keep_every_tie(cap, relation):
 ])
 def test_shifted_fallback_matches_full_mode(monkeypatch, search, args):
     # No instance tier-1 runs has a partner that is not shift-closed, so
-    # the shifted pass (the one given forcers) is made to report one violation.
-    scorer = ekrcross.search._best_closed
-
-    def one_violation(*args, **kwargs):
-        *found, violations = scorer(*args, **kwargs)
-        return (*found, violations + ("forcers" in kwargs))
-
+    # the precheck is made to report one violation.
     full = search(*args)
-    monkeypatch.setattr(ekrcross.search, "_best_closed", one_violation)
+    monkeypatch.setattr(ekrcross.search, "_partner_shift_violations", lambda dpre, forcers: 1)
     fallback = search(*args, SearchBudget(restrict_shifted=True))
     assert full.notes["mode"] == "full"
-    assert fallback.notes == {"mode": "full-fallback", "nodes": full.notes["nodes"]}
+    assert fallback.notes == {"mode": "full-fallback", "nodes": full.notes["nodes"],
+                              "partner_shift_violations": 1}
     fallback.notes, fallback.elapsed_ms = full.notes, full.elapsed_ms
     assert fallback == full
 
@@ -319,6 +314,75 @@ def test_shifted_mode_detects_a_partner_that_is_not_closed(monkeypatch):
     monkeypatch.setattr(ekrcross.search, "_dominance_preds", chain)
     r = max_uniform_product(5, 2, 1, SearchBudget(restrict_shifted=True))
     assert r.notes["mode"] == "full-fallback"
+
+
+def test_failed_precheck_walks_every_closed_set_once(monkeypatch):
+    # The same chain preds fail the precheck, so the search scores every
+    # closed set at once: one walk, given no forcers, as full mode's.
+    def chain(masks, n, same_size_only):
+        order = ekrcross.search._linear_extension(masks)
+        return [sum(1 << q for q in order[:order.index(i)]) for i in range(len(masks))]
+
+    scorer, calls = ekrcross.search._best_closed, []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return scorer(*args, **kwargs)
+
+    full = max_uniform_product(5, 2, 1)
+    monkeypatch.setattr(ekrcross.search, "_dominance_preds", chain)
+    monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
+    r = max_uniform_product(5, 2, 1, SearchBudget(restrict_shifted=True))
+    cands = uniform_layer(5, 2)
+    bad, _ = partner_shift_oracle(compatibility_rows(cands, 1), chain(cands, 5, True))
+    assert calls == [{}] and bad > 0
+    assert r.notes == {"mode": "full-fallback", "nodes": full.notes["nodes"],
+                       "partner_shift_violations": bad}
+    r.notes, r.elapsed_ms = full.notes, full.elapsed_ms
+    assert r == full
+
+
+@st.composite
+def _transitive_orders(draw):
+    """Symmetric rows on up to 9 candidates, and preds: the transitive
+    closure of random arcs, each to a candidate earlier in a random order."""
+    rows, _ = draw(_relations())
+    order = draw(st.permutations(range(len(rows))))
+    preds = [0] * len(rows)
+    for q, i in enumerate(order):
+        for j in order[:q]:
+            if draw(st.booleans()):
+                preds[i] |= 1 << j | preds[j]
+    return rows, preds
+
+
+@given(_transitive_orders())
+@settings(max_examples=300, deadline=None)
+def test_partner_shift_precheck_matches_the_oracle(order):
+    # It counts the dpre[j] that are not preds-closed, and reads 0 exactly
+    # when D of every preds-closed family is preds-closed.
+    rows, preds = order
+    full = (1 << len(rows)) - 1
+    dpre, forcers = ekrcross.search._forced_rows(preds, rows)
+    assert dpre == [ekrcross.search._partner(1 << j | p, rows, full) for j, p in enumerate(preds)]
+    assert forcers == [sum(1 << i for i, p in enumerate(preds) if p >> x & 1)
+                       for x in range(len(rows))]
+    bad, lemma = partner_shift_oracle(rows, preds)
+    count = ekrcross.search._partner_shift_violations(dpre, forcers)
+    assert count == bad and (count == 0) == lemma
+
+
+@pytest.mark.parametrize("n, k, same_size_only", [
+    *[(n, None, same) for n in range(1, 6) for same in (False, True)],
+    *[(n, k, True) for n in range(1, 8) for k in range(1, n + 1)],
+])
+def test_partner_shift_precheck_passes_under_dominance(n, k, same_size_only):
+    # D of a shift-closed family is shift-closed, so no dpre[j] fails.
+    masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
+    preds = ekrcross.search._dominance_preds(masks, n, same_size_only)
+    for t in (1, 2, 3):
+        dpre, forcers = ekrcross.search._forced_rows(preds, compatibility_rows(masks, t))
+        assert ekrcross.search._partner_shift_violations(dpre, forcers) == 0, t
 
 
 def test_dominance_preds_once_per_shifted_search(monkeypatch):
