@@ -252,6 +252,8 @@ def verify_seq_theorem(
         budget = SearchBudget()
     if t < 1 or n < t:
         raise ValueError(f"need n >= t >= 1, got n={n}, t={t}")
+    if m < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {m}")
     total = m**n
     if total > 20:
         raise BudgetExceeded(f"{m}^{n} = {total} sequences exceed the search budget")

@@ -61,8 +61,9 @@ class TestUsage:
         (("search", "seq", "--n", "1", "--m", "2", "--t", "2"), "needs t <= n"),
         (("search", "weight", "--n", "4", "--t", "1", "--p", "3/2"), "needs 0 < p < 1"),
         (("search", "weight", "--n", "4", "--t", "1", "--p", "1"), "needs 0 < p < 1"),
-        (("search", "seq", "--n", "2", "--m", "0", "--t", "1"), "needs m >= 1"),
-        (("search", "seq", "--n", "2", "--m", "-1", "--t", "1"), "needs m >= 1"),
+        (("search", "seq", "--n", "2", "--m", "0", "--t", "1"), "needs m >= 2"),
+        (("search", "seq", "--n", "2", "--m", "-1", "--t", "1"), "needs m >= 2"),
+        (("search", "seq", "--n", "3", "--m", "1", "--t", "2"), "needs m >= 2"),
     ])
     def test_sizes_outside_the_search_range(self, capsys, argv, message):
         # The library raises ValueError on these; exit 1 would read as a

@@ -232,6 +232,11 @@ class TestSequenceTheorem:
         with pytest.raises(BudgetExceeded):
             verify_seq_theorem(5, 3, 1)
 
+    def test_one_letter_alphabet(self):
+        # Sequence rejects m = 1, and the layer index (t-1)//(m-2) would be negative.
+        with pytest.raises(ValueError, match="alphabet size"):
+            verify_seq_theorem(3, 1, 2)
+
     @pytest.mark.parametrize("n,m,t", [(4, 2, 1), (3, 3, 1), (2, 3, 2), (3, 2, 2)])
     def test_onehot_rows_count_agreements(self, n, m, t):
         words = list(itertools.product(range(1, m + 1), repeat=n))
