@@ -17,7 +17,10 @@ one closed-pair engine serves all three searches:
 - ``_search`` picks the mode (shifted, or every closed set when its
   check before the walk fails), builds the shifted inputs
   and keeps full mode's past-the-cap count, which the benchmark pins;
-  ``_finish`` builds the ``SearchResult``;
+  ``_finish`` builds the ``SearchResult`` for every search, sets and
+  words alike, and names each symmetric tie with ``_construction``,
+  the one labeller (star or (t+2)-window family, by a core test and a
+  degree test on the candidates' bits);
 - ``_downsets`` lists the shift-closed families themselves, for
   ``iter_shifted_families`` and the lemma-harness generator, whose
   compressions ``_shift_fixpoint`` (tested against setfam's), memo key,
@@ -62,8 +65,9 @@ class SearchBudget:
     the closed sets that the branch and bound scores (every closed set
     in full mode, the closed shift-closed sets in shifted mode, less
     those it prunes), and the shift-closed families that
-    ``iter_shifted_families`` lists.  ``time_limit`` is wall-clock
-    seconds.
+    ``iter_shifted_families`` lists.  ``restrict_shifted`` picks shifted
+    mode for the set searches (the sequence search always runs full
+    mode).  ``time_limit`` is wall-clock seconds.
     """
 
     max_family_bits: int = DEFAULT_NODE_CAP
@@ -431,36 +435,41 @@ def iter_shifted_families(
 # ---------------------------------------------------------------------------
 
 
-def _classify_family(amask: int, cands: Sequence[int], n: int, t: int,
-                     window_cache: dict) -> Optional[str]:
-    """Label the family A of a symmetric argmax pair (A, A).
+def _construction(amask: int, cands: Sequence[int], t: int) -> Optional[int]:
+    """0 or 1 when the closed family A = D(A) of a symmetric argmax pair
+    (A, A) is the star or the (t+2)-window family over ``cands``, else
+    None.  Elements are the bits of the candidates: the ground elements
+    of sets, or the one-hot bits (position, symbol) of words, so 0 is
+    F0 or H0 and 1 is F1 or H1.
 
-    F0: A is the family of all (k-)sets containing a fixed t-set.  F1:
-    A is the family meeting a fixed (t+2)-window in at least t+1
-    elements.  None when A matches neither.
+    Label 0: the AND of A's members holds exactly t bits, and A is every
+    candidate holding them.  A degree test would not do here: on the
+    one-set layer k = n every element has the top degree.  Label 1: W is
+    the t+2 bits of highest degree in A, and A must be {c : |c & W| >=
+    t+1}.  One W suffices.  For sets, a window's elements have at least
+    the degree of any element outside it, and two that tie are swapped
+    by a symmetry of A, so any top t+2 gives the same family.  For
+    words, H1's window bits (one symbol at each of t+2 positions)
+    strictly outrank every other bit.  At n = t+1 the top bits of a word
+    family may put two symbols at one position, but a family that then
+    matches is not closed, and only closed families are labelled.
     """
     members = [cands[i] for i in _bits(amask)]
     if not members:
         return None
+
+    def holding(test: Callable[[int], bool]) -> int:
+        return sum(1 << i for i, c in enumerate(cands) if test(c))
+
     core = reduce(operator.and_, members)
-    if core.bit_count() == t:
-        expected = window_cache.setdefault(
-            ("star", core),
-            frozenset(c for c in cands if c & core == core),
-        )
-        if frozenset(members) == expected:
-            return "F0"
-    member_set = frozenset(members)
-    for window in itertools.combinations(range(n), t + 2):
-        wm = 0
-        for e in window:
-            wm |= 1 << e
-        expected = window_cache.setdefault(
-            ("threshold", wm),
-            frozenset(c for c in cands if (c & wm).bit_count() >= t + 1),
-        )
-        if member_set == expected:
-            return "F1"
+    if core.bit_count() == t and amask == holding(lambda c: c & core == core):
+        return 0
+    width = max(cands).bit_length()
+    degree = [sum(c >> e & 1 for c in members) for e in range(width)]
+    top = sorted(range(width), key=degree.__getitem__, reverse=True)[:t + 2]
+    window = sum(1 << e for e in top)
+    if len(top) == t + 2 and amask == holding(lambda c: (c & window).bit_count() > t):
+        return 1
     return None
 
 
@@ -474,16 +483,21 @@ def _bits(mask: int) -> list[int]:
 
 
 def _finish(best_scaled: int, pairs: Sequence[tuple[int, int]], count: int,
-            label: Callable[[int], Optional[str]], family: Callable[[int], object],
+            cands: Sequence[int], t: int, prefix: str, family: Callable[[int], object],
             scale: Optional[Fraction], started: float, notes: dict) -> SearchResult:
     """Assemble a SearchResult from the engine's index-mask pairs.
 
-    ``label`` names the construction that the A of a symmetric pair
-    (A, A) matches, or None; every other pair is ``other``.  ``family``
-    turns an index mask into a family.  Class names sort with the
-    reference constructions first, so the first attained is the match.
+    A symmetric pair (A, A) is named ``prefix`` + the ``_construction``
+    label of A (F0, F1 for sets, H0, H1 for words); every other pair is
+    ``other``.  ``family`` turns an index mask into a family.  Class
+    names sort with the reference constructions first, so the first
+    attained is the match.
     """
-    classes = tuple(sorted({(label(a) if a == b else None) or "other" for a, b in pairs}))
+    def name(a: int, b: int) -> str:
+        label = _construction(a, cands, t) if a == b else None
+        return "other" if label is None else f"{prefix}{label}"
+
+    classes = tuple(sorted({name(a, b) for a, b in pairs}))
     return SearchResult(
         max_product=best_scaled if scale is None else best_scaled * scale,
         witnesses=[(family(a), family(b)) for a, b in pairs[:64]],
@@ -535,13 +549,11 @@ def _set_search(n: int, k: Optional[int], t: int, cands: Sequence[int],
     k None the whole power set."""
     rows = compatibility_rows(cands, t)
     best, pairs, count, notes = _search(cands, rows, weights, n, t, budget, k is not None)
-    window_cache: dict = {}
 
     def family(mask: int) -> Family:
         return Family(n, tuple(sorted(cands[i] for i in _bits(mask))), k)
 
-    return _finish(best, pairs, count, lambda a: _classify_family(a, cands, n, t, window_cache),
-                   family, scale, started, notes)
+    return _finish(best, pairs, count, cands, t, "F", family, scale, started, notes)
 
 
 def max_uniform_product(

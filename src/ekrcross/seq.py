@@ -4,6 +4,11 @@ Sequences intersect where they agree coordinatewise.  The bridge to set
 families is the projection onto the positions holding the symbol 1:
 counting preimages turns sequence-family sizes into power-set weights
 at p = 1/m, which is how the weighted product bound transfers here.
+
+``verify_seq_theorem`` runs the set searches' closed-pair engine on
+one-hot masks, where the star and window cylinders H0 and H1 are the
+star and (t+2)-window families of the masks' bits, so
+``search._construction`` labels them too.
 """
 
 from __future__ import annotations
@@ -192,50 +197,6 @@ def seq_shift_pair_to_fixpoint(
     return a, b, trace
 
 
-# ---------------------------------------------------------------------------
-# sequence-family isomorphism probes (coordinate + per-coordinate symbol maps)
-# ---------------------------------------------------------------------------
-
-
-def _cylinder_label(members: frozenset, m: int, n: int, t: int) -> Optional[str]:
-    """Detect the two reference shapes up to the sequence isomorphism
-    group: ``H0`` fixes symbols on t coordinates, ``H1`` asks for
-    agreement with fixed symbols on >= t+1 of t+2 coordinates."""
-    if not members:
-        return None
-    size = len(members)
-    if size == m ** (n - t):
-        constant = []
-        for j in range(n):
-            vals = {w[j] for w in members}
-            if len(vals) == 1:
-                constant.append((j, vals.pop()))
-        for coords in itertools.combinations(constant, t):
-            want = frozenset(
-                w
-                for w in itertools.product(range(1, m + 1), repeat=n)
-                if all(w[j] == v for j, v in coords)
-            )
-            if members == want:
-                return "H0"
-    if n >= t + 2:
-        for coords in itertools.combinations(range(n), t + 2):
-            votes = []
-            for j in coords:
-                counts: dict[int, int] = {}
-                for w in members:
-                    counts[w[j]] = counts.get(w[j], 0) + 1
-                votes.append(max(counts, key=counts.get))
-            want = frozenset(
-                w
-                for w in itertools.product(range(1, m + 1), repeat=n)
-                if sum(w[j] == v for j, v in zip(coords, votes)) >= t + 1
-            )
-            if members == want:
-                return "H1"
-    return None
-
-
 def onehot_mask(word: tuple[int, ...], m: int) -> int:
     """Bit j*m + a - 1 marks symbol a at position j, so two words agree in
     as many positions as their masks share bits."""
@@ -258,15 +219,12 @@ def verify_seq_theorem(
     if total > 20:
         raise BudgetExceeded(f"{m}^{n} = {total} sequences exceed the search budget")
     started = time.perf_counter()
-    cands = list(itertools.product(range(1, m + 1), repeat=n))
-    rows = compatibility_rows([onehot_mask(w, m) for w in cands], t)
-    best, pairs, count, unretained, nodes = _best_closed(rows, None, budget)
+    words = list(itertools.product(range(1, m + 1), repeat=n))
+    cands = [onehot_mask(w, m) for w in words]
+    best, pairs, count, unretained, nodes = _best_closed(compatibility_rows(cands, t), None, budget)
 
     def fam_of(mask: int) -> SeqFamily:
-        return SeqFamily(m, n, tuple(sorted(cands[i] for i in _bits(mask))))
-
-    def label(mask: int) -> Optional[str]:
-        return _cylinder_label(frozenset(cands[i] for i in _bits(mask)), m, n, t)
+        return SeqFamily(m, n, tuple(sorted(words[i] for i in _bits(mask))))
 
     notes: dict = {"nodes": nodes, "target": (m ** (n - t)) ** 2}
     if m == 2:
@@ -274,7 +232,7 @@ def verify_seq_theorem(
     else:
         r = (t - 1) // (m - 2)
         notes["layer_comparison"] = {"r": r, "applicable": n >= t + 2 * r}
-    return _finish(best, pairs, count + unretained, label, fam_of, None, started, notes)
+    return _finish(best, pairs, count + unretained, cands, t, "H", fam_of, None, started, notes)
 
 
 # ---------------------------------------------------------------------------

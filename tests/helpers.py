@@ -6,6 +6,7 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import reduce
+from typing import Optional
 
 from hypothesis import strategies as st
 
@@ -129,3 +130,53 @@ def partner_shift_oracle(rows: list[int], preds: list[int]) -> tuple[int, bool]:
 
     bad = sum(not closed(partner(1 << j | p)) for j, p in enumerate(preds))
     return bad, all(closed(partner(a)) for a in range(full + 1) if closed(a))
+
+
+def window_label(amask: int, cands: list[int], n: int, t: int) -> Optional[int]:
+    """The set labeller ``search._construction`` replaced: 0 if A (an
+    index mask over ``cands``) is every candidate holding its t-element
+    core, else 1 if some (t+2)-window of [n], tried one by one, gives A
+    as the candidates meeting it in at least t+1 elements, else None."""
+    members = [cands[i] for i in range(len(cands)) if amask >> i & 1]
+    if not members:
+        return None
+    core = reduce(operator.and_, members)
+    if core.bit_count() == t and set(members) == {c for c in cands if c & core == core}:
+        return 0
+    for window in itertools.combinations(range(n), t + 2):
+        wm = sum(1 << e for e in window)
+        if set(members) == {c for c in cands if (c & wm).bit_count() >= t + 1}:
+            return 1
+    return None
+
+
+def cylinder_label(members: frozenset, m: int, n: int, t: int) -> Optional[int]:
+    """The word labeller ``search._construction`` replaced: 0 if the
+    words fix a symbol on each of t coordinates and range over the rest,
+    else 1 if some t+2 coordinates, tried one by one, with each one's most
+    frequent symbol give the words agreeing with them on at least t+1,
+    else None.  Builds all m^n words per candidate."""
+    if not members:
+        return None
+    words = list(itertools.product(range(1, m + 1), repeat=n))
+    if len(members) == m ** (n - t):
+        constant = []
+        for j in range(n):
+            vals = {w[j] for w in members}
+            if len(vals) == 1:
+                constant.append((j, vals.pop()))
+        for coords in itertools.combinations(constant, t):
+            if members == {w for w in words if all(w[j] == v for j, v in coords)}:
+                return 0
+    if n >= t + 2:
+        for coords in itertools.combinations(range(n), t + 2):
+            votes = []
+            for j in coords:
+                counts: dict[int, int] = {}
+                for w in members:
+                    counts[w[j]] = counts.get(w[j], 0) + 1
+                votes.append(max(counts, key=counts.get))
+            if members == {w for w in words
+                           if sum(w[j] == v for j, v in zip(coords, votes)) >= t + 1}:
+                return 1
+    return None

@@ -42,7 +42,13 @@ from ekrcross.setfam import (
 )
 from ekrcross.walks import lambda_family
 
-from helpers import brute_force_uniform_max, brute_force_weight_max, partner_shift_oracle
+from helpers import (
+    brute_force_uniform_max,
+    brute_force_weight_max,
+    cylinder_label,
+    partner_shift_oracle,
+    window_label,
+)
 
 
 class TestUniformSearch:
@@ -170,6 +176,120 @@ def test_pinned_search_outputs():
         if shifted:
             assert r.notes["mode"] == "shifted", (kind, args)
             assert r.notes["partner_shift_violations"] == 0, (kind, args)
+
+
+def test_labels_agree_with_the_window_loops_on_every_symmetric_tie(monkeypatch):
+    # With the cap lifted every tie is kept, so _finish labels every
+    # symmetric tie (A, A) of each pinned search.
+    calls = []
+    label = ekrcross.search._construction
+
+    def recorded(amask, cands, t):
+        calls.append((amask, cands, t, label(amask, cands, t)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(ekrcross.search, "_construction", recorded)
+    monkeypatch.setattr(ekrcross.search, "WITNESS_CAP", 1 << 20)
+    searches = {"uniform": max_uniform_product, "weight": max_weight_product,
+                "seq": verify_seq_theorem}
+    seen = set()
+    for kind, args, shifted, _ in PINNED_SEARCHES:
+        calls.clear()
+        searches[kind](*args, SearchBudget(restrict_shifted=shifted))
+        assert calls, (kind, args, shifted)
+        for amask, cands, t, got in calls:
+            if kind == "seq":
+                n, m, _ = args
+                words = list(itertools.product(range(1, m + 1), repeat=n))
+                assert cands == [ekrcross.seq.onehot_mask(w, m) for w in words]
+                members = frozenset(words[i] for i in range(len(words)) if amask >> i & 1)
+                want = cylinder_label(members, m, n, t)
+            else:
+                want = window_label(amask, cands, args[0], t)
+            assert got == want, (kind, args, shifted, amask)
+            seen.add(got)
+    assert seen == {0, 1, None}
+
+
+def _closure_of(cands, t, picks):
+    """D(D(X)) for the candidates X at the indices ``picks``."""
+    rows = compatibility_rows(cands, t)
+    full = (1 << len(cands)) - 1
+    partner = ekrcross.search._partner
+    return partner(partner(sum(1 << i for i in set(picks)), rows, full), rows, full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_set_labels_agree_with_the_window_loop_on_closed_families(data):
+    n = data.draw(st.integers(1, 7))
+    k = data.draw(st.sampled_from([None, *range(1, n + 1)]))
+    t = data.draw(st.integers(1, k or n))
+    cands = uniform_layer(n, k) if k else list(range(1 << n))
+    picks = data.draw(st.lists(st.integers(0, len(cands) - 1), max_size=4))
+    a = _closure_of(cands, t, picks)
+    assert ekrcross.search._construction(a, cands, t) == window_label(a, cands, n, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_word_labels_agree_with_the_cylinder_loop_on_closed_families(data):
+    n, m = data.draw(st.sampled_from(
+        [(n, m) for m in range(2, 9) for n in range(1, 7) if m ** n <= 64]))
+    t = data.draw(st.integers(1, n))
+    words = list(itertools.product(range(1, m + 1), repeat=n))
+    cands = [ekrcross.seq.onehot_mask(w, m) for w in words]
+    picks = data.draw(st.lists(st.integers(0, len(words) - 1), max_size=4))
+    a = _closure_of(cands, t, picks)
+    members = frozenset(words[i] for i in range(len(words)) if a >> i & 1)
+    assert ekrcross.search._construction(a, cands, t) == cylinder_label(members, m, n, t)
+
+
+def _holding(cands, test):
+    return sum(1 << i for i, c in enumerate(cands) if test(c))
+
+
+@pytest.mark.parametrize("n, k, t", [(5, 3, 1), (6, 3, 1), (7, 4, 2), (6, 5, 3),
+                                     (5, None, 1), (6, None, 2), (7, None, 3)])
+def test_relabelled_set_constructions_keep_their_labels(n, k, t):
+    cands = uniform_layer(n, k) if k else list(range(1 << n))
+    rng = random.Random(n * 100 + t)
+    for _ in range(10):
+        order = rng.sample(range(n), n)
+        core, window = sum(1 << e for e in order[:t]), sum(1 << e for e in order[:t + 2])
+        star = _holding(cands, lambda c: c & core == core)
+        threshold = _holding(cands, lambda c: (c & window).bit_count() >= t + 1)
+        assert ekrcross.search._construction(star, cands, t) == 0
+        assert ekrcross.search._construction(threshold, cands, t) == 1
+
+
+@pytest.mark.parametrize("n, m, t", [(3, 3, 1), (4, 2, 1), (4, 3, 2), (3, 4, 1), (5, 2, 2)])
+def test_relabelled_word_constructions_keep_their_labels(n, m, t):
+    words = list(itertools.product(range(1, m + 1), repeat=n))
+    cands = [ekrcross.seq.onehot_mask(w, m) for w in words]
+    rng = random.Random(n * 100 + m * 10 + t)
+    for _ in range(10):
+        # A coordinate permutation and a symbol map per coordinate move
+        # the reference words to these positions and symbols.
+        coords = rng.sample(range(n), min(n, t + 2))
+        symbols = [rng.randint(1, m) for _ in range(n)]
+        star = _holding(words, lambda w: all(w[j] == symbols[j] for j in coords[:t]))
+        assert ekrcross.search._construction(star, cands, t) == 0
+        if n >= t + 2:
+            agree = lambda w: sum(w[j] == symbols[j] for j in coords)  # noqa: E731
+            threshold = _holding(words, lambda w: agree(w) >= t + 1)
+            assert ekrcross.search._construction(threshold, cands, t) == 1
+
+
+def test_labels_past_f1_and_on_the_one_set_layer():
+    # Full (6,4,2)'s one witness is F2, the whole layer, which is
+    # neither the star nor the 4-window family.
+    r = max_uniform_product(6, 4, 2)
+    assert (r.max_product, r.witness_count, r.witness_classes) == (225, 1, ("other",))
+    # On the layer k = n every element has the top degree, and its one
+    # set is the (t+2)-window family, not a star.
+    for n, t in ((3, 1), (4, 2), (5, 1)):
+        assert max_uniform_product(n, n, t).witness_classes == ("F1",)
 
 
 def _breadth_first_closed_sets(rows):
