@@ -6,10 +6,9 @@ Usage: PYTHONPATH=src python scripts/reach.py
 Each rung runs once under the default node budget and a 60 s time
 limit, and prints one JSON line: the rung, the engine that ran it
 (the search's ``notes["mode"]``, so a shifted rung that fell back to
-every closed set reads "full-fallback"; ``seq`` names no mode, as it
-always walks every closed set), its node count, the seconds
-it took, max_product, witness_count and witness_classes, or
-"exceeded" with the budget message when it runs out.
+every closed set reads "full-fallback"; ``seq`` always reads "full"),
+its node count, the seconds it took, max_product, witness_count and
+witness_classes, or "exceeded" with the budget message when it runs out.
 """
 
 import json
@@ -46,7 +45,7 @@ def rung(mode: str, kind: str, args: tuple) -> dict:
         r = SEARCHES[kind](*args, budget)
     except BudgetExceeded as exc:
         return {**row, "exceeded": str(exc), "seconds": round(time.perf_counter() - started, 3)}
-    return {**row, "engine": r.notes.get("mode", "full"), "nodes": r.notes["nodes"],
+    return {**row, "engine": r.notes["mode"], "nodes": r.notes["nodes"],
             "seconds": round(time.perf_counter() - started, 3),
             "max_product": str(r.max_product), "witness_count": r.witness_count,
             "witness_classes": list(r.witness_classes)}

@@ -226,7 +226,7 @@ def verify_seq_theorem(
     def fam_of(mask: int) -> SeqFamily:
         return SeqFamily(m, n, tuple(sorted(words[i] for i in _bits(mask))))
 
-    notes: dict = {"nodes": nodes, "target": (m ** (n - t)) ** 2}
+    notes: dict = {"mode": "full", "nodes": nodes, "target": (m ** (n - t)) ** 2}
     if m == 2:
         notes["layer_comparison"] = "skipped: alphabet 2 leaves the layer index undefined"
     else:

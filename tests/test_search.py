@@ -149,8 +149,9 @@ def _search_digest(r) -> str:
 
 # sha256 of _search_digest's key, recorded before the uniform, weighted
 # and sequence searches shared one engine, and re-taken without the node
-# count on the engine each mode used before its walk began to prune; any
-# change to a maximum, tie count, class, witness or other note shows.
+# count on the engine each mode used before its walk began to prune (and
+# the two seq digests again when its notes gained "mode"); any change to
+# a maximum, tie count, class, witness or other note shows.
 PINNED_SEARCHES = (
     ("uniform", (6, 3, 1), False, "b42749f298c91343cf3762769f45e9591745a31259cb9f3be1ad65800fd964ad"),
     ("uniform", (6, 3, 2), False, "c621fa188b7e1e5c3c050ad99ccd6b5ba53e1c1e735a50cbece86d99f7f29a9b"),
@@ -162,8 +163,8 @@ PINNED_SEARCHES = (
     ("uniform", (5, 2, 1), True, "dfadf53329eafbf94816955bd589f839cbd38725d7789e2994650e456e4eebfe"),
     ("weight", (4, 2, Fraction(1, 4)), True,
      "895cc93078f3935c6f10e0e153850ad1bba29ae97f26b945df4d2fdd01a9d98f"),
-    ("seq", (3, 2, 1), False, "31388a80d0107f35ecf961b94c9de161995e7bd4d00463ba3d33f845ad8a8460"),
-    ("seq", (2, 3, 1), False, "c9e5af9e1e561b1e37b060b28080f92c4dc7a98822c69398ad034e7ebde62541"),
+    ("seq", (3, 2, 1), False, "285cbf427a653c724f71f8a17860f8616161ebcbf9eaad9670a29415db2224d4"),
+    ("seq", (2, 3, 1), False, "3a03f6dad96f7d14bae484356a8265a380bfbe8c17539a2da6aaacbfaa6ae5f5"),
 )
 
 

@@ -213,6 +213,7 @@ class TestSequenceTheorem:
         assert r.max_product == (m ** (n - t)) ** 2
         assert "H0" in r.witness_classes
         assert r.matched_construction == "H0"
+        assert r.notes["mode"] == "full"
 
     def test_boundary_alphabet_ties(self):
         # at m = t+1 the window cylinder ties the star cylinder
