@@ -30,9 +30,6 @@ VERIFY_SUITES = (
     "measure-oracle",
     "stability",
     "graphs",
-    "search-uniform",
-    "search-weight",
-    "search-seq",
 )
 SEARCH_KINDS = ("uniform", "weight", "seq")
 # The settings each suite reads, beyond --out, which every suite reads.
@@ -85,8 +82,8 @@ class RunConfig:
         return sorted("--" + ("format" if key == "fmt" else key.replace("_", "-")) for key in extra)
 
     def validate(self) -> None:
-        if self.suite not in VERIFY_SUITES:
-            raise ValueError(f"unknown suite {self.suite!r}; choose from {VERIFY_SUITES}")
+        if self.suite not in SUITE_READS:
+            raise ValueError(f"unknown suite {self.suite!r}; choose from {tuple(SUITE_READS)}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.fmt!r}")
         if self.suite == "bounds-all" and self.t_max < bounds.SUITE_T_MAX_MIN:
@@ -218,8 +215,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def run_verify(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.suite.startswith("search-"):
-        return run_search(cfg)
     if cfg.suite == "bounds-all":
         reports = bounds.run_bounds_suite(cfg.t_max)
     elif cfg.suite == "case2-finite":
@@ -299,7 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        code, payload = run_verify(cfg)
+        code, payload = (run_search if args.command == "search" else run_verify)(cfg)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2

@@ -17,10 +17,8 @@ one closed-pair engine serves all three searches:
 - ``_search`` picks the mode (shifted, or every closed set when its
   check before the walk fails), builds the shifted inputs
   and keeps full mode's past-the-cap count, which the benchmark pins;
-  ``_finish`` builds the ``SearchResult`` for every search, sets and
-  words alike, and names each symmetric tie with ``_construction``,
-  the one labeller (star or (t+2)-window family, by a core test and a
-  degree test on the candidates' bits);
+  ``_finish`` builds the ``SearchResult`` of every search, sets and
+  words alike, and labels its symmetric ties with ``_construction``;
 - ``_downsets`` lists the shift-closed families themselves, for
   ``iter_shifted_families`` and the lemma-harness generator, whose
   compressions ``_shift_fixpoint`` (tested against setfam's), memo key,
@@ -438,21 +436,19 @@ def iter_shifted_families(
 def _construction(amask: int, cands: Sequence[int], t: int) -> Optional[int]:
     """0 or 1 when the closed family A = D(A) of a symmetric argmax pair
     (A, A) is the star or the (t+2)-window family over ``cands``, else
-    None.  Elements are the bits of the candidates: the ground elements
-    of sets, or the one-hot bits (position, symbol) of words, so 0 is
-    F0 or H0 and 1 is F1 or H1.
+    None.  The elements are the candidates' bits: ground elements of
+    sets, or one-hot (position, symbol) bits of words, where the star
+    and window families are H0 and H1.
 
     Label 0: the AND of A's members holds exactly t bits, and A is every
-    candidate holding them.  A degree test would not do here: on the
-    one-set layer k = n every element has the top degree.  Label 1: W is
-    the t+2 bits of highest degree in A, and A must be {c : |c & W| >=
-    t+1}.  One W suffices.  For sets, a window's elements have at least
-    the degree of any element outside it, and two that tie are swapped
-    by a symmetry of A, so any top t+2 gives the same family.  For
-    words, H1's window bits (one symbol at each of t+2 positions)
-    strictly outrank every other bit.  At n = t+1 the top bits of a word
-    family may put two symbols at one position, but a family that then
-    matches is not closed, and only closed families are labelled.
+    candidate holding them (not a degree test: on the one-set layer
+    k = n every element has the top degree).  Label 1: A is {c : |c & W|
+    >= t+1} for W the t+2 bits of highest degree in A.  One W suffices.
+    For sets, a window's elements have at least the degree of any other,
+    and two that tie are swapped by a symmetry of A, so any top t+2 gives
+    the same family.  For words, H1's window bits strictly outrank every
+    other bit.  At n = t+1 the top bits may put two symbols at one
+    position, but a word family that then matches is not closed.
     """
     members = [cands[i] for i in _bits(amask)]
     if not members:
@@ -493,11 +489,8 @@ def _finish(best_scaled: int, pairs: Sequence[tuple[int, int]], count: int,
     names sort with the reference constructions first, so the first
     attained is the match.
     """
-    def name(a: int, b: int) -> str:
-        label = _construction(a, cands, t) if a == b else None
-        return "other" if label is None else f"{prefix}{label}"
-
-    classes = tuple(sorted({name(a, b) for a, b in pairs}))
+    labels = {_construction(a, cands, t) if a == b else None for a, b in pairs}
+    classes = tuple(sorted("other" if i is None else f"{prefix}{i}" for i in labels))
     return SearchResult(
         max_product=best_scaled if scale is None else best_scaled * scale,
         witnesses=[(family(a), family(b)) for a, b in pairs[:64]],

@@ -5,9 +5,8 @@ families is the projection onto the positions holding the symbol 1:
 counting preimages turns sequence-family sizes into power-set weights
 at p = 1/m, which is how the weighted product bound transfers here.
 
-``verify_seq_theorem`` runs the set searches' closed-pair engine on
-one-hot masks, where the star and window cylinders H0 and H1 are the
-star and (t+2)-window families of the masks' bits, so
+``verify_seq_theorem`` runs the set searches' engine on one-hot masks,
+whose star and (t+2)-window families are the cylinders H0 and H1, so
 ``search._construction`` labels them too.
 """
 
@@ -211,10 +210,8 @@ def verify_seq_theorem(
     cylinder constructions and compared to (m^(n-t))^2."""
     if budget is None:
         budget = SearchBudget()
-    if t < 1 or n < t:
-        raise ValueError(f"need n >= t >= 1, got n={n}, t={t}")
-    if m < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {m}")
+    if t < 1 or n < t or m < 2:
+        raise ValueError(f"need n >= t >= 1 and m >= 2, got n={n}, m={m}, t={t}")
     total = m**n
     if total > 20:
         raise BudgetExceeded(f"{m}^{n} = {total} sequences exceed the search budget")

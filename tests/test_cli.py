@@ -220,9 +220,7 @@ class TestVerifyCommands:
         rows = json.loads(out_path.read_text())
         assert any(r["claim_id"].startswith("stability-unit") for r in rows)
 
-    @pytest.mark.parametrize(
-        "suite", [s for s in VERIFY_SUITES if not s.startswith("search-")]
-    )
+    @pytest.mark.parametrize("suite", VERIFY_SUITES)
     def test_every_claim_has_an_anchor(self, suite, capsys):
         code, out, _ = run(capsys, "verify", suite)
         assert code == 0
@@ -234,10 +232,9 @@ class TestVerifyCommands:
     def test_every_anchor_names_a_claim(self, capsys):
         bases = set()
         for suite in VERIFY_SUITES:
-            if not suite.startswith("search-"):
-                code, out, _ = run(capsys, "verify", suite)
-                assert code == 0, suite
-                bases |= {row["claim_id"].split("[", 1)[0] for row in json.loads(out)}
+            code, out, _ = run(capsys, "verify", suite)
+            assert code == 0, suite
+            bases |= {row["claim_id"].split("[", 1)[0] for row in json.loads(out)}
         assert set(ANCHORS) == bases
 
     def test_rows_time_their_own_checks(self, capsys):
@@ -250,13 +247,6 @@ class TestVerifyCommands:
         elapsed = [row["elapsed_ms"] for row in json.loads(out)]
         assert sum(elapsed) <= wall_ms
         assert len(elapsed) == 44 and all(ms >= 0 for ms in elapsed)
-
-    def test_search_via_verify_alias(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "search-uniform", "--n", "4", "--k", "2", "--t", "1"
-        )
-        assert code == 0
-        assert json.loads(out)["max_product"] == "9"
 
 
 class TestConfigFile:

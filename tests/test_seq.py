@@ -235,7 +235,7 @@ class TestSequenceTheorem:
 
     def test_one_letter_alphabet(self):
         # Sequence rejects m = 1, and the layer index (t-1)//(m-2) would be negative.
-        with pytest.raises(ValueError, match="alphabet size"):
+        with pytest.raises(ValueError, match="m >= 2"):
             verify_seq_theorem(3, 1, 2)
 
     @pytest.mark.parametrize("n,m,t", [(4, 2, 1), (3, 3, 1), (2, 3, 2), (3, 2, 2)])
