@@ -441,8 +441,8 @@ def _construction(amask: int, cands: Sequence[int], t: int) -> Optional[int]:
     and window families are H0 and H1.
 
     Label 0: the AND of A's members holds exactly t bits, and A is every
-    candidate holding them (not a degree test: on the one-set layer
-    k = n every element has the top degree).  Label 1: A is {c : |c & W|
+    candidate holding them (a degree test would call the one-set layer
+    k = n a star, but it is the window family).  Label 1: A is {c : |c & W|
     >= t+1} for W the t+2 bits of highest degree in A.  One W suffices.
     For sets, a window's elements have at least the degree of any other,
     and two that tie are swapped by a symmetry of A, so any top t+2 gives

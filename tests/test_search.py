@@ -277,8 +277,7 @@ def test_relabelled_word_constructions_keep_their_labels(n, m, t):
         star = _holding(words, lambda w: all(w[j] == symbols[j] for j in coords[:t]))
         assert ekrcross.search._construction(star, cands, t) == 0
         if n >= t + 2:
-            agree = lambda w: sum(w[j] == symbols[j] for j in coords)  # noqa: E731
-            threshold = _holding(words, lambda w: agree(w) >= t + 1)
+            threshold = _holding(words, lambda w: sum(w[j] == symbols[j] for j in coords) > t)
             assert ekrcross.search._construction(threshold, cands, t) == 1
 
 
