@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .intervals import RationalInterval, decide, e_enclosure, exp_enclosure
@@ -499,12 +500,18 @@ def finite_sweep_chunk(t: int, ks: Sequence[int]) -> dict:
     failures = []
     for k in ks:
         r, n0 = k - t, (t + 1) * k
-        # C(n, r), C(n, r-1), C(n-t-1, r), C(n-t-1, r-1), C(n-t-3, r),
-        # C(n-t-3, r-1) and C(n-t, r), each a column walking n up from n0.
-        columns = zip(range(n0, n_max + 1), *(_binomials_from(n0 - d, j) for d, j in (
-            (0, r), (0, r - 1), (t + 1, r), (t + 1, r - 1), (t + 3, r), (t + 3, r - 1), (t, r))))
-        for n, c_n, c_n1, c_a, c_a1, c_b, c_b1, c_t in columns:
-            bracket = c_n + t * (c_a - c_a1) - (t - 1) * (c_b - c_b1)
+        # Two columns, C(m, r) and C(m, r-1), and their difference, each
+        # built once for m from n0-t-3 to n_max.  Cell n reads them at
+        # m = n (both columns), n-t (C(m, r)), n-t-1 and n-t-3 (the
+        # difference): offsets t+3, t+3, 3, 2 and 0 into the lists.
+        m0 = n0 - t - 3
+        size = max(n_max + 1 - m0, 0)
+        col = list(islice(_binomials_from(m0, r), size))
+        col1 = list(islice(_binomials_from(m0, r - 1), size))
+        diff = [a - b for a, b in zip(col, col1)]
+        for n, c_n, c_n1, c_t, d_a, d_b in zip(range(n0, n_max + 1), col[t + 3:], col1[t + 3:],
+                                               col[3:], diff[2:], diff):
+            bracket = c_n + t * d_a - (t - 1) * d_b
             lhs = bracket * c_n1
             rhs = c_t * c_t
             cells += 1

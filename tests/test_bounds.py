@@ -385,6 +385,13 @@ class TestFiniteSweep:
     def test_narrowed_chunk_matches_per_cell_binomials(self, t, ks):
         assert bounds.finite_sweep_chunk(t, ks) == _reference_sweep_chunk(t, ks)
 
+    @pytest.mark.parametrize("t", list(bounds.FINITE_T_RANGE))
+    @given(ks=st.lists(st.integers(0, 80), max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_random_chunk_matches_per_cell_binomials(self, t, ks):
+        # k < t gives r < 0; from about k = n_max / (t+1) on the range is empty.
+        assert bounds.finite_sweep_chunk(t, ks) == _reference_sweep_chunk(t, ks)
+
     @pytest.mark.parametrize("m, j", [(0, 0), (5, 0), (5, -1), (7, 3), (2, 6), (-3, 2), (-4, -2)])
     def test_binomial_column(self, m, j):
         # Columns that start at zero (j < 0, or m < j) included.
