@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 from . import graphs as gr
 from .measure import WeightParams, hit_probability_exact, hit_probability_limit, mu, mu_threshold_closed
 from .report import Stopwatch, VerificationReport, claim
-from .setfam import Subset, make_weight_counterexample
-from .walks import count_hit, count_miss, enumerate_walks, hits_line
+from .setfam import make_weight_counterexample
+from .walks import count_hit, count_miss, enumerate_walks, lambda_set
 
 DEFAULT_PS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 15))
 
@@ -29,22 +29,28 @@ DEFAULT_PS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 15))
 
 def run_walk_oracle(max_steps: int = 12) -> list[VerificationReport]:
     """Closed-form hit/miss counts against step-by-step enumeration for
-    every admissible endpoint/line combination within the step budget."""
+    every admissible endpoint/line combination within the step budget.
+
+    Each endpoint is enumerated once, and each walk's λ (the highest
+    line y = x + c it touches, ``lambda_set``) is recorded.  A walk hits
+    line c exactly when its λ >= c, so each line's hit count is the
+    number of walks with λ >= c and its miss count the rest."""
     clock = Stopwatch()
     cells = 0
     mismatches = []
     for total in range(2, max_steps + 1):
         for y0 in range(1, total):
             x0 = total - y0
-            for c in range(1, y0):
-                if not y0 < x0 + c:
-                    continue
-                # One enumeration: a walk that misses is recorded, and
-                # append's None leaves it out of the hit count.
-                misses: list[Subset] = []
-                hit = enumerate_walks(x0, y0,
-                                      lambda f, c=c: hits_line(f, c) or misses.append(f))
-                if hit != count_hit(x0, y0, c) or len(misses) != count_miss(x0, y0, c):
+            lines = [c for c in range(1, y0) if y0 < x0 + c]
+            if not lines:
+                continue
+            # append returns None, so enumerate_walks counts nothing here:
+            # every walk is an entry of levels.
+            levels: list[int] = []
+            enumerate_walks(x0, y0, lambda f: levels.append(lambda_set(f)))
+            for c in lines:
+                hit = sum(level >= c for level in levels)
+                if hit != count_hit(x0, y0, c) or len(levels) - hit != count_miss(x0, y0, c):
                     mismatches.append((x0, y0, c))
                 cells += 1
     return [

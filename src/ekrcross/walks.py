@@ -1,4 +1,4 @@
-"""Lattice-walk view of subsets: line hitting, touch classification,
+"""Lattice-walk view of subsets: line levels, touch classification,
 reflection, probe walks, and closed-form walk counts with an
 enumeration oracle.
 
@@ -37,19 +37,6 @@ def prefix_heights(f: Subset) -> list[int]:
         cur += 1 if m >> (j - 1) & 1 else -1
         h[j] = cur
     return h
-
-
-def hits_line(f: Subset, u: int) -> bool:
-    """True iff some prefix of the walk reaches height u."""
-    if u < 1:
-        raise ValueError(f"line index must be >= 1, got {u}")
-    cur = 0
-    m = f.mask
-    for j in range(f.n):
-        cur += 1 if m >> j & 1 else -1
-        if cur >= u:
-            return True
-    return False
 
 
 def lambda_set(f: Subset) -> int:

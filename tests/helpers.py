@@ -21,6 +21,19 @@ def subsets(max_n: int = 10):
     )
 
 
+def hits_line(f: Subset, u: int) -> bool:
+    """True iff some prefix of the walk of f reaches height u, tested
+    step by step: the oracle for ``walks.lambda_set(f) >= u``."""
+    if u < 1:
+        raise ValueError(f"line index must be >= 1, got {u}")
+    cur = 0
+    for j in range(f.n):
+        cur += 1 if f.mask >> j & 1 else -1
+        if cur >= u:
+            return True
+    return False
+
+
 def families(max_n: int = 8, max_size: int = 12):
     def build(n):
         return st.lists(

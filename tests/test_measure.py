@@ -23,9 +23,10 @@ from ekrcross.setfam import (
     make_threshold_family,
     shift_ij,
 )
-from ekrcross.walks import WalkTag, classify, hits_line
+from ekrcross.walks import WalkTag, classify
 
-from helpers import NUMERATOR_PS, families, fraction_hit_probability, fraction_weight, small_ps
+from helpers import (NUMERATOR_PS, families, fraction_hit_probability, fraction_weight, hits_line,
+                     small_ps)
 
 
 def full_power_set(n):

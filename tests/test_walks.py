@@ -23,7 +23,6 @@ from ekrcross.walks import (
     count_hit,
     count_miss,
     enumerate_walks,
-    hits_line,
     lambda_family,
     lambda_set,
     make_probe_walk,
@@ -32,7 +31,7 @@ from ekrcross.walks import (
     structure_indices,
 )
 
-from helpers import subsets
+from helpers import hits_line, subsets
 
 
 def naive_classify(f: Subset, u: int) -> WalkClass:
@@ -192,17 +191,34 @@ class TestCountOracles:
         with pytest.raises(ValueError):
             enumerate_walks(20, 10, lambda f: True)
 
-    def test_oracle_enumerates_each_cell_once(self, monkeypatch):
-        cells = []
+    def test_oracle_enumerates_each_endpoint_once(self, monkeypatch):
+        endpoints = []
 
         def recorded(x0, y0, predicate):
-            cells.append((x0, y0))
+            endpoints.append((x0, y0))
             return enumerate_walks(x0, y0, predicate)
 
         monkeypatch.setattr(suites, "enumerate_walks", recorded)
         [row] = suites.run_walk_oracle()
         assert row.status == "verified"
-        assert len(cells) == row.witness["cells"] == 95
+        assert row.witness["cells"] == 95
+        # x0 >= 2 and 2 <= y0 <= total - 2 for total <= 12.
+        assert len(endpoints) == len(set(endpoints)) == 45
+
+    def test_lambda_counts_equal_walk_by_walk_hits(self):
+        # The oracle's hit count, walks with λ >= c, against hits_line
+        # walk by walk, for every endpoint up to 10 steps and every line.
+        for total in range(1, 11):
+            for y0 in range(total + 1):
+                levels, hits = [], {c: 0 for c in range(1, y0 + 1)}
+
+                def record(f):
+                    levels.append(lambda_set(f))
+                    for c in hits:
+                        hits[c] += hits_line(f, c)
+
+                enumerate_walks(total - y0, y0, record)
+                assert {c: sum(level >= c for level in levels) for c in hits} == hits
 
     @pytest.mark.parametrize("closed_form", ["count_hit", "count_miss"])
     def test_oracle_counts_both_sides(self, monkeypatch, closed_form):
