@@ -9,9 +9,14 @@ limit, and prints one JSON line: the rung, the engine that ran it
 every closed set reads "full-fallback"; ``seq`` always reads "full"),
 its node count, the seconds it took, max_product, witness_count and
 witness_classes, or "exceeded" with the budget message when it runs out.
+Every row also carries ``predicted``, the paper's bound where the rung
+lies in its range: C(n-t, k-t)^2 for a uniform rung with
+n >= (t+1)(k-t+1), p^(2t) for a weight rung with p <= 1/(t+1), and null
+otherwise (and for seq rungs).
 """
 
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -37,8 +42,21 @@ LADDER = [
 SEARCHES = {"uniform": max_uniform_product, "weight": max_weight_product, "seq": verify_seq_theorem}
 
 
+def predicted(kind: str, args: tuple):
+    if kind == "uniform":
+        n, k, t = args
+        if n >= (t + 1) * (k - t + 1):
+            return str(math.comb(n - t, k - t) ** 2)
+    elif kind == "weight":
+        n, t, p = args
+        if p <= Fraction(1, t + 1):
+            return str(p ** (2 * t))
+    return None
+
+
 def rung(mode: str, kind: str, args: tuple) -> dict:
-    row = {"mode": mode, "kind": kind, "args": [str(x) for x in args]}
+    row = {"mode": mode, "kind": kind, "args": [str(x) for x in args],
+           "predicted": predicted(kind, args)}
     budget = SearchBudget(restrict_shifted=mode == "shifted", time_limit=TIME_LIMIT_S)
     started = time.perf_counter()
     try:
