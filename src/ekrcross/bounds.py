@@ -15,6 +15,7 @@ false and inconclusive if ``decide`` cannot order the enclosure.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import islice
@@ -45,10 +46,11 @@ def _sweep(cells: Iterable[dict], holds: Callable[..., Optional[bool]], covered)
 
 
 def _decreasing(f: Callable[[int, int], RationalInterval], first: int, t_max: int) -> dict:
-    """``_sweep`` of f(t) > f(t+1) for first <= t < t_max, each decided on
-    an enclosure of the difference; ``f(t, order)`` encloses f(t)."""
+    """``_sweep`` of f(t) > f(t+1) for first <= t < t_max, each decided on an enclosure
+    of the difference; ``f(t, order)`` encloses f(t) and is built once per (t, order)."""
+    at = functools.cache(f)
     return _sweep(({"t": t} for t in range(first, t_max)),
-                  lambda t: decide(lambda o: f(t, o) - f(t + 1, o), 0, ">"),
+                  lambda t: decide(lambda o: at(t, o) - at(t + 1, o), 0, ">"),
                   {"t_range": [first, t_max]})
 
 
@@ -103,16 +105,16 @@ def envelope_high(s: int, t: int) -> Fraction:
 def verify_envelope_monotonicity(
     t_range: Iterable[int], s_range: Iterable[int]
 ) -> list[VerificationReport]:
-    """Check the envelope decreases in the touch index, both by direct
-    exact evaluation and through the rearranged quadratic positivity."""
+    """Check the envelope decreases in the touch index, by exact evaluation
+    (each value built once) and through the rearranged quadratic positivity."""
     t_range, s_range = list(t_range), list(s_range)
     clock = Stopwatch()
+    low, high = functools.cache(envelope_low), functools.cache(envelope_high)
     cells = [{"t": t, "s": s} for t in t_range for s in s_range]
     grid = {"t": [min(t_range), max(t_range)], "s": [min(s_range), max(s_range)]}
     checks = [
-        ("envelope-mono-low", lambda t, s: envelope_low(s, t) > envelope_low(s + 1, t)),
-        ("envelope-mono-high",
-         lambda t, s: s < 1 or envelope_high(s, t) > envelope_high(s + 1, t)),
+        ("envelope-mono-low", lambda t, s: low(s, t) > low(s + 1, t)),
+        ("envelope-mono-high", lambda t, s: s < 1 or high(s, t) > high(s + 1, t)),
         ("envelope-mono-poly",
          lambda t, s: s * s * (t - 1) ** 2 + s * (t**3 + t**2 + t + 3) + (t**2 + 3 * t + 2) > 0),
     ]
@@ -201,17 +203,17 @@ def deep_pair_sweep(t_max: int) -> dict:
                   {"t_range": [7, t_max]})
 
 
-def verify_side_bound_shapes(t_max: int = 100,
-                             deep: Optional[dict] = None) -> list[VerificationReport]:
+def verify_side_bound_shapes(t_max: int = 100, deep: Optional[Callable[[int], dict]] = None
+                             ) -> list[VerificationReport]:
     """Threshold instances and shape claims for the three case bounds;
-    ``deep`` is ``deep_pair_sweep(t_max)`` if the caller already has it."""
+    ``deep`` stands in for ``deep_pair_sweep``, say a memo the caller shares."""
     out: list[VerificationReport] = []
     clock = Stopwatch()
 
     out.append(_enclosed("deep-pair-g7", lambda o: deep_pair_bound(7, o),
                          Fraction(999, 1000), "<", clock))
 
-    out.append(claim("deep-pair-sweep", clock=clock, **(deep or deep_pair_sweep(t_max))))
+    out.append(claim("deep-pair-sweep", clock=clock, **(deep or deep_pair_sweep)(t_max)))
 
     # Consecutive differences of the deep-pair bound flip sign at most
     # once over the sweep; the location is recorded, not assumed.
@@ -329,7 +331,16 @@ def extremal_gap(t: int, i: int, order: int = 24) -> RationalInterval:
     return ex * Fraction((t - 2) * t**i, t)
 
 
+def gap_exceeds_one(t: int, i: int) -> Optional[bool]:
+    """``decide`` of extremal_gap(t, i) > 1, t >= 2, in its equivalent form
+    e^((t+2+i)/(t-1)) < (t-2) t^(i-1): one positive exponential per order."""
+    return decide(lambda o: exp_enclosure(Fraction(t + 2 + i, t - 1), o),
+                  Fraction((t - 2) * t**i, t), "<")
+
+
 def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationReport]:
+    """extremal_gap(8, 1) > 1.2, and > 1 over the grid, each cell decided as the equivalent
+    e^((t+2+i)/(t-1)) < (t-2) t^(i-1), one enclosure per order (``gap_exceeds_one``)."""
     out: list[VerificationReport] = []
     clock = Stopwatch()
 
@@ -337,22 +348,15 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
                          Fraction(12, 10), ">", clock))
     out.append(claim("extremal-gap-grid", clock=clock, **_sweep(
         ({"t": t, "i": i} for t in range(8, t_max + 1) for i in range(1, i_max + 1)),
-        lambda t, i: decide(lambda o: extremal_gap(t, i, o), 1, ">"),
+        gap_exceeds_one,
         {"t_range": [8, t_max], "i_range": [1, i_max]})))
 
     # i = 0 sits outside the claimed range (the value drops below 1);
     # recorded as skipped with the computed enclosure.
-    val = extremal_gap(8, 0, 48)
-    out.append(
-        VerificationReport(
-            "extremal-gap-boundary",
-            SKIPPED,
-            lhs=val,
-            rhs=Fraction(1),
-            witness={"note": "i = 0 outside the claimed range; value below 1"},
-            elapsed_ms=clock.lap_ms(),
-        )
-    )
+    out.append(VerificationReport(
+        "extremal-gap-boundary", SKIPPED, lhs=extremal_gap(8, 0, 48), rhs=Fraction(1),
+        witness={"note": "i = 0 outside the claimed range; value below 1"},
+        elapsed_ms=clock.lap_ms()))
 
     def chain_link(t: int, s: int) -> bool:
         p = Fraction(1, t + 1)
@@ -604,8 +608,8 @@ def uniform_high_side_relaxed(t: int, order: int = 24) -> RationalInterval:
     return e * (e * Fraction(t + 1, t * t) + Fraction(3 * t + 1, (t + 1) ** 2))
 
 
-def verify_uniform_side_bounds(t_max: int = 100,
-                               deep: Optional[dict] = None) -> list[VerificationReport]:
+def verify_uniform_side_bounds(t_max: int = 100, deep: Optional[Callable[[int], dict]] = None
+                               ) -> list[VerificationReport]:
     """The uniform shallow-pair claims; ``deep`` as in ``verify_side_bound_shapes``."""
     out: list[VerificationReport] = []
     clock = Stopwatch()
@@ -618,8 +622,7 @@ def verify_uniform_side_bounds(t_max: int = 100,
     out.append(claim("uniform-side-relaxed-trend", clock=clock,
                      **_decreasing(uniform_high_side_relaxed, 16, t_max)))
 
-    out.append(claim("uniform-deep-sweep", clock=clock,
-                     **(deep or deep_pair_sweep(t_max))))
+    out.append(claim("uniform-deep-sweep", clock=clock, **(deep or deep_pair_sweep)(t_max)))
     return out
 
 
@@ -682,8 +685,8 @@ def run_bounds_suite(t_max: int = 100) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     reports += verify_envelope_products()
     reports += verify_envelope_monotonicity(range(14, 21), range(0, 11))
-    # deep-pair-sweep and uniform-deep-sweep certify the same sweep.
-    deep = deep_pair_sweep(t_max)
+    # One sweep, timed in the deep-pair-sweep row, also backs uniform-deep-sweep.
+    deep = functools.cache(deep_pair_sweep)
     reports += verify_side_bound_shapes(t_max, deep)
     reports += verify_prefactors(t_max)
     reports += verify_extremal_gap(t_max, 10)

@@ -6,15 +6,16 @@ exp; it is enclosed by a Taylor partial sum plus a geometric tail
 bound, with the series order raised adaptively until a comparison
 becomes conclusive (hard cap 64 terms, after which the comparison is
 reported as undecidable rather than guessed).  The series is summed
-over Python ints, by Horner's rule on x = a/b, and each endpoint
-becomes a ``Fraction`` only once, so one gcd normalizes it.  Likewise an
-``int`` or ``Fraction`` operand of +, - or * acts on the endpoints
-directly, with no point interval; any other operand (a float, say) is
-first made an exact point by ``Fraction``.
+over Python ints, by Horner's rule on x = a/b, and each endpoint becomes a
+``Fraction`` only once, so one gcd normalizes it; e is enclosed once per order
+(``e_enclosure``).  An ``int`` or ``Fraction`` operand of +, - or * acts on the
+endpoints directly, with no point interval; any other operand (a float, say)
+is first made an exact point by ``Fraction``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,6 +169,7 @@ def exp_enclosure(x: Rat, terms: int = 24) -> RationalInterval:
                             Fraction(num * n * slack + a**n * (n + 1), n * den * slack))
 
 
+@functools.cache
 def e_enclosure(terms: int = 24) -> RationalInterval:
     return exp_enclosure(1, terms)
 

@@ -1,13 +1,15 @@
 """Interval arithmetic, scalar bound functions, and the claim verifiers."""
 
 import math
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrcross import bounds
-from ekrcross.intervals import RationalInterval, decide, e_enclosure, exp_enclosure
+from ekrcross import bounds, report
+from ekrcross.intervals import _ORDERS, RationalInterval, decide, e_enclosure, exp_enclosure
 from ekrcross.report import (
     INCONCLUSIVE,
     REFUTED,
@@ -175,6 +177,11 @@ class TestExpEnclosure:
     def test_point_values(self):
         assert exp_enclosure(0).lo == exp_enclosure(0).hi == 1
 
+    @pytest.mark.parametrize("order", [*_ORDERS, 30])
+    def test_e_is_built_once_per_order(self, order):
+        assert e_enclosure(order) == exp_enclosure(1, order)
+        assert e_enclosure(order) is e_enclosure(order)
+
     def test_float_containment(self):
         for x in (Fraction(1), Fraction(17, 8), Fraction(-11, 7), Fraction(5, 2)):
             iv = exp_enclosure(x, 24)
@@ -276,6 +283,16 @@ class TestCaseBounds:
         assert statuses["extremal-gap-boundary"] == SKIPPED
         assert statuses["extremal-gap-ratio-chain"] == VERIFIED
 
+    def test_gap_cell_matches_the_gap(self):
+        # The positive-exponent cell test gives the gap's own verdict, on
+        # cells that hold and on cells that fail (i = 0 at t = 8, say).
+        cells = [(t, i) for t in range(3, 41) for i in range(0, 11)]
+        verdicts = {cell: bounds.gap_exceeds_one(*cell) for cell in cells}
+        assert verdicts == {(t, i): decide(lambda o: bounds.extremal_gap(t, i, o), 1, ">")
+                            for t, i in cells}
+        assert verdicts[8, 0] is False and verdicts[8, 1] is True
+        assert set(verdicts.values()) == {True, False}
+
 
 class TestUniformEnvelope:
     def test_cap_constants(self):
@@ -333,6 +350,43 @@ class TestSweepFailures:
         rows = _outcomes(bounds.verify_prefactors(60))
         assert rows["prefactor-exp-over-t"] == (REFUTED, {"t": 30})
         assert rows["prefactor-exp-half"] == (REFUTED, {"t": 30})
+
+    def test_trend_builds_each_value_once(self):
+        # Enclosures of 1/t narrow with the order, so some cells need a
+        # second order; each (t, order) is still built once.
+        calls = []
+
+        def f(t, order):
+            calls.append((t, order))
+            return RationalInterval(Fraction(1, t) - Fraction(1, order**3),
+                                    Fraction(1, t) + Fraction(1, order**3))
+
+        assert bounds._decreasing(f, 14, 40) == {"ok": True, "witness": {"t_range": [14, 40]}}
+        assert len(calls) == len(set(calls)) and {o for _, o in calls} == {12, 24}
+
+    def test_trend_names_its_first_failing_t(self):
+        def f(t, order):
+            return RationalInterval.point(Fraction(1, t) + (1 if t in (23, 30) else 0))
+
+        def per_cell(f, first, t_max):
+            # f(t) and f(t+1) both built afresh in every cell.
+            return bounds._sweep(({"t": t} for t in range(first, t_max)),
+                                 lambda t: decide(lambda o: f(t, o) - f(t + 1, o), 0, ">"),
+                                 {"t_range": [first, t_max]})
+
+        assert bounds._decreasing(f, 14, 40) == per_cell(f, 14, 40) == {
+            "ok": False, "witness": {"t": 22}}
+
+    def test_envelopes_are_built_once(self, monkeypatch):
+        calls = []
+        for name in ("envelope_low", "envelope_high"):
+            def counted(s, t, fn=getattr(bounds, name), name=name):
+                calls.append((name, s, t))
+                return fn(s, t)
+            monkeypatch.setattr(bounds, name, counted)
+        rows = bounds.verify_envelope_monotonicity(range(14, 21), range(0, 11))
+        assert all(r.status == VERIFIED for r in rows)
+        assert len(calls) == len(set(calls)) == 7 * 12 + 7 * 11
 
     def test_envelope_rows_keep_their_own_witness(self, monkeypatch):
         low = bounds.envelope_low
@@ -519,6 +573,21 @@ class TestFullSuite:
             for row in rows:
                 del row["elapsed_ms"]
             assert len(rows) == 2 and rows[0] == rows[1], claim_id
+
+    def test_deep_sweep_is_timed_in_its_row(self, monkeypatch):
+        # A sweep that takes a second on a fake clock shows in its own row.
+        offset = [0.0]
+        sweep, clock = bounds.deep_pair_sweep, time.perf_counter
+
+        def slow(t_max):
+            offset[0] += 1.0
+            return sweep(t_max)
+
+        monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=lambda: clock() + offset[0]))
+        monkeypatch.setattr(bounds, "deep_pair_sweep", slow)
+        rows = {r.claim_id: r.elapsed_ms for r in bounds.run_bounds_suite(20)}
+        assert offset[0] == 1.0
+        assert rows["deep-pair-sweep"] >= 1000 > rows["uniform-deep-sweep"]
 
     def test_run_bounds_suite_green_and_fast(self):
         import time
