@@ -12,7 +12,8 @@ witness_classes, or "exceeded" with the budget message when it runs out.
 Every row also carries ``predicted``, the paper's bound where the rung
 lies in its range: C(n-t, k-t)^2 for a uniform rung with
 n >= (t+1)(k-t+1), p^(2t) for a weight rung with p <= 1/(t+1), and null
-otherwise (and for seq rungs).
+otherwise (and for seq rungs).  Uniform rows also carry ``k_minus_t``,
+how many elements of a member of the star F0 lie outside [t].
 """
 
 import json
@@ -57,6 +58,8 @@ def predicted(kind: str, args: tuple):
 def rung(mode: str, kind: str, args: tuple) -> dict:
     row = {"mode": mode, "kind": kind, "args": [str(x) for x in args],
            "predicted": predicted(kind, args)}
+    if kind == "uniform":
+        row["k_minus_t"] = args[1] - args[2]
     budget = SearchBudget(restrict_shifted=mode == "shifted", time_limit=TIME_LIMIT_S)
     started = time.perf_counter()
     try:

@@ -137,10 +137,12 @@ def _blocked(forcers: Sequence[int]) -> Callable[[int], int]:
     return _missing_or([f >> x + 1 << x + 1 for x, f in enumerate(forcers)])
 
 
-def _partner_shift_violations(dpre: Sequence[int], forcers: Sequence[int]) -> int:
-    """Count the dpre[j] that are not preds-closed: they meet forcers[x] for an x outside."""
-    missing = _missing_or(forcers)
-    return sum(1 for d in dpre if d & missing(d))
+def _partner_shift_violations(dpre: Sequence[int], preds: Sequence[int]) -> int:
+    """Count the dpre[j] that are not preds-closed: the OR of preds[c] over the c
+    in dpre[j], one lookup per nonzero byte of dpre[j], leaves dpre[j]."""
+    tabs = _byte_tables(preds, 0, operator.or_)
+    return sum(1 for d in dpre if ~d & reduce(operator.or_, map(list.__getitem__, itertools.compress(
+        tabs, b := d.to_bytes(len(tabs), "little")), filter(None, b)), 0))
 
 
 def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: SearchBudget,
@@ -391,8 +393,9 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
     """
     mode, extra = "full", {}
     if budget.restrict_shifted:
-        dpre, forcers = _forced_rows(_dominance_preds(cands, n, same_size_only), rows)
-        violations = _partner_shift_violations(dpre, forcers)
+        preds = _dominance_preds(cands, n, same_size_only)
+        dpre, forcers = _forced_rows(preds, rows)
+        violations = _partner_shift_violations(dpre, preds)
         if not violations:
             core = (1 << t) - 1
             star = sum(1 if weights is None else weights[i]

@@ -2,14 +2,15 @@
 
 Each suite returns a list of VerificationReport rows, which the CLI
 serializes.  Oracles here are deliberately independent of the closed
-forms they check: walk counts come from explicit enumeration of steps,
-measure values from sweeping the whole power set.
+forms they check: walk counts come from one depth-first enumeration of
+every step sequence, measure values from one sweep of the power set per
+member test.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -17,7 +18,7 @@ from . import graphs as gr
 from .measure import WeightParams, hit_probability_exact, hit_probability_limit, mu, mu_threshold_closed
 from .report import Stopwatch, VerificationReport, claim
 from .setfam import make_weight_counterexample
-from .walks import count_hit, count_miss, enumerate_walks, lambda_set
+from .walks import ENUM_STEP_LIMIT, count_hit, count_miss
 
 DEFAULT_PS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 15))
 
@@ -27,40 +28,42 @@ DEFAULT_PS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 15))
 # ---------------------------------------------------------------------------
 
 
+def _walk_levels(max_steps: int) -> dict[tuple[int, int], list[int]]:
+    """The λ of every walk of at most ``max_steps`` steps (the highest line
+    y = x + c it touches), under its endpoint, from one depth-first walk
+    over the step sequences: an up step to (x, y + 1) touches y + 1 - x."""
+    levels, stack = defaultdict(list), [(0, 0, 0)]
+    while stack:
+        x, y, level = stack.pop()
+        levels[x, y].append(level)
+        if x + y < max_steps:
+            stack += (x + 1, y, level), (x, y + 1, max(level, y + 1 - x))
+    return levels
+
+
 def run_walk_oracle(max_steps: int = 12) -> list[VerificationReport]:
     """Closed-form hit/miss counts against step-by-step enumeration for
     every admissible endpoint/line combination within the step budget.
 
-    Each endpoint is enumerated once, and each walk's λ (the highest
-    line y = x + c it touches, ``lambda_set``) is recorded.  A walk hits
-    line c exactly when its λ >= c, so each line's hit count is the
-    number of walks with λ >= c and its miss count the rest."""
+    A walk hits line c exactly when its λ (``_walk_levels``) is >= c, so
+    each line's hit count is the number of walks to the endpoint with
+    λ >= c and its miss count the rest."""
+    if max_steps > ENUM_STEP_LIMIT:
+        raise ValueError(f"enumeration capped at {ENUM_STEP_LIMIT} steps, got {max_steps}")
     clock = Stopwatch()
-    cells = 0
-    mismatches = []
+    levels = _walk_levels(max_steps)
+    cells, mismatches = 0, []
     for total in range(2, max_steps + 1):
         for y0 in range(1, total):
             x0 = total - y0
-            lines = [c for c in range(1, y0) if y0 < x0 + c]
-            if not lines:
-                continue
-            # append returns None, so enumerate_walks counts nothing here:
-            # every walk is an entry of levels.
-            levels: list[int] = []
-            enumerate_walks(x0, y0, lambda f: levels.append(lambda_set(f)))
-            for c in lines:
-                hit = sum(level >= c for level in levels)
-                if hit != count_hit(x0, y0, c) or len(levels) - hit != count_miss(x0, y0, c):
+            walks = levels[x0, y0]
+            for c in range(max(1, y0 - x0 + 1), y0):  # 0 < c < y0 < x0 + c
+                hit = sum(level >= c for level in walks)
+                if hit != count_hit(x0, y0, c) or len(walks) - hit != count_miss(x0, y0, c):
                     mismatches.append((x0, y0, c))
                 cells += 1
-    return [
-        claim(
-            "walk-count-oracle",
-            not mismatches,
-            witness={"cells": cells, "max_steps": max_steps, "mismatches": mismatches[:10]},
-            clock=clock,
-        )
-    ]
+    return [claim("walk-count-oracle", not mismatches, clock=clock,
+                  witness={"cells": cells, "max_steps": max_steps, "mismatches": mismatches[:10]})]
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +71,17 @@ def run_walk_oracle(max_steps: int = 12) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def _size_counts(n: int, member_test) -> list[int]:
-    """How many masks of each size pass ``member_test``, found by testing
-    all 2^n masks of the power set.  The oracle keeps this sweep rather
-    than counting members by formula, so that it stays independent of
-    the closed forms it checks."""
-    counts = Counter(map(int.bit_count, filter(member_test, range(1 << n))))
-    return [counts[s] for s in range(n + 1)]
+def _size_counts(n_max: int, member_test) -> list[list[int]]:
+    """For each n <= n_max, how many masks of [n] of each size pass
+    ``member_test``, from one sweep that tests each mask below 2^n_max
+    once, by top bit.  The oracle keeps this sweep rather than counting
+    members by formula, so that it stays independent of the closed forms
+    it checks."""
+    counts, rows = Counter(), []
+    for n in range(n_max + 1):
+        counts.update(map(int.bit_count, filter(member_test, range(1 << n >> 1, 1 << n))))
+        rows.append([counts[s] for s in range(n + 1)])
+    return rows
 
 
 def _weigh(counts: Sequence[int], n: int, p: Fraction) -> Fraction:
@@ -103,30 +110,28 @@ def run_measure_oracle(
     i_max: int = 2,
     ps: Sequence[Fraction] = DEFAULT_PS,
 ) -> list[VerificationReport]:
+    """The ``measure`` closed forms against power-set sweeps, one per member test."""
     clock = Stopwatch()
 
     def threshold():
         for t in range(1, t_max + 1):
             for i in range(0, i_max + 1):
                 w = t + 2 * i
+                window = (1 << w) - 1
+                rows = _size_counts(n_max, lambda m: (m & window).bit_count() >= t + i)
                 for n in range(w, n_max + 1):
-                    window = (1 << w) - 1
-                    counts = _size_counts(n, lambda m: (m & window).bit_count() >= t + i)
                     for p in ps:
-                        yield ({"n": n, "t": t, "i": i, "p": p}, _weigh(counts, n, p),
+                        yield ({"n": n, "t": t, "i": i, "p": p}, _weigh(rows[n], n, p),
                                mu_threshold_closed(n, t, i, p))
 
     def point_events():
         for t in range(1, t_max + 1):
+            head = (1 << t) - 1
+            step_mask = (1 << (t + 1)) - 1
+            rows = _size_counts(n_max, lambda m: (m & step_mask).bit_count() == t and m & head != head)
             for n in range(t + 1, n_max + 1):
-                head = (1 << t) - 1
-                step_mask = (1 << (t + 1)) - 1
-                counts = _size_counts(
-                    n,
-                    lambda m: (m & step_mask).bit_count() == t and (m & head) != head,
-                )
                 for p in ps:
-                    yield {"n": n, "t": t, "p": p}, _weigh(counts, n, p), t * p**t * (1 - p)
+                    yield {"n": n, "t": t, "p": p}, _weigh(rows[n], n, p), t * p**t * (1 - p)
 
     def counterexample():
         for t in range(1, t_max + 1):

@@ -194,10 +194,11 @@ class TestIntegerNumerators:
                 assert _weigh(counts, n, p) == fraction_weight(counts, n, p)
 
     def test_oracle_size_counts_tests_every_mask(self):
-        n, tested = 9, []
-        counts = _size_counts(n, lambda m: tested.append(m) or m % 3 == 0)
-        assert tested == list(range(1 << n))
-        assert counts == _sizes(n, range(0, 1 << n, 3))
+        # One sweep tests each mask below 2^9 once and gives every n <= 9.
+        n_max, tested = 9, []
+        rows = _size_counts(n_max, lambda m: tested.append(m) or m % 3 == 0)
+        assert sorted(tested) == list(range(1 << n_max))
+        assert rows == [_sizes(n, range(0, 1 << n, 3)) for n in range(n_max + 1)]
 
 
 class TestPointEvents:

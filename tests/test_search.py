@@ -488,7 +488,7 @@ def test_partner_shift_precheck_matches_the_oracle(order):
     assert forcers == [sum(1 << i for i, p in enumerate(preds) if p >> x & 1)
                        for x in range(len(rows))]
     bad, lemma = partner_shift_oracle(rows, preds)
-    count = ekrcross.search._partner_shift_violations(dpre, forcers)
+    count = ekrcross.search._partner_shift_violations(dpre, preds)
     assert count == bad and (count == 0) == lemma
 
 
@@ -501,8 +501,32 @@ def test_partner_shift_precheck_passes_under_dominance(n, k, same_size_only):
     masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
     preds = ekrcross.search._dominance_preds(masks, n, same_size_only)
     for t in (1, 2, 3):
-        dpre, forcers = ekrcross.search._forced_rows(preds, compatibility_rows(masks, t))
-        assert ekrcross.search._partner_shift_violations(dpre, forcers) == 0, t
+        dpre, _ = ekrcross.search._forced_rows(preds, compatibility_rows(masks, t))
+        assert ekrcross.search._partner_shift_violations(dpre, preds) == 0, t
+
+
+def test_partner_shift_precheck_reads_every_nonzero_byte():
+    # Over 40 candidates (five bytes), with each preds[c] one other
+    # candidate: a preds-closed d reads 0, and d plus one c whose pred
+    # lies outside reads 1, whichever of the nonzero bytes holds c.
+    rng = random.Random(7)
+    preds = [1 << (c + rng.randrange(1, 40)) % 40 for c in range(40)]
+
+    def closure(a):
+        for _ in range(40):
+            a |= sum(set(p for i, p in enumerate(preds) if a >> i & 1))
+        return a
+
+    ranks = set()
+    for c in range(40):
+        d = closure(rng.getrandbits(40) & rng.getrandbits(40) & rng.getrandbits(40))
+        while (d | 1 << c) & preds[c] or d >> c & 1:
+            d = closure(rng.getrandbits(40) & rng.getrandbits(40) & rng.getrandbits(40))
+        nonzero = [q for q in range(5) if (d | 1 << c) >> 8 * q & 255]
+        ranks.add((nonzero.index(c // 8), len(nonzero)))
+        assert ekrcross.search._partner_shift_violations([d, d | 1 << c], preds) == 1, c
+    # c sat first, in the middle and last among the nonzero bytes.
+    assert {r for r, _ in ranks} >= {0, 1, 2} and any(r == n - 1 > 0 for r, n in ranks)
 
 
 def test_dominance_preds_once_per_shifted_search(monkeypatch):

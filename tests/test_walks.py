@@ -192,18 +192,24 @@ class TestCountOracles:
             enumerate_walks(20, 10, lambda f: True)
 
     def test_oracle_enumerates_each_endpoint_once(self, monkeypatch):
-        endpoints = []
-
-        def recorded(x0, y0, predicate):
-            endpoints.append((x0, y0))
-            return enumerate_walks(x0, y0, predicate)
-
-        monkeypatch.setattr(suites, "enumerate_walks", recorded)
+        # One depth-first walk tallies each of the 2^13 - 1 walks of at
+        # most 12 steps once, under its endpoint, with the λ lambda_set
+        # gives it.
+        levels = suites._walk_levels(12)
+        assert sum(map(len, levels.values())) == 2**13 - 1 == 8191
+        assert sorted(levels) == [(x, y) for x in range(13) for y in range(13 - x)]
+        assert levels.pop((0, 0)) == [0]  # the empty walk; Subset needs n >= 1
+        for (x0, y0), got in levels.items():
+            want = []
+            enumerate_walks(x0, y0, lambda f: want.append(lambda_set(f)))
+            assert sorted(got) == sorted(want), (x0, y0)
         [row] = suites.run_walk_oracle()
         assert row.status == "verified"
         assert row.witness["cells"] == 95
-        # x0 >= 2 and 2 <= y0 <= total - 2 for total <= 12.
-        assert len(endpoints) == len(set(endpoints)) == 45
+        # Past the step limit it refuses before any enumeration.
+        monkeypatch.setattr(suites, "_walk_levels", None)
+        with pytest.raises(ValueError, match="capped at 24"):
+            suites.run_walk_oracle(max_steps=25)
 
     def test_lambda_counts_equal_walk_by_walk_hits(self):
         # The oracle's hit count, walks with λ >= c, against hits_line
