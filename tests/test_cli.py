@@ -30,6 +30,28 @@ class TestUsage:
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == USAGE_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "search-uniform"), ("verify", "uniform"),
+        ("search", "graphs"), ("search", "search-uniform"),
+    ])
+    def test_target_of_the_other_command(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
+    def test_config_value_of_the_wrong_type(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = x\n")
+        code, out, err = run(capsys, "verify", "graphs", "--config", str(cfg))
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
+    def test_help_names_every_target(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        for target in (*VERIFY_SUITES, "uniform", "weight", "seq"):
+            assert target in out
+
     def test_missing_required_parameter(self, capsys):
         code, _, err = run(capsys, "search", "weight", "--n", "3")
         assert code == USAGE_ERROR
@@ -220,6 +242,13 @@ class TestVerifyCommands:
         rows = json.loads(out_path.read_text())
         assert any(r["claim_id"].startswith("stability-unit") for r in rows)
 
+    def test_unwritable_out_file(self, tmp_path, capsys):
+        out_path = tmp_path / "no" / "such" / "dir" / "x.json"
+        code, out, err = run(capsys, "verify", "stability", "--out", str(out_path))
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out_path) in err
+
     @pytest.mark.parametrize("suite", VERIFY_SUITES)
     def test_every_claim_has_an_anchor(self, suite, capsys):
         code, out, _ = run(capsys, "verify", suite)
@@ -345,6 +374,16 @@ class TestConfigFile:
             code, _, err = run(capsys, "verify", "graphs", "--config", str(cfg_file))
             assert code == USAGE_ERROR
             assert f"unknown config key {key.split()[0]!r}" in err
+
+    def test_separator_is_the_first_of_equals_and_colon(self, tmp_path, capsys):
+        # The key ends at the colon; the = belongs to the value.
+        out_path = tmp_path / "t=14.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out: {out_path}\nt = 14\n")
+        assert load_config_file(str(cfg)) == {"out": str(out_path), "t": "14"}
+        code, printed, _ = run(capsys, "verify", "stability", "--config", str(cfg))
+        assert (code, printed) == (0, "")
+        assert len(json.loads(out_path.read_text())) == 3
 
     def test_comments_and_rationals(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -357,7 +357,6 @@ def test_full_mode_matches_the_breadth_first_counts(monkeypatch, kind, args, cap
 
     monkeypatch.setattr(ekrcross.search, "WITNESS_CAP", cap)
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
-    monkeypatch.setattr(ekrcross.seq, "_best_closed", recorded)
     searches[kind](*args)
     [(rows, weights, (best, pairs, count, unretained, _))] = runs
     want = _breadth_first_best_pairs(_breadth_first_closed_sets(rows), rows, weights)

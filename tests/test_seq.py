@@ -215,6 +215,13 @@ class TestSequenceTheorem:
         assert r.matched_construction == "H0"
         assert r.notes["mode"] == "full"
 
+    def test_shifted_budget_runs_full_mode(self):
+        # The dominance order of shifted mode is one on sets, not on words.
+        full = verify_seq_theorem(3, 2, 1)
+        r = verify_seq_theorem(3, 2, 1, SearchBudget(restrict_shifted=True))
+        assert (r.max_product, r.witness_count, r.notes) == (
+            full.max_product, full.witness_count, full.notes)
+
     def test_boundary_alphabet_ties(self):
         # at m = t+1 the window cylinder ties the star cylinder
         r = verify_seq_theorem(3, 2, 1)
