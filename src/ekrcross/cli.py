@@ -94,7 +94,7 @@ SUITES = {
     ), lambda a, budget: verify_seq_theorem(a.n, a.m, a.t, budget)),
 }
 VERIFY_SUITES = tuple(suite for suite in SUITES if not suite.startswith("search-"))
-SEARCH_KINDS = tuple(suite[7:] for suite in SUITES if suite.startswith("search-"))
+SEARCH_KINDS = tuple(suite[len("search-"):] for suite in SUITES if suite.startswith("search-"))
 TARGETS = {"verify": VERIFY_SUITES, "search": SEARCH_KINDS}
 
 
