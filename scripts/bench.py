@@ -13,7 +13,7 @@ The file records:
   run's values, and the provenance perfbench records (revision, source
   digest, machine);
 - ``scripts/reach.py``'s row for each rung of its ladder;
-- the line count of src/ekrcross;
+- the line count of src/ekrcross, in all and per module;
 - the wall time and summary line of one tier-1 run.
 
 It only records: the tests and perfbench's pinned outputs do the checking.
@@ -75,14 +75,16 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    lines = {p.name: len(p.read_text().splitlines())
+             for p in sorted((ROOT / "src" / "ekrcross").glob("*.py"))}
     bench = {
         "label": args.label,
         "runs": RUNS,
         "seconds": seconds,
         "workloads": {w["name"]: workload(w["name"], seconds) for w in spec["workloads"]},
         "reach": [json.loads(line) for line in run("scripts/reach.py").stdout.splitlines()],
-        "src_lines": sum(len(p.read_text().splitlines())
-                         for p in sorted((ROOT / "src" / "ekrcross").glob("*.py"))),
+        "src_lines": sum(lines.values()),
+        "src_lines_by_module": lines,
         "tier1": tier1(),
     }
     out = ROOT / f"BENCH_{args.label}.json"

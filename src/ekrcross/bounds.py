@@ -8,8 +8,8 @@ of the threshold.  Decimal constants from the proofs (0.87, 0.999,
 2.21, ...) are carried as exact fractions.
 
 A claim over a range of cells (t, or t with a second index) goes
-through ``_sweep``: it is verified with the range as its witness, or
-the first cell where it fails is named, refuted if the comparison is
+through ``report.sweep``: it is verified with the range as its witness,
+or the first cell where it fails is named, refuted if the comparison is
 false and inconclusive if ``decide`` cannot order the enclosure.
 """
 
@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .intervals import RationalInterval, decide, e_enclosure, exp_enclosure
-from .report import SKIPPED, Stopwatch, VerificationReport, claim
+from .report import SKIPPED, Stopwatch, VerificationReport, claim, sweep
 
 Rat = Union[Fraction, int]
 
@@ -33,25 +34,13 @@ def _comb(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-def _sweep(cells: Iterable[dict], holds: Callable[..., Optional[bool]], covered) -> dict:
-    """``claim`` keyword arguments for a claim that must hold at every cell:
-    verified with ``covered`` as the witness, or else the first cell where
-    ``holds(**cell)`` is not True, refuted on False and inconclusive on
-    None (an enclosure that ``decide`` could not order)."""
-    for cell in cells:
-        ok = holds(**cell)
-        if ok is not True:
-            return {"ok": ok, "witness": cell}
-    return {"ok": True, "witness": covered}
-
-
 def _decreasing(f: Callable[[int, int], RationalInterval], first: int, t_max: int) -> dict:
-    """``_sweep`` of f(t) > f(t+1) for first <= t < t_max, each decided on an enclosure
+    """``sweep`` of f(t) > f(t+1) for first <= t < t_max, each decided on an enclosure
     of the difference; ``f(t, order)`` encloses f(t) and is built once per (t, order)."""
     at = functools.cache(f)
-    return _sweep(({"t": t} for t in range(first, t_max)),
-                  lambda t: decide(lambda o: at(t, o) - at(t + 1, o), 0, ">"),
-                  {"t_range": [first, t_max]})
+    return sweep(({"t": t} for t in range(first, t_max)),
+                 lambda t: decide(lambda o: at(t, o) - at(t + 1, o), 0, ">"),
+                 {"t_range": [first, t_max]})
 
 
 def _enclosed(claim_id: str, build: Callable[[int], RationalInterval], rhs: Rat,
@@ -118,7 +107,7 @@ def verify_envelope_monotonicity(
         ("envelope-mono-poly",
          lambda t, s: s * s * (t - 1) ** 2 + s * (t**3 + t**2 + t + 3) + (t**2 + 3 * t + 2) > 0),
     ]
-    return [claim(cid, clock=clock, **_sweep(cells, holds, grid)) for cid, holds in checks]
+    return [claim(cid, clock=clock, **sweep(cells, holds, grid)) for cid, holds in checks]
 
 
 def verify_envelope_products() -> list[VerificationReport]:
@@ -198,9 +187,9 @@ def _grid_increasing(values: Sequence[Fraction]) -> Optional[int]:
 def deep_pair_sweep(t_max: int) -> dict:
     """deep_pair_bound(t) < 1 at every t in 7..t_max, as ``claim`` keyword
     arguments: the outcome and the range, or the first t that fails."""
-    return _sweep(({"t": t} for t in range(7, t_max + 1)),
-                  lambda t: decide(lambda o: deep_pair_bound(t, o), 1, "<"),
-                  {"t_range": [7, t_max]})
+    return sweep(({"t": t} for t in range(7, t_max + 1)),
+                 lambda t: decide(lambda o: deep_pair_bound(t, o), 1, "<"),
+                 {"t_range": [7, t_max]})
 
 
 def verify_side_bound_shapes(t_max: int = 100, deep: Optional[Callable[[int], dict]] = None
@@ -235,22 +224,17 @@ def verify_side_bound_shapes(t_max: int = 100, deep: Optional[Callable[[int], di
 
     # (1-a)(tq-(t-1)q^3) increases in p up to p = 1/(t+1), where it equals
     # t(t-1)(3t+1)/(t+1)^3 exactly.
-    mono_ok = True
-    witness = None
-    for t in (13, 14, 20):
-        pmax = Fraction(1, t + 1)
-        grid = [pmax * j / 24 for j in range(1, 25)]
+    def p_mono(t: int) -> bool:
         vals = []
-        for p in grid:
+        for j in range(1, 25):
+            p = Fraction(j, 24 * (t + 1))
             q = 1 - p
             vals.append((1 - p / q) * (t * q - (t - 1) * q**3))
-        bad = _grid_increasing(vals)
         cap = Fraction(t * (t - 1) * (3 * t + 1), (t + 1) ** 3)
-        if bad is not None or vals[-1] != cap:
-            mono_ok = False
-            witness = {"t": t, "bad_index": bad, "endpoint": vals[-1], "cap": cap}
-            break
-    out.append(claim("low-side-p-mono", mono_ok, witness=witness, clock=clock))
+        return _grid_increasing(vals) is None and vals[-1] == cap
+
+    out.append(claim("low-side-p-mono", clock=clock,
+                     **sweep(({"t": t} for t in (13, 14, 20)), p_mono, None)))
 
     out.append(_enclosed("high-side-h13", lambda o: high_side_bound(13, o),
                          Fraction(96, 100), "<", clock))
@@ -282,7 +266,7 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
 
     for cid, first, rhs in (("prefactor-exp-over-t", 8, 1),
                             ("prefactor-exp-half", 15, Fraction(1, 2))):
-        out.append(claim(cid, clock=clock, **_sweep(
+        out.append(claim(cid, clock=clock, **sweep(
             ({"t": t} for t in range(first, t_max + 1)),
             lambda t: decide(lambda o: exp_over(t, o), rhs, "<"), {"t_range": [first, t_max]})))
 
@@ -290,28 +274,18 @@ def verify_prefactors(t_max: int = 100) -> list[VerificationReport]:
     out.append(claim("prefactor-rational-half-t14", lhs < Fraction(1, 2), lhs=lhs,
                      rhs=Fraction(1, 2), clock=clock))
 
-    out.append(claim("prefactor-alpha-power", clock=clock, **_sweep(
+    out.append(claim("prefactor-alpha-power", clock=clock, **sweep(
         ({"t": t} for t in range(14, t_max + 1)),
         lambda t: 2 * Fraction(1, t + 1) / Fraction(t, t + 1) ** (2 * t + 1) < 1,
         {"t_range": [14, t_max]})))
 
-    ok = True
-    bad = None
-    samples = []
-    for t in (14, 15, 20, 50):
-        if t > t_max:
-            continue
-        for k in (t + 1, t + 2, 2 * t, 3 * t):
-            n = (t + 1) * k
-            lhs = Fraction(_comb(n, k - t) * _comb(n, k - t - 1), _comb(n - t, k - t) ** 2)
-            samples.append({"t": t, "k": k, "n": n, "ratio": lhs})
-            if not lhs < Fraction(1, 2):
-                ok, bad = False, samples[-1]
-                break
-        if not ok:
-            break
-    out.append(claim("prefactor-binomial-half", ok, witness=bad or {"samples": len(samples)},
-                     clock=clock))
+    samples = [{"t": t, "k": k, "n": (t + 1) * k} for t in (14, 15, 20, 50) if t <= t_max
+               for k in (t + 1, t + 2, 2 * t, 3 * t)]
+    out.append(claim("prefactor-binomial-half", clock=clock, **sweep(
+        samples,
+        lambda t, k, n: Fraction(_comb(n, k - t) * _comb(n, k - t - 1),
+                                 _comb(n - t, k - t) ** 2) < Fraction(1, 2),
+        {"samples": len(samples)})))
     return out
 
 
@@ -346,7 +320,7 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
 
     out.append(_enclosed("extremal-gap-f81", lambda o: extremal_gap(8, 1, o),
                          Fraction(12, 10), ">", clock))
-    out.append(claim("extremal-gap-grid", clock=clock, **_sweep(
+    out.append(claim("extremal-gap-grid", clock=clock, **sweep(
         ({"t": t, "i": i} for t in range(8, t_max + 1) for i in range(1, i_max + 1)),
         gap_exceeds_one,
         {"t_range": [8, t_max], "i_range": [1, i_max]})))
@@ -363,7 +337,7 @@ def verify_extremal_gap(t_max: int = 100, i_max: int = 10) -> list[VerificationR
         q = 1 - p
         return math.comb(t, s) * p ** (s - 1) * q ** (t + s + 2) * (q - p) > 1
 
-    out.append(claim("extremal-gap-ratio-chain", clock=clock, **_sweep(
+    out.append(claim("extremal-gap-ratio-chain", clock=clock, **sweep(
         ({"t": t, "s": s} for t in range(6, t_max + 1) for s in (0, 1)), chain_link,
         {"t_range": [6, t_max]})))
     return out
@@ -383,26 +357,13 @@ def uniform_envelope_cap(t: int, u: int, s: int) -> Fraction:
 
 def verify_uniform_envelope_caps() -> list[VerificationReport]:
     """Headline cap constants and the term combinations they certify."""
-    out: list[VerificationReport] = []
     clock = Stopwatch()
-
-    h_14_14_2 = uniform_envelope_cap(14, 14, 2)
-    out.append(claim("uniform-envelope-h-14-14-2", h_14_14_2 == Fraction(153, 225),
-                     lhs=h_14_14_2, rhs=Fraction(153, 225), clock=clock))
-    h_14_28_2 = uniform_envelope_cap(14, 28, 2)
-    out.append(claim("uniform-envelope-h-14-28-2", h_14_28_2 < Fraction(221, 100),
-                     lhs=h_14_28_2, rhs=Fraction(221, 100), clock=clock))
-    h_14_16_1 = uniform_envelope_cap(14, 16, 1)
-    out.append(claim("uniform-envelope-h-14-16-1", h_14_16_1 == Fraction(6, 5),
-                     lhs=h_14_16_1, rhs=Fraction(6, 5), clock=clock))
 
     # The s = 2 cap on the second family: coupling the line level to the
     # touch index (v = t+2-s') gives max over s' of cap(14, 16-s', s'),
     # which stays below 1.14; the decoupled chain through cap(14,16,1)
     # only gives 1.2.  Both readings are evaluated and reported.
     coupled = max(uniform_envelope_cap(14, 16 - sp, sp) for sp in (0, 1, 2))
-    out.append(claim("uniform-envelope-s2-coupled-cap", coupled < Fraction(114, 100),
-                     lhs=coupled, rhs=Fraction(114, 100), clock=clock))
 
     def combo(b2: Fraction) -> Fraction:
         return (
@@ -412,48 +373,49 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
             + Fraction(47, 100)
         )
 
-    tight = combo(Fraction(114, 100))
-    out.append(claim("uniform-envelope-s2-combo", tight < Fraction(89, 100),
-                     lhs=tight, rhs=Fraction(89, 100), clock=clock))
     loose = combo(Fraction(6, 5))
-    out.append(claim("uniform-envelope-s2-decoupled", loose < 1, lhs=loose, rhs=Fraction(1),
-                     witness={"exceeds_0.89": bool(loose >= Fraction(89, 100))},
-                     clock=clock))
-
     s3 = (
         Fraction(38, 1000)
         + Fraction(195, 1000) * Fraction(221, 100)
         + Fraction(34, 100) * Fraction(528, 1000)
         + Fraction(12, 100)
     )
-    out.append(claim("uniform-envelope-s3-combo", s3 < Fraction(77, 100),
-                     lhs=s3, rhs=Fraction(77, 100), clock=clock))
+    eq, lt = operator.eq, operator.lt
+    checks = [
+        ("uniform-envelope-h-14-14-2", uniform_envelope_cap(14, 14, 2), eq, Fraction(153, 225), None),
+        ("uniform-envelope-h-14-28-2", uniform_envelope_cap(14, 28, 2), lt, Fraction(221, 100), None),
+        ("uniform-envelope-h-14-16-1", uniform_envelope_cap(14, 16, 1), eq, Fraction(6, 5), None),
+        ("uniform-envelope-s2-coupled-cap", coupled, lt, Fraction(114, 100), None),
+        ("uniform-envelope-s2-combo", combo(Fraction(114, 100)), lt, Fraction(89, 100), None),
+        ("uniform-envelope-s2-decoupled", loose, lt, Fraction(1),
+         {"exceeds_0.89": bool(loose >= Fraction(89, 100))}),
+        ("uniform-envelope-s3-combo", s3, lt, Fraction(77, 100), None),
+    ]
+    out = [claim(cid, holds(lhs, rhs), lhs=lhs, rhs=rhs, witness=witness, clock=clock)
+           for cid, lhs, holds, rhs, witness in checks]
 
     # Decimal component caps used above, certified against e.
-    comp_ok: Optional[bool] = True
-    for lhs_build, cap in (
-        (lambda o: e_enclosure(o) * Fraction(1, 14), Fraction(195, 1000)),
-        (lambda o: exp_enclosure(Fraction(8, 7), o) * Fraction(1, 14), Fraction(224, 1000)),
-        (lambda o: e_enclosure(o) ** 2 * Fraction(1, 196), Fraction(38, 1000)),
-        (lambda o: e_enclosure(o) ** 2 * Fraction(1, 14), Fraction(528, 1000)),
-    ):
-        r = decide(lhs_build, cap, "<")
-        if r is not True:
-            comp_ok = r
-            break
+    e_caps = {
+        "e/14 < 0.195": (lambda o: e_enclosure(o) * Fraction(1, 14), Fraction(195, 1000)),
+        "e^(8/7)/14 < 0.224": (lambda o: exp_enclosure(Fraction(8, 7), o) * Fraction(1, 14),
+                               Fraction(224, 1000)),
+        "e^2/196 < 0.038": (lambda o: e_enclosure(o) ** 2 * Fraction(1, 196), Fraction(38, 1000)),
+        "e^2/14 < 0.528": (lambda o: e_enclosure(o) ** 2 * Fraction(1, 14), Fraction(528, 1000)),
+    }
+    caps = sweep(({"cap": cap} for cap in e_caps), lambda cap: decide(*e_caps[cap], "<"), True)
     square_ok = (
         uniform_envelope_cap(14, 14, 2) ** 2 < Fraction(47, 100)
         and uniform_envelope_cap(14, 14, 3) ** 2 < Fraction(12, 100)
         and uniform_envelope_cap(14, 14, 3) < Fraction(34, 100)
     )
     out.append(claim("uniform-envelope-s2-combo-components",
-                     bool(comp_ok) and square_ok if comp_ok is not None else None,
-                     witness={"e_caps": bool(comp_ok), "squares": square_ok},
+                     caps["ok"] and square_ok if caps["ok"] is not None else None,
+                     witness={"e_caps": caps["witness"], "squares": square_ok},
                      clock=clock))
 
     # cap(t, u, s) decreases in s from s = 2 on: cap(t, u, s) > cap(t, u, s+1)
     # once both sides are multiplied by (t+1)^(s+1).
-    out.append(claim("uniform-envelope-cap-mono", clock=clock, **_sweep(
+    out.append(claim("uniform-envelope-cap-mono", clock=clock, **sweep(
         ({"t": t, "u": u, "s": s} for t in range(14, 40) for u in range(0, 2 * t + 1)
          for s in (2, 3, 4)),
         lambda t, u, s: math.comb(u + 2 * s, s) * (t + 1) > math.comb(u + 2 * s + 2, s + 1),

@@ -106,13 +106,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value (or key: value) lines; [section] headers are allowed and ignored."""
+    """Flat key = value (or key: value) lines; a [section] header is a bad line."""
     values: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
-        if not line or line.startswith(("#", ";")) or re.fullmatch(r"\[.*\]", line):
+        if not line or line.startswith(("#", ";")):
             continue
-        entry = re.fullmatch(r"([^=:]*)[=:](.*)", line)
+        entry = re.fullmatch(r"([^=:\[]*)[=:](.*)", line)
         if not entry:
             raise ValueError(f"bad config line: {raw!r}")
         values[entry[1].strip().replace("-", "_")] = entry[2].strip()

@@ -3,7 +3,10 @@
 Each verified claim carries a stable id and a short anchor string (the
 inequality or identity being checked) drawn from a single static
 registry, so report rows are greppable back to the claim they certify.
-Rationals serialize as "num/den" strings; enclosures as {lo, hi}.
+``claim`` builds the row of one checked claim, and ``sweep`` the outcome
+of a claim that must hold at every cell of a range, whose failure names
+its first failing cell.  Rationals serialize as "num/den" strings;
+enclosures as {lo, hi}.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .intervals import RationalInterval
 
@@ -139,6 +142,18 @@ def claim(claim_id: str, ok: Optional[bool], lhs=None, rhs=None, witness=None,
         witness = {"lhs": lhs, "rhs": rhs}
     return VerificationReport(claim_id, status, lhs=lhs, rhs=rhs, witness=witness,
                               elapsed_ms=clock.lap_ms() if clock else 0.0)
+
+
+def sweep(cells: Iterable[dict], holds: Callable[..., Optional[bool]], covered) -> dict:
+    """``claim`` keyword arguments for a claim that must hold at every cell:
+    verified with ``covered`` as the witness, or else the first cell where
+    ``holds(**cell)`` is not True, refuted on False and inconclusive on
+    None (say an enclosure that ``decide`` could not order)."""
+    for cell in cells:
+        ok = holds(**cell)
+        if ok is not True:
+            return {"ok": ok, "witness": cell}
+    return {"ok": True, "witness": covered}
 
 
 def encode_value(v: Any) -> Any:

@@ -14,11 +14,11 @@ one closed-pair engine serves all three searches:
   per-candidate compatibility rows).  Shifted mode walks the closed
   shift-closed sets, a closure system since D of a shift-closed family
   is shift-closed, seeded with the star product;
-- ``_search`` picks the mode (shifted, or every closed set when its
-  check before the walk fails), builds the shifted inputs
-  and keeps full mode's past-the-cap count, which the benchmark pins;
-  ``_finish`` builds the ``SearchResult`` of every search, sets and
-  words alike, and labels its symmetric ties with ``_construction``;
+- ``_search`` is the one search of sets and words alike: it builds the
+  compatibility rows, picks the mode (shifted, or every closed set when
+  its check before the walk fails), builds the shifted inputs, keeps
+  full mode's past-the-cap count, which the benchmark pins, labels the
+  symmetric ties with ``_construction`` and builds the ``SearchResult``;
 - ``_downsets`` lists the shift-closed families themselves, for
   ``iter_shifted_families`` and the lemma-harness generator, whose
   compressions ``_shift_fixpoint`` (tested against setfam's), memo key,
@@ -353,10 +353,13 @@ def _forced_rows(preds: Sequence[int], rows: Sequence[int]) -> tuple[list[int], 
     return dpre, forcers
 
 
-def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequence[int]], n: int,
-            t: int, budget: SearchBudget, same_size_only: bool) -> tuple[int, list, int, dict]:
-    """Run ``_best_closed`` in the budget's mode; returns (best, pairs,
-    count, notes).
+def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: int,
+            budget: SearchBudget, same_size_only: bool, prefix: str,
+            family: Callable[[int], object], scale: Optional[Fraction] = None,
+            notes: Optional[dict] = None) -> SearchResult:
+    """The ``SearchResult`` of ``_best_closed`` over ``cands`` in the
+    budget's mode: the k-layer or the power set of [n] (``same_size_only``
+    for a layer), or the one-hot words of ``seq``.
 
     Shifted mode walks the closed pairs of shift-closed families.  D of
     a shift-closed family is shift-closed (a member compressed still
@@ -390,23 +393,41 @@ def _search(cands: Sequence[int], rows: Sequence[int], weights: Optional[Sequenc
     retained twice, as the breadth-first scorer it replaced did,
     because the benchmark pins those counts; dropping the term needs a
     benchmark re-pin.
+
+    A symmetric pair (A, A) is named ``prefix`` + the ``_construction``
+    label of A (F0, F1 for sets, H0, H1 for words); every other pair is
+    ``other``.  Class names sort with the reference constructions first,
+    so the first attained is the match.  ``family`` turns an index mask
+    into a family, ``scale`` turns the integer product into the measure,
+    and ``notes`` follow the mode's own.
     """
-    mode, extra = "full", {}
+    started = time.perf_counter()
+    rows = compatibility_rows(cands, t)
+    mode, extra, shifted = "full", {}, {}
     if budget.restrict_shifted:
         preds = _dominance_preds(cands, n, same_size_only)
         dpre, forcers = _forced_rows(preds, rows)
         violations = _partner_shift_violations(dpre, preds)
+        mode = "full-fallback" if violations else "shifted"
+        extra = {"partner_shift_violations": violations}
         if not violations:
             core = (1 << t) - 1
             star = sum(1 if weights is None else weights[i]
                        for i, c in enumerate(cands) if c & core == core)
-            best, pairs, count, _, nodes = _best_closed(
-                rows, weights, budget, dpre=dpre, seed=star * star, forcers=forcers)
-            return best, pairs, count, {"mode": "shifted", "nodes": nodes,
-                                        "partner_shift_violations": 0}
-        mode, extra = "full-fallback", {"partner_shift_violations": violations}
-    best, pairs, count, unretained, nodes = _best_closed(rows, weights, budget)
-    return best, pairs, count + unretained, {"mode": mode, "nodes": nodes, **extra}
+            shifted = {"dpre": dpre, "seed": star * star, "forcers": forcers}
+    best, pairs, count, unretained, nodes = _best_closed(rows, weights, budget, **shifted)
+    labels = {_construction(a, cands, t) if a == b else None for a, b in pairs}
+    classes = tuple(sorted("other" if i is None else f"{prefix}{i}" for i in labels))
+    return SearchResult(
+        max_product=best if scale is None else best * scale,
+        witnesses=[(family(a), family(b)) for a, b in pairs[:64]],
+        matched_construction=classes[0] if classes else None,
+        exhaustive=True,
+        witness_count=count if shifted else count + unretained,
+        witness_classes=classes,
+        elapsed_ms=(time.perf_counter() - started) * 1000,
+        notes={"mode": mode, "nodes": nodes, **extra, **(notes or {})},
+    )
 
 
 def iter_shifted_families(
@@ -481,31 +502,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _finish(best_scaled: int, pairs: Sequence[tuple[int, int]], count: int,
-            cands: Sequence[int], t: int, prefix: str, family: Callable[[int], object],
-            scale: Optional[Fraction], started: float, notes: dict) -> SearchResult:
-    """Assemble a SearchResult from the engine's index-mask pairs.
-
-    A symmetric pair (A, A) is named ``prefix`` + the ``_construction``
-    label of A (F0, F1 for sets, H0, H1 for words); every other pair is
-    ``other``.  ``family`` turns an index mask into a family.  Class
-    names sort with the reference constructions first, so the first
-    attained is the match.
-    """
-    labels = {_construction(a, cands, t) if a == b else None for a, b in pairs}
-    classes = tuple(sorted("other" if i is None else f"{prefix}{i}" for i in labels))
-    return SearchResult(
-        max_product=best_scaled if scale is None else best_scaled * scale,
-        witnesses=[(family(a), family(b)) for a, b in pairs[:64]],
-        matched_construction=classes[0] if classes else None,
-        exhaustive=True,
-        witness_count=count,
-        witness_classes=classes,
-        elapsed_ms=(time.perf_counter() - started) * 1000,
-        notes=notes,
-    )
-
-
 # ---------------------------------------------------------------------------
 # public searches
 # ---------------------------------------------------------------------------
@@ -538,20 +534,6 @@ def compatibility_rows(cands: Sequence[int], t: int) -> list[int]:
     return rows
 
 
-def _set_search(n: int, k: Optional[int], t: int, cands: Sequence[int],
-                weights: Optional[Sequence[int]], scale: Optional[Fraction],
-                budget: SearchBudget, started: float) -> SearchResult:
-    """The search over the set candidates ``cands``: the k-layer, or with
-    k None the whole power set."""
-    rows = compatibility_rows(cands, t)
-    best, pairs, count, notes = _search(cands, rows, weights, n, t, budget, k is not None)
-
-    def family(mask: int) -> Family:
-        return Family(n, tuple(sorted(cands[i] for i in _bits(mask))), k)
-
-    return _finish(best, pairs, count, cands, t, "F", family, scale, started, notes)
-
-
 def max_uniform_product(
     n: int, k: int, t: int, budget: Optional[SearchBudget] = None
 ) -> SearchResult:
@@ -559,9 +541,9 @@ def max_uniform_product(
     k-layer of [n], with all maximal pairs retained up to the cap."""
     if t < 1 or not 1 <= k <= n:
         raise ValueError(f"need t >= 1 and 1 <= k <= n, got t={t}, k={k}, n={n}")
-    started = time.perf_counter()
-    return _set_search(n, k, t, uniform_layer(n, k), None, None,
-                       budget or SearchBudget(), started)
+    cands = uniform_layer(n, k)
+    return _search(cands, None, n, t, budget or SearchBudget(), True, "F",
+                   lambda mask: Family(n, tuple(sorted(cands[i] for i in _bits(mask))), k))
 
 
 def max_weight_product(
@@ -575,12 +557,11 @@ def max_weight_product(
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0,1), got {p}")
-    started = time.perf_counter()
-    cands = list(range(1 << n))
     a, b = p.numerator, p.denominator
-    weights = [a ** m.bit_count() * (b - a) ** (n - m.bit_count()) for m in cands]
-    return _set_search(n, None, t, cands, weights, Fraction(1, b ** (2 * n)),
-                       budget or SearchBudget(), started)
+    weights = [a ** m.bit_count() * (b - a) ** (n - m.bit_count()) for m in range(1 << n)]
+    # Candidate i is the set with mask i, so an index mask's bits are its members, in order.
+    return _search(range(1 << n), weights, n, t, budget or SearchBudget(), False, "F",
+                   lambda mask: Family(n, tuple(_bits(mask)), None), Fraction(1, b ** (2 * n)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,12 @@ whose star and (t+2)-window families are the cylinders H0 and H1, so
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .measure import WeightParams, mu
-from .search import (
-    SearchBudget,
-    SearchResult,
-    _bits,
-    _finish,
-    _search,
-    compatibility_rows,
-)
+from .search import SearchBudget, SearchResult, _bits, _search
 from .setfam import BudgetExceeded, Family, Subset, make_threshold_family
 
 ENUM_LIMIT = 10**6
@@ -215,24 +207,17 @@ def verify_seq_theorem(
     total = m**n
     if total > 20:
         raise BudgetExceeded(f"{m}^{n} = {total} sequences exceed the search budget")
-    started = time.perf_counter()
     words = list(itertools.product(range(1, m + 1), repeat=n))
-    cands = [onehot_mask(w, m) for w in words]
-    # Shifted mode's dominance order is on sets, not words: run full mode.
-    full = replace(budget, restrict_shifted=False)
-    rows = compatibility_rows(cands, t)
-    best, pairs, count, notes = _search(cands, rows, None, n, t, full, False)
-
-    def fam_of(mask: int) -> SeqFamily:
-        return SeqFamily(m, n, tuple(sorted(words[i] for i in _bits(mask))))
-
-    notes["target"] = (m ** (n - t)) ** 2
     if m == 2:
-        notes["layer_comparison"] = "skipped: alphabet 2 leaves the layer index undefined"
+        layer = "skipped: alphabet 2 leaves the layer index undefined"
     else:
         r = (t - 1) // (m - 2)
-        notes["layer_comparison"] = {"r": r, "applicable": n >= t + 2 * r}
-    return _finish(best, pairs, count, cands, t, "H", fam_of, None, started, notes)
+        layer = {"r": r, "applicable": n >= t + 2 * r}
+    # Shifted mode's dominance order is on sets, not words: run full mode.
+    return _search([onehot_mask(w, m) for w in words], None, n, t,
+                   replace(budget, restrict_shifted=False), False, "H",
+                   lambda mask: SeqFamily(m, n, tuple(sorted(words[i] for i in _bits(mask)))),
+                   notes={"target": (m ** (n - t)) ** 2, "layer_comparison": layer})
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,32 @@ class TestSweepFailures:
         assert rows["prefactor-exp-over-t"] == (REFUTED, {"t": 30})
         assert rows["prefactor-exp-half"] == (REFUTED, {"t": 30})
 
+    def test_low_side_p_mono_names_its_first_failing_t(self, monkeypatch):
+        increasing = bounds._grid_increasing
+        cap_14 = Fraction(14 * 13 * 43, 15**3)
+        monkeypatch.setattr(bounds, "_grid_increasing",
+                            lambda vals: 3 if vals[-1] == cap_14 else increasing(vals))
+        rows = _outcomes(bounds.verify_side_bound_shapes(20))
+        assert rows["low-side-p-mono"] == (REFUTED, {"t": 14})
+        assert rows["high-side-p-mono"] == (VERIFIED, {"grid_step": "1/1000", "bad_index": None})
+
+    def test_binomial_half_names_its_first_failing_sample(self, monkeypatch):
+        comb = bounds._comb
+        # t = 15, k = 2t: n = 480 and k - t = 15.
+        monkeypatch.setattr(bounds, "_comb",
+                            lambda n, r: comb(n, r) * (10 if (n, r) == (480, 15) else 1))
+        rows = _outcomes(bounds.verify_prefactors(60))
+        assert rows["prefactor-binomial-half"] == (REFUTED, {"t": 15, "k": 30, "n": 480})
+
+    @pytest.mark.parametrize("outcome, status", [(None, INCONCLUSIVE), (False, REFUTED)])
+    def test_e_cap_names_its_first_failing_cap(self, monkeypatch, outcome, status):
+        real = bounds.decide
+        monkeypatch.setattr(bounds, "decide", lambda build, rhs, relation: outcome
+                            if rhs == Fraction(38, 1000) else real(build, rhs, relation))
+        rows = _outcomes(bounds.verify_uniform_envelope_caps())
+        assert rows["uniform-envelope-s2-combo-components"] == (
+            status, {"e_caps": {"cap": "e^2/196 < 0.038"}, "squares": True})
+
     def test_trend_builds_each_value_once(self):
         # Enclosures of 1/t narrow with the order, so some cells need a
         # second order; each (t, order) is still built once.
@@ -370,9 +396,9 @@ class TestSweepFailures:
 
         def per_cell(f, first, t_max):
             # f(t) and f(t+1) both built afresh in every cell.
-            return bounds._sweep(({"t": t} for t in range(first, t_max)),
-                                 lambda t: decide(lambda o: f(t, o) - f(t + 1, o), 0, ">"),
-                                 {"t_range": [first, t_max]})
+            return report.sweep(({"t": t} for t in range(first, t_max)),
+                                lambda t: decide(lambda o: f(t, o) - f(t + 1, o), 0, ">"),
+                                {"t_range": [first, t_max]})
 
         assert bounds._decreasing(f, 14, 40) == per_cell(f, 14, 40) == {
             "ok": False, "witness": {"t": 22}}

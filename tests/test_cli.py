@@ -281,7 +281,7 @@ class TestVerifyCommands:
 class TestConfigFile:
     def test_values_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[search]\nn = 5\nk = 2\nt = 1\nformat = json\n")
+        cfg.write_text("n = 5\nk = 2\nt = 1\nformat = json\n")
         code, out, _ = run(
             capsys, "search", "uniform", "--config", str(cfg)
         )
@@ -300,6 +300,15 @@ class TestConfigFile:
                            "--n", "4", "--k", "2", "--t", "1")
         assert code == USAGE_ERROR
         assert "bogus" in err
+
+    @pytest.mark.parametrize("header", ["[search]", "[verify = 1]"])
+    def test_section_header_is_a_bad_line(self, tmp_path, capsys, header):
+        # A section would not scope its keys, so the file must be flat.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{header}\nn = 5\nk = 2\nt = 1\n")
+        code, out, err = run(capsys, "search", "uniform", "--config", str(cfg))
+        assert (code, out) == (USAGE_ERROR, "")
+        assert f"bad config line: {header!r}" in err
 
     def test_bad_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -430,11 +439,16 @@ class TestFiniteSweepCommand:
 # value, enclosure or witness shows.  Each key is the command line after
 # "verify"; at --t-max 17, the least allowed, an off-by-one in a sweep's
 # range shows first (taken before the range claims moved to one helper).
+# The walk-oracle, measure-oracle and graphs rows were taken before the
+# measure oracle's hit-limit-monotone claim moved onto report.sweep.
 PINNED_CERTIFY_ROWS = {
     "bounds-all": "a0183ba6d56e6a0141fee7b5ab64d59beac69fd83d28416ade93476a98024aa0",
     "bounds-all --t-max 17": "a2184d5d782dfb58db93763f2c8c7cac4a7602e6e964be21e692d8545fa69df3",
     "case2-finite": "c1704f8f9992907bb259362cb52c83289ddd525aa94f7ae6e697dd67de9c5593",
     "stability": "76442ea679cf7ebf845e6bed6ab20bc927d5fa8fac5f19a934cd928727e1ac75",
+    "walk-oracle": "7af62ca63fc8533ef39c2ae7a7cebb9109380fdb7b297d991783cdf7fae4bfc4",
+    "measure-oracle": "748d34cda6e6f5b81e73b97c46ec9a6bb54aadbd9d80f432f22843d650517e95",
+    "graphs --seed 1": "bb36906525e7b6a3e022ef7ff30b7657fbec289e08390a8a6d790b817e3f6ab9",
 }
 
 

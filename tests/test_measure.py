@@ -14,6 +14,8 @@ from ekrcross.measure import (
     mu,
     mu_threshold_closed,
 )
+from ekrcross import suites
+from ekrcross.report import REFUTED
 from ekrcross.search import max_weight_product
 from ekrcross.suites import _size_counts, _weigh
 from ekrcross.setfam import (
@@ -237,6 +239,17 @@ class TestHitProbability:
                 cur = hit_probability_exact(n, t, p)
                 assert prev <= cur <= limit
                 prev = cur
+
+    @pytest.mark.parametrize("cell, value", [
+        ({"t": 3, "p": Fraction(1, 5), "n": 7}, Fraction(0)),  # below its value at n - 1
+        ({"t": 2, "p": Fraction(1, 4), "n": 9}, Fraction(1)),  # above the limit 1/9
+    ])
+    def test_oracle_row_names_its_first_failing_cell(self, monkeypatch, cell, value):
+        exact = suites.hit_probability_exact
+        monkeypatch.setattr(suites, "hit_probability_exact", lambda n, t, p: value
+                            if {"t": t, "p": p, "n": n} == cell else exact(n, t, p))
+        row = suites.run_measure_oracle(n_max=3, t_max=1, i_max=0)[-1]
+        assert (row.claim_id, row.status, row.witness) == ("hit-limit-monotone", REFUTED, cell)
 
     def test_matches_enumeration(self):
         n, t, p = 9, 2, Fraction(1, 3)

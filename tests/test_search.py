@@ -180,7 +180,7 @@ def test_pinned_search_outputs():
 
 
 def test_labels_agree_with_the_window_loops_on_every_symmetric_tie(monkeypatch):
-    # With the cap lifted every tie is kept, so _finish labels every
+    # With the cap lifted every tie is kept, so _search labels every
     # symmetric tie (A, A) of each pinned search.
     calls = []
     label = ekrcross.search._construction
