@@ -38,6 +38,18 @@ LADDER = [
     ("shifted", "uniform", (13, 5, 2)),
     ("shifted", "weight", (8, 1, Fraction(1, 3))),
     ("shifted", "weight", (9, 2, Fraction(1, 4))),
+    # Shifted uniform rungs that settle only on the traces over [2k - t]:
+    # on the layer their byte tables outgrow memory, or the layer itself
+    # cannot be listed.
+    ("shifted", "uniform", (20, 5, 2)),
+    ("shifted", "uniform", (40, 5, 2)),
+    ("shifted", "uniform", (30, 6, 2)),
+    ("shifted", "uniform", (16, 6, 3)),
+    ("shifted", "uniform", (20, 6, 3)),
+    ("shifted", "uniform", (14, 6, 2)),
+    ("shifted", "uniform", (15, 6, 2)),
+    ("shifted", "uniform", (30, 15, 14)),
+    ("shifted", "uniform", (45, 16, 14)),
 ]
 
 SEARCHES = {"uniform": max_uniform_product, "weight": max_weight_product, "seq": verify_seq_theorem}

@@ -111,19 +111,21 @@ def verify_envelope_monotonicity(
 
 
 def verify_envelope_products() -> list[VerificationReport]:
-    """The four headline envelope-product constants."""
+    """The four headline envelope-product constants, each built in its row."""
     clock = Stopwatch()
     checks = [
-        ("envelope-product-g3h1", envelope_low(3, 14) * envelope_high(1, 14), Fraction(87, 100)),
-        ("envelope-product-g2", envelope_low(2, 14) * 1, Fraction(96, 100)),
+        ("envelope-product-g3h1", lambda: envelope_low(3, 14) * envelope_high(1, 14),
+         Fraction(87, 100)),
+        ("envelope-product-g2", lambda: envelope_low(2, 14) * 1, Fraction(96, 100)),
         (
             "envelope-product-f13f15",
-            envelope(13, 2, Fraction(1, 15)) * envelope(15, 1, Fraction(1, 15)),
+            lambda: envelope(13, 2, Fraction(1, 15)) * envelope(15, 1, Fraction(1, 15)),
             Fraction(68, 100),
         ),
-        ("envelope-product-f14sq", envelope(14, 2, Fraction(1, 15)) ** 2, Fraction(46, 100)),
+        ("envelope-product-f14sq", lambda: envelope(14, 2, Fraction(1, 15)) ** 2, Fraction(46, 100)),
     ]
-    return [claim(cid, lhs < rhs, lhs=lhs, rhs=rhs, clock=clock) for cid, lhs, rhs in checks]
+    return [claim(cid, lhs < rhs, lhs=lhs, rhs=rhs, clock=clock)
+            for cid, value, rhs in checks for lhs in [value()]]
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +358,9 @@ def uniform_envelope_cap(t: int, u: int, s: int) -> Fraction:
 
 
 def verify_uniform_envelope_caps() -> list[VerificationReport]:
-    """Headline cap constants and the term combinations they certify."""
+    """Headline cap constants and the term combinations they certify, each
+    built in its row."""
     clock = Stopwatch()
-
-    # The s = 2 cap on the second family: coupling the line level to the
-    # touch index (v = t+2-s') gives max over s' of cap(14, 16-s', s'),
-    # which stays below 1.14; the decoupled chain through cap(14,16,1)
-    # only gives 1.2.  Both readings are evaluated and reported.
-    coupled = max(uniform_envelope_cap(14, 16 - sp, sp) for sp in (0, 1, 2))
 
     def combo(b2: Fraction) -> Fraction:
         return (
@@ -373,26 +370,29 @@ def verify_uniform_envelope_caps() -> list[VerificationReport]:
             + Fraction(47, 100)
         )
 
-    loose = combo(Fraction(6, 5))
-    s3 = (
-        Fraction(38, 1000)
-        + Fraction(195, 1000) * Fraction(221, 100)
-        + Fraction(34, 100) * Fraction(528, 1000)
-        + Fraction(12, 100)
-    )
-    eq, lt = operator.eq, operator.lt
+    # The s = 2 cap on the second family: coupling the line level to the
+    # touch index (v = t+2-s') gives max over s' of cap(14, 16-s', s'),
+    # which stays below 1.14; the decoupled chain through cap(14,16,1)
+    # only gives 1.2.  Both readings are evaluated and reported.
+    eq, lt, cap = operator.eq, operator.lt, uniform_envelope_cap
     checks = [
-        ("uniform-envelope-h-14-14-2", uniform_envelope_cap(14, 14, 2), eq, Fraction(153, 225), None),
-        ("uniform-envelope-h-14-28-2", uniform_envelope_cap(14, 28, 2), lt, Fraction(221, 100), None),
-        ("uniform-envelope-h-14-16-1", uniform_envelope_cap(14, 16, 1), eq, Fraction(6, 5), None),
-        ("uniform-envelope-s2-coupled-cap", coupled, lt, Fraction(114, 100), None),
-        ("uniform-envelope-s2-combo", combo(Fraction(114, 100)), lt, Fraction(89, 100), None),
-        ("uniform-envelope-s2-decoupled", loose, lt, Fraction(1),
-         {"exceeds_0.89": bool(loose >= Fraction(89, 100))}),
-        ("uniform-envelope-s3-combo", s3, lt, Fraction(77, 100), None),
+        ("uniform-envelope-h-14-14-2", lambda: cap(14, 14, 2), eq, Fraction(153, 225), None),
+        ("uniform-envelope-h-14-28-2", lambda: cap(14, 28, 2), lt, Fraction(221, 100), None),
+        ("uniform-envelope-h-14-16-1", lambda: cap(14, 16, 1), eq, Fraction(6, 5), None),
+        ("uniform-envelope-s2-coupled-cap", lambda: max(cap(14, 16 - sp, sp) for sp in (0, 1, 2)),
+         lt, Fraction(114, 100), None),
+        ("uniform-envelope-s2-combo", lambda: combo(Fraction(114, 100)), lt, Fraction(89, 100), None),
+        ("uniform-envelope-s2-decoupled", lambda: combo(Fraction(6, 5)), lt, Fraction(1),
+         lambda loose: {"exceeds_0.89": bool(loose >= Fraction(89, 100))}),
+        ("uniform-envelope-s3-combo", lambda: (
+            Fraction(38, 1000)
+            + Fraction(195, 1000) * Fraction(221, 100)
+            + Fraction(34, 100) * Fraction(528, 1000)
+            + Fraction(12, 100)
+        ), lt, Fraction(77, 100), None),
     ]
-    out = [claim(cid, holds(lhs, rhs), lhs=lhs, rhs=rhs, witness=witness, clock=clock)
-           for cid, lhs, holds, rhs, witness in checks]
+    out = [claim(cid, holds(lhs, rhs), lhs=lhs, rhs=rhs, witness=note and note(lhs), clock=clock)
+           for cid, value, holds, rhs, note in checks for lhs in [value()]]
 
     # Decimal component caps used above, certified against e.
     e_caps = {

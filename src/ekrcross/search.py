@@ -13,7 +13,8 @@ one closed-pair engine serves all three searches:
   pairs.  Full mode walks every closed set (the intersections of the
   per-candidate compatibility rows).  Shifted mode walks the closed
   shift-closed sets, a closure system since D of a shift-closed family
-  is shift-closed, seeded with the star product;
+  is shift-closed, seeded with the star product, and for uniform
+  searches on the traces over [2k - t] (see ``max_uniform_product``);
 - ``_search`` is the one search of sets and words alike: it builds the
   compatibility rows, picks the mode (shifted, or every closed set when
   its check before the walk fails), builds the shifted inputs, keeps
@@ -33,10 +34,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -287,8 +289,9 @@ def _dominance_preds(masks: Sequence[int], n: int, same_size_only: bool) -> list
     contain j.  The order is generated by its covers (move one element
     one step left; unless ``same_size_only``, add one element), so
     preds[i] is the union of {j} and preds[j] over the covers j of i,
-    filled in linear-extension order.  ``masks`` must be a layer or the
-    power set, which hold the covers of their members.
+    filled in linear-extension order.  Covers outside ``masks`` are skipped:
+    ``masks`` must be a layer, the power set, or traces of sizes up to k
+    (whose absent covers lie above k, and sizes only grow along covers).
     """
     index = {m: i for i, m in enumerate(masks)}
     preds = [0] * len(masks)
@@ -298,7 +301,8 @@ def _dominance_preds(masks: Sequence[int], n: int, same_size_only: bool) -> list
         if not same_size_only:
             covers += [m | 1 << e for e in range(n) if not m >> e & 1]
         for c in covers:
-            preds[i] |= 1 << index[c] | preds[index[c]]
+            if c in index:
+                preds[i] |= 1 << index[c] | preds[index[c]]
     return preds
 
 
@@ -356,10 +360,12 @@ def _forced_rows(preds: Sequence[int], rows: Sequence[int]) -> tuple[list[int], 
 def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: int,
             budget: SearchBudget, same_size_only: bool, prefix: str,
             family: Callable[[int], object], scale: Optional[Fraction] = None,
-            notes: Optional[dict] = None) -> SearchResult:
+            notes: Optional[dict] = None,
+            fallback: Optional[Callable[[], SearchResult]] = None) -> SearchResult:
     """The ``SearchResult`` of ``_best_closed`` over ``cands`` in the
     budget's mode: the k-layer or the power set of [n] (``same_size_only``
-    for a layer), or the one-hot words of ``seq``.
+    for a layer), the one-hot words of ``seq``, or the weighted traces on
+    [n] = [2k - t] of a shifted uniform search (``max_uniform_product``).
 
     Shifted mode walks the closed pairs of shift-closed families.  D of
     a shift-closed family is shift-closed (a member compressed still
@@ -378,7 +384,8 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: i
     AND of dpre[c] over c in A, and an intersection of preds-closed sets
     is one, so if every dpre[j] is, D of every shift-closed family is
     shift-closed (``_partner_shift_violations`` reads 0); else every
-    closed set is scored instead (``full-fallback``).
+    closed set is scored instead (``full-fallback``), by ``fallback``,
+    the layer's full search, when given for traces.
 
     Full mode walks every closed set, unseeded.  Both modes count each
     tied closed pair once, from its side A with w(A) < w(D(A)), or
@@ -410,6 +417,8 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: i
         violations = _partner_shift_violations(dpre, preds)
         mode = "full-fallback" if violations else "shifted"
         extra = {"partner_shift_violations": violations}
+        if violations and fallback:
+            return replace(out := fallback(), notes={**out.notes, "mode": mode, **extra})
         if not violations:
             core = (1 << t) - 1
             star = sum(1 if weights is None else weights[i]
@@ -538,11 +547,31 @@ def max_uniform_product(
     n: int, k: int, t: int, budget: Optional[SearchBudget] = None
 ) -> SearchResult:
     """Exact maximum of |A| |B| over cross t-intersecting A, B in the
-    k-layer of [n], with all maximal pairs retained up to the cap."""
+    k-layer of [n], with all maximal pairs retained up to the cap.
+
+    Shifted cross t-intersecting A, B meet in t elements of [m], m = 2k - t
+    (Frankl 1987): else a pair meets in fewer there and in a j > m; an
+    i <= m lies in neither, as |(A | B) & [m]| <= 2k - |A & B| - 1 < m, so
+    shifting j to i in A stays in A and keeps A & B & [m]; repeat until
+    A & B lies in [m], where |A & B| < t.  So a closed shifted pair holds
+    each k-set whose trace on [m] a member has, and for t <= k and m < n
+    shifted mode walks the traces S, max(t, k - n + m) <= |S| <= k, weighing
+    C(n - m, k - |S|).  Full mode counts every closed pair, shifted or not,
+    so it and ``full-fallback`` stay on the layer.
+    """
     if t < 1 or not 1 <= k <= n:
         raise ValueError(f"need t >= 1 and 1 <= k <= n, got t={t}, k={k}, n={n}")
+    budget, m = budget or SearchBudget(), 2 * k - t
+    if budget.restrict_shifted and t <= k and m < n:
+        traces = [s for size in range(max(t, k - n + m), k + 1) for s in uniform_layer(m, size)]
+        return _search(traces, [math.comb(n - m, k - s.bit_count()) for s in traces], m, t, budget,
+                       False, "F", lambda mask: Family(n, tuple(sorted(
+                           s | sum(1 << e for e in rest) for s in map(traces.__getitem__, _bits(mask))
+                           for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k),
+                       fallback=lambda: max_uniform_product(
+                           n, k, t, replace(budget, restrict_shifted=False)))
     cands = uniform_layer(n, k)
-    return _search(cands, None, n, t, budget or SearchBudget(), True, "F",
+    return _search(cands, None, n, t, budget, True, "F",
                    lambda mask: Family(n, tuple(sorted(cands[i] for i in _bits(mask))), k))
 
 

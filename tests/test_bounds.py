@@ -615,6 +615,25 @@ class TestFullSuite:
         assert offset[0] == 1.0
         assert rows["deep-pair-sweep"] >= 1000 > rows["uniform-deep-sweep"]
 
+    @pytest.mark.parametrize("verify, slowed, seconds", [
+        ("verify_envelope_products", "envelope", [2, 1, 2, 1]),
+        ("verify_uniform_envelope_caps", "uniform_envelope_cap", [1, 1, 1, 3, 0, 0, 0, 3, 0]),
+    ])
+    def test_table_values_are_timed_in_their_own_rows(self, monkeypatch, verify, slowed, seconds):
+        # Each evaluation of ``slowed`` takes a second on a fake clock, and
+        # shows in the row whose value makes it, not in the table's first.
+        offset, clock, f = [0.0], time.perf_counter, getattr(bounds, slowed)
+
+        def slow(*args):
+            offset[0] += 1.0
+            return f(*args)
+
+        monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=lambda: clock() + offset[0]))
+        monkeypatch.setattr(bounds, slowed, slow)
+        rows = getattr(bounds, verify)()
+        assert [int(r.elapsed_ms // 1000) for r in rows] == seconds
+        assert all(r.status == VERIFIED for r in rows)
+
     def test_run_bounds_suite_green_and_fast(self):
         import time
 

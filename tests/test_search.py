@@ -151,14 +151,16 @@ def _search_digest(r) -> str:
 # and sequence searches shared one engine, and re-taken without the node
 # count on the engine each mode used before its walk began to prune (and
 # the two seq digests again when its notes gained "mode"); any change to
-# a maximum, tie count, class, witness or other note shows.
+# a maximum, tie count, class, witness or other note shows.  Shifted
+# (6, 3, 1) was re-taken when it moved to traces on [5]: the same six
+# witnesses, listed in trace order.
 PINNED_SEARCHES = (
     ("uniform", (6, 3, 1), False, "b42749f298c91343cf3762769f45e9591745a31259cb9f3be1ad65800fd964ad"),
     ("uniform", (6, 3, 2), False, "c621fa188b7e1e5c3c050ad99ccd6b5ba53e1c1e735a50cbece86d99f7f29a9b"),
     ("uniform", (5, 2, 1), False, "c94da89ee3597ba43226dc31d51a4a81191f923036efabcc1cfdd85697d0768e"),
     ("weight", (4, 2, Fraction(1, 4)), False,
      "5cef307fa417243cf77220e48ff641e76979b9235b450b0df59a9e865146e078"),
-    ("uniform", (6, 3, 1), True, "bedea5dfcb6be010b7fbb38fb52666448a7e540894f8322e3cdcfd7254c398da"),
+    ("uniform", (6, 3, 1), True, "9f4904b810d8295fd51670081f69f0ed47131e595bb1046975c885cc13a9c9d8"),
     ("uniform", (6, 3, 2), True, "d89eee006e924c9baa2e7aaf6f807e8b87a394d4b261a635f16c9b1449771481"),
     ("uniform", (5, 2, 1), True, "dfadf53329eafbf94816955bd589f839cbd38725d7789e2994650e456e4eebfe"),
     ("weight", (4, 2, Fraction(1, 4)), True,
@@ -420,9 +422,11 @@ def test_shifted_fallback_matches_full_mode(monkeypatch, search, args):
 
 
 def test_shifted_mode_detects_a_partner_that_is_not_closed(monkeypatch):
-    # Under preds that chain the linear extension the closed families are
-    # its prefixes (12, 13, 14, 23, 15, ...), and D({12, 13, 14}) =
-    # {12, 13, 14, 15} is not one, so the search must fall back.
+    # (6, 3, 2) runs on the traces of sizes 2 and 3 on [4].  Under preds
+    # that chain the linear extension the closed families are its
+    # prefixes (123, 124, 134, 234, 12, 13, 14, ...), and D({123}) =
+    # {123, 124, 134, 234, 12, 13, 23} is not one, so the search must
+    # fall back.
     def chain(masks, n, same_size_only):
         order = ekrcross.search._linear_extension(masks)
         preds = [0] * len(masks)
@@ -431,13 +435,14 @@ def test_shifted_mode_detects_a_partner_that_is_not_closed(monkeypatch):
         return preds
 
     monkeypatch.setattr(ekrcross.search, "_dominance_preds", chain)
-    r = max_uniform_product(5, 2, 1, SearchBudget(restrict_shifted=True))
+    r = max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True))
     assert r.notes["mode"] == "full-fallback"
 
 
 def test_failed_precheck_walks_every_closed_set_once(monkeypatch):
-    # The same chain preds fail the precheck, so the search scores every
-    # closed set at once: one walk, given no forcers, as full mode's.
+    # The same chain preds fail the precheck on the traces of (6, 3, 2),
+    # so the search scores every closed set of the layer at once: one
+    # walk, given no forcers, as full mode's.
     def chain(masks, n, same_size_only):
         order = ekrcross.search._linear_extension(masks)
         return [sum(1 << q for q in order[:order.index(i)]) for i in range(len(masks))]
@@ -448,12 +453,12 @@ def test_failed_precheck_walks_every_closed_set_once(monkeypatch):
         calls.append(kwargs)
         return scorer(*args, **kwargs)
 
-    full = max_uniform_product(5, 2, 1)
+    full = max_uniform_product(6, 3, 2)
     monkeypatch.setattr(ekrcross.search, "_dominance_preds", chain)
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
-    r = max_uniform_product(5, 2, 1, SearchBudget(restrict_shifted=True))
-    cands = uniform_layer(5, 2)
-    bad, _ = partner_shift_oracle(compatibility_rows(cands, 1), chain(cands, 5, True))
+    r = max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True))
+    traces = uniform_layer(4, 2) + uniform_layer(4, 3)
+    bad, _ = partner_shift_oracle(compatibility_rows(traces, 2), chain(traces, 4, False))
     assert calls == [{}] and bad > 0
     assert r.notes == {"mode": "full-fallback", "nodes": full.notes["nodes"],
                        "partner_shift_violations": bad}
@@ -609,6 +614,87 @@ def test_shifted_reach_below_the_boundary():
     assert r.witness_classes == ("F1",)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_trace_search_matches_the_layer_search(data):
+    # With 2k - t < n, shifted mode runs on the traces over [2k - t]; it
+    # must find what shifted mode on the whole layer finds, and when every
+    # tie is listed, the same witness families.
+    n = data.draw(st.integers(2, 9))
+    k = data.draw(st.integers(1, n - 1))
+    t = data.draw(st.integers(max(1, 2 * k - n + 1), k))
+    shifted = SearchBudget(restrict_shifted=True)
+    layer = uniform_layer(n, k)
+    want = ekrcross.search._search(layer, None, n, t, shifted, True, "F", lambda mask: Family(
+        n, tuple(sorted(layer[i] for i in ekrcross.search._bits(mask))), k))
+    got = max_uniform_product(n, k, t, shifted)
+    assert got.notes["mode"] == want.notes["mode"] == "shifted"
+    assert ((got.max_product, got.witness_count, got.witness_classes)
+            == (want.max_product, want.witness_count, want.witness_classes))
+    if want.witness_count <= len(want.witnesses):
+        assert ({frozenset((a.masks, b.masks)) for a, b in got.witnesses}
+                == {frozenset((a.masks, b.masks)) for a, b in want.witnesses})
+
+
+def _trace_label(amask, traces, t):
+    """0 if A is the traces holding [t], 1 if it is the traces meeting
+    [t+2] in at least t+1 elements, else None: the star and window
+    families of a shifted search, read on its traces."""
+    core, window = (1 << t) - 1, (1 << t + 2) - 1
+    if amask == _holding(traces, lambda c: c & core == core):
+        return 0
+    if amask == _holding(traces, lambda c: (c & window).bit_count() > t):
+        return 1
+    return None
+
+
+@pytest.mark.parametrize("n, k, t, best, count, classes", [
+    (30, 15, 14, 256, 2, ("F0", "F1")),
+    (45, 16, 14, 216_225, 2, ("F0", "F1")),
+    (60, 16, 14, 1_071_225, 1, ("F0",)),
+    (15, 6, 2, 511_225, 2, ("F0", "F1")),
+    (20, 6, 3, 462_400, 1, ("F0",)),
+    (6, 3, 1, 100, 6, ("F0", "F1", "other")),
+    (6, 3, 2, 16, 2, ("F0", "F1")),
+    (5, 2, 1, 16, 1, ("F0",)),
+])
+def test_shifted_traces_settle_and_keep_their_labels(monkeypatch, n, k, t, best, count, classes):
+    # The first five lie in the paper's range or on its boundary
+    # n = (t+1)(k-t+1), where F0 and F1 tie; on the layer C(45, 16) sets
+    # cannot be listed, and (20, 6, 3)'s byte tables outgrow memory.  The
+    # last three are the pinned shifted searches.  Every symmetric tie is
+    # labelled as its trace family: F0 holds [t], F1 meets [t+2] in t+1.
+    calls = []
+    label = ekrcross.search._construction
+
+    def recorded(amask, cands, t):
+        calls.append((amask, cands, label(amask, cands, t)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(ekrcross.search, "_construction", recorded)
+    r = max_uniform_product(n, k, t, SearchBudget(restrict_shifted=True, time_limit=30))
+    assert r.notes["mode"] == "shifted"
+    assert (r.max_product, r.witness_count, r.witness_classes) == (best, count, classes)
+    assert all(len(a) * len(b) == best for a, b in r.witnesses)
+    assert len(calls) == sum(a == b for a, b in r.witnesses) > 0
+    for amask, traces, got in calls:
+        assert max(traces) < 1 << 2 * k - t
+        assert got == _trace_label(amask, traces, t), (n, k, t, amask)
+
+
+def test_dominance_preds_on_traces_match_shifts_to():
+    # Traces of sizes lo..k on [m] miss the covers above size k; sizes
+    # only grow along covers, so preds is still shifts_to on the traces.
+    for m in range(1, 7):
+        for k in range(1, m + 1):
+            for lo in range(k + 1):
+                masks = [s for size in range(lo, k + 1) for s in uniform_layer(m, size)]
+                subs = [Subset(m, x) for x in masks]
+                want = [sum(1 << j for j, sj in enumerate(subs) if j != i and shifts_to(si, sj))
+                        for i, si in enumerate(subs)]
+                assert ekrcross.search._dominance_preds(masks, m, False) == want, (m, lo, k)
+
+
 @pytest.mark.parametrize("search, args", [
     (max_uniform_product, (7, 3, 1)),
     (max_weight_product, (5, 2, Fraction(1, 4))),
@@ -659,8 +745,8 @@ def test_compatibility_rows_match_the_pairwise_definition(cands, t):
 
 @pytest.mark.parametrize("search, args, nodes", [
     (max_weight_product, (7, 2, Fraction(1, 4)), 119),
-    (max_uniform_product, (11, 5, 2), 2385),
-    (max_uniform_product, (13, 5, 2), 1435),
+    (max_uniform_product, (11, 5, 2), 660),
+    (max_uniform_product, (13, 5, 2), 69),
     (max_weight_product, (8, 1, Fraction(1, 3)), 16216),
 ], ids=["weight-7-2-1_4", "uniform-11-5-2", "uniform-13-5-2", "weight-8-1-1_3"])
 def test_shifted_budget_counts_visited_nodes(search, args, nodes):
@@ -677,7 +763,7 @@ def test_shifted_budget_counts_visited_nodes(search, args, nodes):
     lambda: list(iter_shifted_families(7, k=3, budget=SearchBudget(time_limit=0.5))),
 ], ids=["shifted-11-5-2", "downsets-7-3"])
 def test_time_limit_binds_below_4096_nodes(monkeypatch, walk):
-    # 2,385 and 352 nodes; the clock advances 1 s per reading, so the
+    # 660 and 352 nodes; the clock advances 1 s per reading, so the
     # first deadline check must stop the walk.
     clock = itertools.count()
     monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: float(next(clock)))
