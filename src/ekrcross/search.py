@@ -418,7 +418,8 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: i
         mode = "full-fallback" if violations else "shifted"
         extra = {"partner_shift_violations": violations}
         if violations and fallback:
-            return replace(out := fallback(), notes={**out.notes, "mode": mode, **extra})
+            return replace(out := fallback(), notes={**out.notes, "mode": mode, **extra},
+                           elapsed_ms=(time.perf_counter() - started) * 1000)
         if not violations:
             core = (1 << t) - 1
             star = sum(1 if weights is None else weights[i]
