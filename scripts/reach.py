@@ -39,8 +39,8 @@ LADDER = [
     ("shifted", "weight", (8, 1, Fraction(1, 3))),
     ("shifted", "weight", (9, 2, Fraction(1, 4))),
     # Shifted uniform rungs that settle only on the traces over [2k - t]:
-    # on the layer their byte tables outgrow memory, or the layer itself
-    # cannot be listed.
+    # on the layer they run past the time limit, their byte tables
+    # outgrow memory, or the layer itself cannot be listed.
     ("shifted", "uniform", (20, 5, 2)),
     ("shifted", "uniform", (40, 5, 2)),
     ("shifted", "uniform", (30, 6, 2)),

@@ -659,11 +659,12 @@ def _trace_label(amask, traces, t):
     (5, 2, 1, 16, 1, ("F0",)),
 ])
 def test_shifted_traces_settle_and_keep_their_labels(monkeypatch, n, k, t, best, count, classes):
-    # The first five lie in the paper's range or on its boundary
-    # n = (t+1)(k-t+1), where F0 and F1 tie; on the layer C(45, 16) sets
-    # cannot be listed, and (20, 6, 3)'s byte tables outgrow memory.  The
-    # last three are the pinned shifted searches.  Every symmetric tie is
-    # labelled as its trace family: F0 holds [t], F1 meets [t+2] in t+1.
+    # The first five lie at or above n = (t+1)(k-t+1), where the star is
+    # optimal and F1 ties it on the boundary; three have t = 14.  On the
+    # layer C(45, 16) sets cannot be listed, and (20, 6, 3)'s byte tables
+    # outgrow memory.  The last three are the pinned shifted searches.
+    # Every symmetric tie is labelled as its trace family: F0 holds [t],
+    # F1 meets [t+2] in t+1.
     calls = []
     label = ekrcross.search._construction
 
