@@ -50,6 +50,14 @@ LADDER = [
     ("shifted", "uniform", (15, 6, 2)),
     ("shifted", "uniform", (30, 15, 14)),
     ("shifted", "uniform", (45, 16, 14)),
+    # Trace rungs held back by byte tables filled before the first node:
+    # 318 MB for 79 nodes, and a time limit that did not count set-up.
+    ("shifted", "uniform", (36, 11, 8)),
+    # k - t = 3 on 14,756 traces: 1.6 GB of tables for 83 nodes.
+    ("shifted", "uniform", (44, 13, 10)),
+    # t = 18, the top of the paper's finite case 2, with k - t = 2:
+    # 667 MB of tables for 11 nodes.
+    ("shifted", "uniform", (57, 20, 18)),
 ]
 
 SEARCHES = {"uniform": max_uniform_product, "weight": max_weight_product, "seq": verify_seq_theorem}

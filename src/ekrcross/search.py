@@ -67,7 +67,7 @@ class SearchBudget:
     those it prunes), and the shift-closed families that
     ``iter_shifted_families`` lists.  ``restrict_shifted`` picks shifted
     mode for the set searches (the sequence search always runs full
-    mode).  ``time_limit`` is wall-clock seconds.
+    mode).  ``time_limit`` is wall-clock seconds, set-up included.
     """
 
     max_family_bits: int = DEFAULT_NODE_CAP
@@ -99,9 +99,12 @@ class _Deadline:
         self.t0 = time.monotonic()
         self.limit = budget.time_limit
 
-    def check(self) -> None:
-        if self.limit is not None and time.monotonic() - self.t0 > self.limit:
+    def check(self) -> Optional[float]:
+        """Raise once the time limit is past; else the seconds left (None: no limit)."""
+        left = None if self.limit is None else self.limit - (time.monotonic() - self.t0)
+        if left is not None and left < 0:
             raise BudgetExceeded("time limit exceeded")
+        return left
 
 
 def _partner(mask: int, rows: Sequence[int], full: int) -> int:
@@ -113,38 +116,62 @@ def _partner(mask: int, rows: Sequence[int], full: int) -> int:
     return out
 
 
-def _byte_tables(masks: Sequence[int], unit: int, op: Callable[[int, int], int]) -> list[list[int]]:
-    """tabs[c][v] folds ``unit`` with the masks[8c + b] over the bits b of
-    the byte v by ``op``, so a fold over the bits of x takes one lookup
-    per byte of x."""
-    tabs = []
-    for c in range(0, len(masks), 8):
-        tab = [unit]
-        for m in masks[c:c + 8]:
-            tab += [op(x, m) for x in tab]
-        tabs.append(tab)
-    return tabs
+def _byte_tables(masks: Sequence[int], unit: int, op: Callable[[int, int], int]
+                 ) -> tuple[list[list], Callable[[bytes], int]]:
+    """(tabs, fill): tabs[c][v] folds ``unit`` with the masks[8c + b] over
+    the bits b of the byte v by ``op``, so a fold over the bits of x takes
+    one lookup per byte of x.  Entries are filled on first read.  Slot 0
+    holds ``unit`` and the rest start as None, so a fold that reads an
+    empty slot raises TypeError from op(acc, None); the caller catches it
+    around its fold and returns fill(bytes of x), which fills each empty
+    slot v those bytes name as op(slot v less its lowest bit, that bit's
+    mask), one op per entry, and folds over the nonzero bytes."""
+    tabs = [[unit] + [None] * ((1 << min(8, len(masks) - c)) - 1)
+            for c in range(0, len(masks), 8)]
 
+    def entry(tab: list, base: int, v: int) -> int:
+        if tab[v] is None:
+            low = v & -v
+            tab[v] = op(entry(tab, base, v ^ low), masks[base + low.bit_length() - 1])
+        return tab[v]
 
-def _missing_or(masks: Sequence[int]) -> Callable[[int], int]:
-    """A -> the OR of masks[x] over the x not in A, one lookup per byte of ~A."""
-    full = (1 << len(masks)) - 1
-    tabs = _byte_tables(masks, 0, operator.or_)
-    return lambda a: reduce(operator.or_, map(list.__getitem__, tabs,
-                                              (full ^ a).to_bytes(len(tabs), "little")), 0)
+    def fill(data: bytes) -> int:
+        for c in itertools.compress(itertools.count(), data):
+            if tabs[c][data[c]] is None:
+                entry(tabs[c], 8 * c, data[c])
+        return reduce(op, map(list.__getitem__, itertools.compress(tabs, data),
+                              filter(None, data)), unit)
+    return tabs, fill
 
 
 def _blocked(forcers: Sequence[int]) -> Callable[[int], int]:
-    """blocked(A) holds the j that force a candidate below j missing from A."""
-    return _missing_or([f >> x + 1 << x + 1 for x, f in enumerate(forcers)])
+    """blocked(A) holds the j that force a candidate below j missing from A,
+    one lookup per byte of ~A."""
+    full = (1 << len(forcers)) - 1
+    tabs, fill = _byte_tables([f >> x + 1 << x + 1 for x, f in enumerate(forcers)], 0, operator.or_)
+
+    def blocked(a: int) -> int:
+        data = (full ^ a).to_bytes(len(tabs), "little")
+        try:  # ~A is dense: every byte is read, as skipping zero bytes costs more than it saves
+            return reduce(operator.or_, map(list.__getitem__, tabs, data), 0)
+        except TypeError:
+            return fill(data)
+    return blocked
 
 
 def _partner_shift_violations(dpre: Sequence[int], preds: Sequence[int]) -> int:
     """Count the dpre[j] that are not preds-closed: the OR of preds[c] over the c
     in dpre[j], one lookup per nonzero byte of dpre[j], leaves dpre[j]."""
-    tabs = _byte_tables(preds, 0, operator.or_)
-    return sum(1 for d in dpre if ~d & reduce(operator.or_, map(list.__getitem__, itertools.compress(
-        tabs, b := d.to_bytes(len(tabs), "little")), filter(None, b)), 0))
+    tabs, fill = _byte_tables(preds, 0, operator.or_)
+
+    def closure(d: int) -> int:
+        data = d.to_bytes(len(tabs), "little")
+        try:
+            return reduce(operator.or_, map(list.__getitem__, itertools.compress(tabs, data),
+                                            filter(None, data)), 0)
+        except TypeError:
+            return fill(data)
+    return sum(1 for d in dpre if ~d & closure(d))
 
 
 def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: SearchBudget,
@@ -156,7 +183,9 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
 
     It walks depth first from (D(full), full), carrying (A, D(A), w(A),
     w(D(A))).  A child adds a j not in A above the one that made A:
-    D(A') = D(A) & dpre[j] and A' = D(D(A')), a lookup per byte.  It is
+    D(A') = D(A) & dpre[j] and A' = D(D(A')), a lookup per byte in byte
+    tables of the rows that ``_byte_tables`` fills on first read, so a
+    walk builds only the entries its closures read.  It is
     canonical, so each closed set of the system is reached once, when A'
     holds no new candidate below j.  With dpre = rows (the default) the
     system is every closed set.  Shifted mode passes dpre[j], the AND of
@@ -191,12 +220,12 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
     max over L candidates, which order like the tuples; R of them have
     A != D(A), and ``unretained`` is P - R.
     """
-    span = len(rows)
+    deadline, span = _Deadline(budget), len(rows)
     full = (1 << span) - 1
     dpre = dpre or rows
     unit = weights or [1] * span
     lo = min(unit, default=1)
-    and_tabs = _byte_tables(rows, full, operator.and_)
+    and_tabs, fill = _byte_tables(rows, full, operator.and_)
     size = len(and_tabs)
     blocked = _blocked(forcers) if forcers else None
 
@@ -215,7 +244,6 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
             return out
 
     cap = WITNESS_CAP
-    deadline = _Deadline(budget)
     best, ties, split, visited = seed, 0, 0, 0
     kept: list[int] = []  # the cap least tie keys, negated: a max-heap
     root = _partner(full, rows, full)
@@ -228,7 +256,7 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
         if visited > budget.max_family_bits:
             raise BudgetExceeded(
                 f"closed-set search exceeds max_family_bits={budget.max_family_bits}")
-        if visited & 0xFF == 0:
+        if visited & 0xFF == 1:
             deadline.check()
         prod = wa * wb
         if prod > best:
@@ -257,10 +285,14 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
                 continue
             if wnb and (wa + unit[j] > wnb or wa + unit[j] == wnb and a | 1 << j > nb):
                 continue
-            na, c = full, 0
-            for byte in nb.to_bytes(size, "little"):
-                na &= and_tabs[c][byte]
-                c += 1
+            data = nb.to_bytes(size, "little")
+            try:
+                na, c = full, 0
+                for byte in data:
+                    na &= and_tabs[c][byte]
+                    c += 1
+            except TypeError:
+                na = fill(data)
             if (na ^ a) & ((1 << j) - 1):
                 continue
             wna = w(na)
@@ -361,7 +393,7 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: i
             budget: SearchBudget, same_size_only: bool, prefix: str,
             family: Callable[[int], object], scale: Optional[Fraction] = None,
             notes: Optional[dict] = None,
-            fallback: Optional[Callable[[], SearchResult]] = None) -> SearchResult:
+            fallback: Optional[Callable[[SearchBudget], SearchResult]] = None) -> SearchResult:
     """The ``SearchResult`` of ``_best_closed`` over ``cands`` in the
     budget's mode: the k-layer or the power set of [n] (``same_size_only``
     for a layer), the one-hot words of ``seq``, or the weighted traces on
@@ -387,6 +419,9 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: i
     closed set is scored instead (``full-fallback``), by ``fallback``,
     the layer's full search, when given for traces.
 
+    The time limit counts set-up: its clock is read after each phase, and
+    the walk (from its first node) and the fallback get the time left.
+
     Full mode walks every closed set, unseeded.  Both modes count each
     tied closed pair once, from its side A with w(A) < w(D(A)), or
     w(A) = w(D(A)) and A <= D(A), which the mirror rule keeps.  That A
@@ -408,24 +443,29 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: i
     into a family, ``scale`` turns the integer product into the measure,
     and ``notes`` follow the mode's own.
     """
-    started = time.perf_counter()
+    started, deadline = time.perf_counter(), _Deadline(budget)
     rows = compatibility_rows(cands, t)
+    deadline.check()
     mode, extra, shifted = "full", {}, {}
     if budget.restrict_shifted:
         preds = _dominance_preds(cands, n, same_size_only)
+        deadline.check()
         dpre, forcers = _forced_rows(preds, rows)
+        deadline.check()
         violations = _partner_shift_violations(dpre, preds)
         mode = "full-fallback" if violations else "shifted"
         extra = {"partner_shift_violations": violations}
         if violations and fallback:
-            return replace(out := fallback(), notes={**out.notes, "mode": mode, **extra},
+            rest = replace(budget, restrict_shifted=False, time_limit=deadline.check())
+            return replace(out := fallback(rest), notes={**out.notes, "mode": mode, **extra},
                            elapsed_ms=(time.perf_counter() - started) * 1000)
         if not violations:
             core = (1 << t) - 1
             star = sum(1 if weights is None else weights[i]
                        for i, c in enumerate(cands) if c & core == core)
             shifted = {"dpre": dpre, "seed": star * star, "forcers": forcers}
-    best, pairs, count, unretained, nodes = _best_closed(rows, weights, budget, **shifted)
+    best, pairs, count, unretained, nodes = _best_closed(
+        rows, weights, replace(budget, time_limit=deadline.check()), **shifted)
     labels = {_construction(a, cands, t) if a == b else None for a, b in pairs}
     classes = tuple(sorted("other" if i is None else f"{prefix}{i}" for i in labels))
     return SearchResult(
@@ -524,9 +564,12 @@ def uniform_layer(n: int, k: int) -> list[int]:
 def compatibility_rows(cands: Sequence[int], t: int) -> list[int]:
     """rows[i] = index mask of candidates meeting candidate i in >= t.
 
-    Bit-sliced over elements: col[e] marks the candidates holding e, and
-    over the elements e of candidate i, ge[q], the candidates sharing at
-    least q of them, gains ge[q-1] & col[e] (q from t down to 1)."""
+    Bit-sliced over elements: col[e] marks the candidates holding e.  A
+    candidate meets the s elements of candidate i in >= t when it misses
+    at most s - t of them, or when it is not one that holds at most t - 1;
+    whichever bound is less is ``few``.  Over the elements e of i, le[q],
+    the candidates missing (holding) at most q of them, keeps those
+    holding (missing) e and takes in le[q-1], q from ``few`` down to 1."""
     full = (1 << len(cands)) - 1
     elems = [_bits(c) for c in cands]
     cols = [0] * max(cands, default=0).bit_length()
@@ -535,12 +578,17 @@ def compatibility_rows(cands: Sequence[int], t: int) -> list[int]:
             cols[e] |= 1 << i
     rows = []
     for es in elems:
-        ge = [full] + [0] * t
+        few, flip = (len(es) - t, 0) if len(es) < 2 * t else (t - 1, full)
+        if few < 0:
+            rows.append(flip)
+            continue
+        le = [full] * (few + 1)
         for e in es:
-            col = cols[e]
-            for q in range(t, 0, -1):
-                ge[q] |= ge[q - 1] & col
-        rows.append(ge[t])
+            col = cols[e] ^ flip
+            for q in range(few, 0, -1):
+                le[q] = le[q] & col | le[q - 1]
+            le[0] &= col
+        rows.append(le[few] ^ flip)
     return rows
 
 
@@ -569,8 +617,7 @@ def max_uniform_product(
                        False, "F", lambda mask: Family(n, tuple(sorted(
                            s | sum(1 << e for e in rest) for s in map(traces.__getitem__, _bits(mask))
                            for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k),
-                       fallback=lambda: max_uniform_product(
-                           n, k, t, replace(budget, restrict_shifted=False)))
+                       fallback=lambda rest: max_uniform_product(n, k, t, rest))
     cands = uniform_layer(n, k)
     return _search(cands, None, n, t, budget, True, "F",
                    lambda mask: Family(n, tuple(sorted(cands[i] for i in _bits(mask))), k))

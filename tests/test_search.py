@@ -1,8 +1,10 @@
 """Extremal searches: closure engine, shifted mode, graph facts."""
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -744,6 +746,74 @@ def test_compatibility_rows_match_the_pairwise_definition(cands, t):
     assert compatibility_rows(cands, t) == want
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_compatibility_rows_match_the_definition_for_every_t_up_to_k(data):
+    # Sets of sizes lo..k on [m], as the traces of a shifted search: at
+    # t near k each row counts the few elements a candidate misses.
+    m = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(1, m))
+    lo, t = data.draw(st.integers(0, k)), data.draw(st.integers(1, k))
+    pool = [s for size in range(lo, k + 1) for s in uniform_layer(m, size)]
+    cands = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+    want = [sum(1 << j for j, cj in enumerate(cands) if (ci & cj).bit_count() >= t)
+            for ci in cands]
+    assert compatibility_rows(cands, t) == want
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_byte_tables_fold_like_the_direct_fold(data):
+    # Fresh or partly filled tables fold x like AND from full or OR from
+    # 0 over the masks of the bits of x, for L not a multiple of 8 and 0.
+    size = data.draw(st.integers(0, 21))
+    masks = data.draw(st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size))
+    full = (1 << size) - 1
+    unit, op = data.draw(st.sampled_from([(full, operator.and_), (0, operator.or_)]))
+    tabs, fill = ekrcross.search._byte_tables(masks, unit, op)
+    width = len(tabs)
+    assert width == -(-size // 8) and all(tab[1:] == [None] * (len(tab) - 1) for tab in tabs)
+
+    def fold(x):  # as the callers fold: one lookup per byte, filled on a TypeError
+        data = x.to_bytes(width, "little")
+        try:
+            return functools.reduce(op, map(list.__getitem__, tabs, data), unit)
+        except TypeError:
+            return fill(data)
+
+    for x in data.draw(st.lists(st.integers(0, full), min_size=1, max_size=6)):
+        want = functools.reduce(op, (masks[i] for i in range(size) if x >> i & 1), unit)
+        assert fold(x) == want
+        assert fold(x) == want  # now without a TypeError
+
+
+@pytest.mark.parametrize("size", [0, 5, 8, 19])
+def test_byte_tables_fill_only_what_a_fold_reads(size):
+    # A fresh table calls op 0 times.  fill(bytes of x) calls it once per
+    # slot it fills, at most 8 per byte of x, then once per nonzero byte.
+    calls = []
+
+    def op(a, b):
+        calls.append(1)
+        return a | b
+
+    def filled():
+        return sum(v is not None for tab in tabs for v in tab)
+
+    masks = [1 << i for i in range(size)]
+    tabs, fill = ekrcross.search._byte_tables(masks, 0, op)
+    assert calls == [] and filled() == len(tabs)
+    rng = random.Random(size)
+    for x in [(1 << size) - 1, *(rng.getrandbits(size) for _ in range(5)), (1 << size) - 1]:
+        data = x.to_bytes(len(tabs), "little")
+        before, slots = len(calls), filled()
+        assert fill(data) == x
+        fills = filled() - slots
+        assert fills <= 8 * len(data)
+        assert len(calls) - before == fills + sum(map(bool, data))
+    assert fills == 0  # a second fill of the same x fills nothing
+
+
 @pytest.mark.parametrize("search, args, nodes", [
     (max_weight_product, (7, 2, Fraction(1, 4)), 119),
     (max_uniform_product, (11, 5, 2), 660),
@@ -770,6 +840,52 @@ def test_time_limit_binds_below_4096_nodes(monkeypatch, walk):
     monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: float(next(clock)))
     with pytest.raises(BudgetExceeded, match="time limit"):
         walk()
+
+
+@pytest.mark.parametrize("phase", ["compatibility_rows", "_dominance_preds", "_forced_rows",
+                                   "_partner_shift_violations"])
+def test_time_limit_counts_each_set_up_phase(monkeypatch, phase):
+    # Shifted (9, 4, 2) walks a handful of nodes, far below the first
+    # periodic check; a phase that takes 1 s on the clock must still stop
+    # the search under a 0.5 s limit.
+    clock, slow = [0.0], getattr(ekrcross.search, phase)
+
+    def timed(*args):
+        clock[0] += 1.0
+        return slow(*args)
+
+    monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: clock[0])
+    budget = SearchBudget(restrict_shifted=True, time_limit=0.5)
+    assert max_uniform_product(9, 4, 2, budget).notes["mode"] == "shifted"
+    monkeypatch.setattr(ekrcross.search, phase, timed)
+    with pytest.raises(BudgetExceeded, match="time limit"):
+        max_uniform_product(9, 4, 2, budget)
+
+
+def test_walk_and_fallback_get_only_the_time_left(monkeypatch):
+    # Set-up takes 0.3 s of a 0.5 s limit, so the fallback's walk of the
+    # layer runs under 0.2 s; a walk checks the clock at its first node.
+    clock, scorer, limits = [0.0], ekrcross.search._best_closed, []
+
+    def slow_preds(*args):
+        clock[0] += 0.3
+        return preds(*args)
+
+    def recorded(rows, weights, budget, **kwargs):
+        limits.append(budget.time_limit)
+        return scorer(rows, weights, budget, **kwargs)
+
+    preds = ekrcross.search._dominance_preds
+    monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(ekrcross.search, "_dominance_preds", slow_preds)
+    monkeypatch.setattr(ekrcross.search, "_partner_shift_violations", lambda dpre, preds: 1)
+    monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
+    r = max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True, time_limit=0.5))
+    assert r.notes["mode"] == "full-fallback" and limits == [pytest.approx(0.2)]
+    ticking = itertools.count()
+    monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: float(next(ticking)))
+    with pytest.raises(BudgetExceeded, match="time limit"):
+        scorer(compatibility_rows(uniform_layer(4, 2), 1), None, SearchBudget(time_limit=0.5))
 
 
 @given(st.data())
