@@ -842,24 +842,34 @@ def test_time_limit_binds_below_4096_nodes(monkeypatch, walk):
         walk()
 
 
-@pytest.mark.parametrize("phase", ["compatibility_rows", "_dominance_preds", "_forced_rows",
-                                   "_partner_shift_violations"])
-def test_time_limit_counts_each_set_up_phase(monkeypatch, phase):
-    # Shifted (9, 4, 2) walks a handful of nodes, far below the first
-    # periodic check; a phase that takes 1 s on the clock must still stop
-    # the search under a 0.5 s limit.
-    clock, slow = [0.0], getattr(ekrcross.search, phase)
+PHASES = ["compatibility_rows", "_dominance_preds", "_forced_rows", "_partner_shift_violations",
+          "_best_closed"]
 
-    def timed(*args):
-        clock[0] += 1.0
-        return slow(*args)
+
+@pytest.mark.parametrize("slow", PHASES[:-1])
+def test_time_limit_counts_each_set_up_phase(monkeypatch, slow):
+    # Shifted (9, 4, 2) walks a handful of nodes, far below the first
+    # periodic check.  A phase that takes 1 s on the clock under a 0.5 s
+    # limit must stop the search before the next phase starts.
+    clock, ran = [0.0], []
+
+    def timed(name, phase):
+        def run(*args, **kwargs):
+            ran.append(name)
+            clock[0] += 1.0 if name == slow else 0.0
+            return phase(*args, **kwargs)
+        return run
 
     monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: clock[0])
+    for name in PHASES:
+        monkeypatch.setattr(ekrcross.search, name, timed(name, getattr(ekrcross.search, name)))
     budget = SearchBudget(restrict_shifted=True, time_limit=0.5)
-    assert max_uniform_product(9, 4, 2, budget).notes["mode"] == "shifted"
-    monkeypatch.setattr(ekrcross.search, phase, timed)
     with pytest.raises(BudgetExceeded, match="time limit"):
         max_uniform_product(9, 4, 2, budget)
+    assert ran == PHASES[:PHASES.index(slow) + 1]
+    ran.clear()
+    monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: 0.0)
+    assert max_uniform_product(9, 4, 2, budget).notes["mode"] == "shifted" and ran == PHASES
 
 
 def test_walk_and_fallback_get_only_the_time_left(monkeypatch):
