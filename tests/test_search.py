@@ -775,11 +775,11 @@ def test_byte_tables_fold_like_the_direct_fold(data):
     assert width == -(-size // 8) and all(tab[1:] == [None] * (len(tab) - 1) for tab in tabs)
 
     def fold(x):  # as the callers fold: one lookup per byte, filled on a TypeError
-        data = x.to_bytes(width, "little")
+        raw = x.to_bytes(width, "little")
         try:
-            return functools.reduce(op, map(list.__getitem__, tabs, data), unit)
+            return functools.reduce(op, map(list.__getitem__, tabs, raw), unit)
         except TypeError:
-            return fill(data)
+            return fill(raw)
 
     for x in data.draw(st.lists(st.integers(0, full), min_size=1, max_size=6)):
         want = functools.reduce(op, (masks[i] for i in range(size) if x >> i & 1), unit)
