@@ -19,7 +19,7 @@ from . import bounds, suites
 from .report import encode_value, exit_code, reports_to_csv, reports_to_json
 from .search import SearchBudget, max_uniform_product, max_weight_product
 from .seq import seq_family_to_text, verify_seq_theorem
-from .setfam import BudgetExceeded, family_to_text
+from .setfam import MAX_GROUND, BudgetExceeded, family_to_text
 
 USAGE_ERROR = 64
 
@@ -77,8 +77,8 @@ SUITES = {
     ), lambda a: bounds.verify_stability(a.t, a.n, a.k)),
     "graphs": Suite(("seed", "fmt"), (), (), lambda a: suites.run_graphs(seed=a.seed)),
     "search-uniform": Suite(("n", "k", "t", "fmt", "shifted"), ("n", "k", "t"), (
-        lambda a: not 1 <= a.k <= a.n and (
-            f"suite search-uniform needs 1 <= k <= n, got k={a.k}, n={a.n}"),
+        lambda a: not 1 <= a.k <= a.n <= MAX_GROUND and (
+            f"suite search-uniform needs 1 <= k <= n <= {MAX_GROUND}, got k={a.k}, n={a.n}"),
         lambda a: a.t > a.k and f"suite search-uniform needs t <= k: nothing cross "
                                 f"{a.t}-intersects at k={a.k}",
     ), lambda a, budget: max_uniform_product(a.n, a.k, a.t, budget)),

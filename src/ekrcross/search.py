@@ -13,7 +13,8 @@ one closed-pair engine serves all three searches:
   pairs.  Full mode walks every closed set (the intersections of the
   per-candidate compatibility rows).  Shifted mode walks the closed
   shift-closed sets, a closure system since D of a shift-closed family
-  is shift-closed, seeded with the star product, and for uniform
+  is shift-closed, under the same-size shifts alone, as closed sets are
+  up-closed; it is seeded with the star product, and for uniform
   searches on the traces over [2k - t] (see ``max_uniform_product``);
 - ``_search`` is the one search of sets and words alike: it builds the
   compatibility rows, picks the mode (shifted, or every closed set when
@@ -313,28 +314,24 @@ def _linear_extension(masks: Sequence[int]) -> list[int]:
     return sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), sum(_bits(masks[i]))))
 
 
-def _dominance_preds(masks: Sequence[int], n: int, same_size_only: bool) -> list[int]:
-    """preds[i] = index mask of candidates forced by including candidate i.
-
-    Candidate j is forced by i when the set of i shifts to the set of j
-    (``setfam.shifts_to``); a shift-closed family containing i must
-    contain j.  The order is generated by its covers (move one element
-    one step left; unless ``same_size_only``, add one element), so
-    preds[i] is the union of {j} and preds[j] over the covers j of i,
-    filled in linear-extension order.  Covers outside ``masks`` are skipped:
-    ``masks`` must be a layer, the power set, or traces of sizes up to k
-    (whose absent covers lie above k, and sizes only grow along covers).
-    """
+def _dominance_preds(masks: Sequence[int], n: int = 0) -> list[int]:
+    """preds[i] = index mask of the candidates that candidate i forces:
+    the j whose set the set of i shifts to (``setfam.shifts_to``), as a
+    shift-closed family holding i holds j.  n = 0 gives the same-size
+    order, whose covers move one element one step left; n > 0 adds the
+    covers that add one element of [n], for the whole order on the power
+    set of [n].  preds[i] is the union of {j} and preds[j] over the
+    covers j of i, in linear-extension order.  A left shift keeps the
+    size and the ground set, so a layer, the power set and the traces of
+    a size window hold every same-size cover, and the power set every
+    other; a missing cover raises KeyError."""
     index = {m: i for i, m in enumerate(masks)}
     preds = [0] * len(masks)
     for i in _linear_extension(masks):
         m = masks[i]
         covers = [m - (1 << (b - 1)) for b in _bits(m) if b and not m >> (b - 1) & 1]
-        if not same_size_only:
-            covers += [m | 1 << e for e in range(n) if not m >> e & 1]
-        for c in covers:
-            if c in index:
-                preds[i] |= 1 << index[c] | preds[index[c]]
+        for c in covers + [m | 1 << e for e in range(n) if not m >> e & 1]:
+            preds[i] |= 1 << index[c] | preds[index[c]]
     return preds
 
 
@@ -355,7 +352,7 @@ def _downsets(masks: Sequence[int], preds: Sequence[int],
         visited += 1
         if visited > budget.max_family_bits:
             raise BudgetExceeded(f"downset search exceeds max_family_bits={budget.max_family_bits}")
-        if visited & 0xFF == 0:
+        if visited & 0xFF == 1:
             deadline.check()
         yield a
         for q in range(len(order) - 1, pos - 1, -1):
@@ -389,15 +386,14 @@ def _forced_rows(preds: Sequence[int], rows: Sequence[int]) -> tuple[list[int], 
     return dpre, forcers
 
 
-def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: int,
-            budget: SearchBudget, same_size_only: bool, prefix: str,
-            family: Callable[[int], object], scale: Optional[Fraction] = None,
-            notes: Optional[dict] = None,
+def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
+            budget: SearchBudget, prefix: str, family: Callable[[int], object],
+            scale: Optional[Fraction] = None, notes: Optional[dict] = None,
             fallback: Optional[Callable[[SearchBudget], SearchResult]] = None) -> SearchResult:
     """The ``SearchResult`` of ``_best_closed`` over ``cands`` in the
-    budget's mode: the k-layer or the power set of [n] (``same_size_only``
-    for a layer), the one-hot words of ``seq``, or the weighted traces on
-    [n] = [2k - t] of a shifted uniform search (``max_uniform_product``).
+    budget's mode: a k-layer or the power set of [n], the one-hot words of
+    ``seq``, or the weighted traces on [2k - t] of a shifted uniform search
+    (``max_uniform_product``).
 
     Shifted mode walks the closed pairs of shift-closed families.  D of
     a shift-closed family is shift-closed (a member compressed still
@@ -405,16 +401,21 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: i
     meets more).  The closed sets and the shift-closed families are both
     closed under intersection, so the closed shift-closed sets are a
     closure system, and the least one above X is D(D(X + forced(X))),
-    where ``preds`` gives what each candidate forces.  Close-by-One
-    walks any closure system (Kuznetsov 1993), so shifted mode is the
-    same walk with dpre[j] = the AND of the rows over j and preds[j], in
-    place of rows[j]; its canonicity test and both subtree bounds hold
-    unchanged, as a descendant of child j still adds only candidates
-    >= j.  Its ``best`` starts at the product of the star pair (every
-    candidate holding [t], twice), which is cross t-intersecting.  The
-    lemma is checked once, before the walk: D of a preds-closed A is the
-    AND of dpre[c] over c in A, and an intersection of preds-closed sets
-    is one, so if every dpre[j] is, D of every shift-closed family is
+    where ``preds``, the same-size shifts, gives what each candidate
+    forces.  That one order serves every candidate set: a closed set is
+    up-closed in ``cands``, as D of anything is, so closed under the
+    same-size shifts is closed under the whole dominance order, whose
+    dpre[j] is the same (each x that j forces there holds some y in
+    {j} + preds[j], and rows[x] holds rows[y]).  Close-by-One walks any
+    closure system (Kuznetsov 1993), so shifted mode is the same walk
+    with dpre[j] = the AND of the rows over j and preds[j], in place of
+    rows[j]; its canonicity test and both subtree bounds hold unchanged,
+    as a descendant of child j still adds only candidates >= j.  Its
+    ``best`` starts at the product of the star pair (every candidate
+    holding [t], twice), which is cross t-intersecting.  The lemma is
+    checked once, before the walk: D of a preds-closed A is the AND of
+    dpre[c] over c in A, and an intersection of preds-closed sets is one,
+    so if every dpre[j] is, D of every shift-closed family is
     shift-closed (``_partner_shift_violations`` reads 0); else every
     closed set is scored instead (``full-fallback``), by ``fallback``,
     the layer's full search, when given for traces.
@@ -448,7 +449,7 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], n: int, t: i
     deadline.check()
     mode, extra, shifted = "full", {}, {}
     if budget.restrict_shifted:
-        preds = _dominance_preds(cands, n, same_size_only)
+        preds = _dominance_preds(cands)
         deadline.check()
         dpre, forcers = _forced_rows(preds, rows)
         deadline.check()
@@ -492,13 +493,11 @@ def iter_shifted_families(
     the shifted upward-closed families (downsets of the full dominance
     order); otherwise every shifted family (downsets layer by layer).
     """
-    if budget is None:
-        budget = SearchBudget()
     if k is not None and inclusion_maximal:
         raise ValueError("uniform families cannot be inclusion maximal")
     masks = uniform_layer(n, k) if k is not None else list(range(1 << n))
-    preds = _dominance_preds(masks, n, same_size_only=not inclusion_maximal)
-    for chosen in _downsets(masks, preds, budget):
+    preds = _dominance_preds(masks, n if inclusion_maximal else 0)
+    for chosen in _downsets(masks, preds, budget or SearchBudget()):
         yield Family(n, tuple(sorted(masks[i] for i in _bits(chosen))), k)
 
 
@@ -605,21 +604,22 @@ def max_uniform_product(
     A & B lies in [m], where |A & B| < t.  So a closed shifted pair holds
     each k-set whose trace on [m] a member has, and for t <= k and m < n
     shifted mode walks the traces S, max(t, k - n + m) <= |S| <= k, weighing
-    C(n - m, k - |S|).  Full mode counts every closed pair, shifted or not,
-    so it and ``full-fallback`` stay on the layer.
+    C(n - m, k - |S|), under the same-size shifts, which keep a trace in
+    its size window (see ``_search``).  Full mode counts every closed
+    pair, shifted or not, so it and ``full-fallback`` stay on the layer.
     """
     if t < 1 or not 1 <= k <= n:
         raise ValueError(f"need t >= 1 and 1 <= k <= n, got t={t}, k={k}, n={n}")
     budget, m = budget or SearchBudget(), 2 * k - t
     if budget.restrict_shifted and t <= k and m < n:
         traces = [s for size in range(max(t, k - n + m), k + 1) for s in uniform_layer(m, size)]
-        return _search(traces, [math.comb(n - m, k - s.bit_count()) for s in traces], m, t, budget,
-                       False, "F", lambda mask: Family(n, tuple(sorted(
+        return _search(traces, [math.comb(n - m, k - s.bit_count()) for s in traces], t, budget,
+                       "F", lambda mask: Family(n, tuple(sorted(
                            s | sum(1 << e for e in rest) for s in map(traces.__getitem__, _bits(mask))
                            for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k),
                        fallback=lambda rest: max_uniform_product(n, k, t, rest))
     cands = uniform_layer(n, k)
-    return _search(cands, None, n, t, budget, True, "F",
+    return _search(cands, None, t, budget, "F",
                    lambda mask: Family(n, tuple(sorted(cands[i] for i in _bits(mask))), k))
 
 
@@ -637,7 +637,7 @@ def max_weight_product(
     a, b = p.numerator, p.denominator
     weights = [a ** m.bit_count() * (b - a) ** (n - m.bit_count()) for m in range(1 << n)]
     # Candidate i is the set with mask i, so an index mask's bits are its members, in order.
-    return _search(range(1 << n), weights, n, t, budget or SearchBudget(), False, "F",
+    return _search(range(1 << n), weights, t, budget or SearchBudget(), "F",
                    lambda mask: Family(n, tuple(_bits(mask)), None), Fraction(1, b ** (2 * n)))
 
 
@@ -706,7 +706,7 @@ def generate_shifted_pairs(
     """
     rng = random.Random(seed)
     cands = uniform_layer(n, k) if k is not None else list(range(1 << n))
-    preds = _dominance_preds(cands, n, same_size_only=k is not None)
+    preds = _dominance_preds(cands, n if k is None else 0)
     rows = compatibility_rows(cands, t)
     bit = {m: 1 << i for i, m in enumerate(cands)}
     down = {m: bit[m] | preds[i] for i, m in enumerate(cands)}

@@ -214,9 +214,8 @@ def verify_seq_theorem(
         r = (t - 1) // (m - 2)
         layer = {"r": r, "applicable": n >= t + 2 * r}
     # Shifted mode's dominance order is on sets, not words: run full mode.
-    return _search([onehot_mask(w, m) for w in words], None, n, t,
-                   replace(budget, restrict_shifted=False), False, "H",
-                   lambda mask: SeqFamily(m, n, tuple(sorted(words[i] for i in _bits(mask)))),
+    return _search([onehot_mask(w, m) for w in words], None, t, replace(budget, restrict_shifted=False),
+                   "H", lambda mask: SeqFamily(m, n, tuple(sorted(words[i] for i in _bits(mask)))),
                    notes={"target": (m ** (n - t)) ** 2, "layer_comparison": layer})
 
 

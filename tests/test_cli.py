@@ -86,6 +86,7 @@ class TestUsage:
         (("search", "seq", "--n", "2", "--m", "0", "--t", "1"), "needs m >= 2"),
         (("search", "seq", "--n", "2", "--m", "-1", "--t", "1"), "needs m >= 2"),
         (("search", "seq", "--n", "3", "--m", "1", "--t", "2"), "needs m >= 2"),
+        (("search", "uniform", "--n", "65", "--k", "1", "--t", "1"), "needs 1 <= k <= n <= 64"),
     ])
     def test_sizes_outside_the_search_range(self, capsys, argv, message):
         # The library raises ValueError on these; exit 1 would read as a

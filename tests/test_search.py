@@ -429,7 +429,7 @@ def test_shifted_mode_detects_a_partner_that_is_not_closed(monkeypatch):
     # prefixes (123, 124, 134, 234, 12, 13, 14, ...), and D({123}) =
     # {123, 124, 134, 234, 12, 13, 23} is not one, so the search must
     # fall back.
-    def chain(masks, n, same_size_only):
+    def chain(masks, n=0):
         order = ekrcross.search._linear_extension(masks)
         preds = [0] * len(masks)
         for prev, i in zip(order, order[1:]):
@@ -445,7 +445,7 @@ def test_failed_precheck_walks_every_closed_set_once(monkeypatch):
     # The same chain preds fail the precheck on the traces of (6, 3, 2),
     # so the search scores every closed set of the layer at once: one
     # walk, given no forcers, as full mode's.
-    def chain(masks, n, same_size_only):
+    def chain(masks, n=0):
         order = ekrcross.search._linear_extension(masks)
         return [sum(1 << q for q in order[:order.index(i)]) for i in range(len(masks))]
 
@@ -460,7 +460,7 @@ def test_failed_precheck_walks_every_closed_set_once(monkeypatch):
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
     r = max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True))
     traces = uniform_layer(4, 2) + uniform_layer(4, 3)
-    bad, _ = partner_shift_oracle(compatibility_rows(traces, 2), chain(traces, 4, False))
+    bad, _ = partner_shift_oracle(compatibility_rows(traces, 2), chain(traces))
     assert calls == [{}] and bad > 0
     assert r.notes == {"mode": "full-fallback", "nodes": full.notes["nodes"],
                        "partner_shift_violations": bad}
@@ -498,17 +498,41 @@ def test_partner_shift_precheck_matches_the_oracle(order):
     assert count == bad and (count == 0) == lemma
 
 
-@pytest.mark.parametrize("n, k, same_size_only", [
+@pytest.mark.parametrize("n, k, same", [
     *[(n, None, same) for n in range(1, 6) for same in (False, True)],
     *[(n, k, True) for n in range(1, 8) for k in range(1, n + 1)],
 ])
-def test_partner_shift_precheck_passes_under_dominance(n, k, same_size_only):
-    # D of a shift-closed family is shift-closed, so no dpre[j] fails.
+def test_partner_shift_precheck_passes_under_dominance(n, k, same):
+    # D of a shift-closed family is shift-closed, so no dpre[j] fails,
+    # under the same-size order and (on the power set) the whole one.
     masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
-    preds = ekrcross.search._dominance_preds(masks, n, same_size_only)
+    preds = ekrcross.search._dominance_preds(masks, 0 if same else n)
     for t in (1, 2, 3):
         dpre, _ = ekrcross.search._forced_rows(preds, compatibility_rows(masks, t))
         assert ekrcross.search._partner_shift_violations(dpre, preds) == 0, t
+
+
+def test_same_size_shifts_force_what_the_whole_order_forces():
+    # Shifted mode builds its preds from the same-size shifts alone.  On
+    # every candidate set it runs on (layers, power sets, the traces of a
+    # size window) dpre[j] must be the AND over the whole dominance order
+    # (shifts_to, which may add elements), and D of a closed set must be
+    # closed under either order.
+    sets = [*((n, uniform_layer(n, k)) for n in range(1, 8) for k in range(1, n + 1)),
+            *((n, list(range(1 << n))) for n in range(1, 6)),
+            *((m, [s for size in range(lo, hi + 1) for s in uniform_layer(m, size)])
+              for m in range(1, 7) for hi in range(m + 1) for lo in range(hi + 1))]
+    for m, masks in sets:
+        subs = [Subset(m, x) for x in masks]
+        whole = [sum(1 << j for j, sj in enumerate(subs) if j != i and shifts_to(si, sj))
+                 for i, si in enumerate(subs)]
+        same = ekrcross.search._dominance_preds(masks)
+        for t in (1, 2, 3):
+            rows = compatibility_rows(masks, t)
+            (dpre, _), (want, _) = (ekrcross.search._forced_rows(p, rows) for p in (same, whole))
+            assert dpre == want, (masks, t)
+            assert ekrcross.search._partner_shift_violations(dpre, same) == 0, (masks, t)
+            assert ekrcross.search._partner_shift_violations(want, whole) == 0, (masks, t)
 
 
 def test_partner_shift_precheck_reads_every_nonzero_byte():
@@ -627,7 +651,7 @@ def test_trace_search_matches_the_layer_search(data):
     t = data.draw(st.integers(max(1, 2 * k - n + 1), k))
     shifted = SearchBudget(restrict_shifted=True)
     layer = uniform_layer(n, k)
-    want = ekrcross.search._search(layer, None, n, t, shifted, True, "F", lambda mask: Family(
+    want = ekrcross.search._search(layer, None, t, shifted, "F", lambda mask: Family(
         n, tuple(sorted(layer[i] for i in ekrcross.search._bits(mask))), k))
     got = max_uniform_product(n, k, t, shifted)
     assert got.notes["mode"] == want.notes["mode"] == "shifted"
@@ -686,16 +710,22 @@ def test_shifted_traces_settle_and_keep_their_labels(monkeypatch, n, k, t, best,
 
 
 def test_dominance_preds_on_traces_match_shifts_to():
-    # Traces of sizes lo..k on [m] miss the covers above size k; sizes
-    # only grow along covers, so preds is still shifts_to on the traces.
+    # A left shift keeps a trace in its size window lo..k on [m], so the
+    # same-size order is shifts_to between traces of one size.  The
+    # window misses the covers that add an element to a k-set, so the
+    # whole order raises there rather than dropping them.
     for m in range(1, 7):
         for k in range(1, m + 1):
             for lo in range(k + 1):
                 masks = [s for size in range(lo, k + 1) for s in uniform_layer(m, size)]
                 subs = [Subset(m, x) for x in masks]
-                want = [sum(1 << j for j, sj in enumerate(subs) if j != i and shifts_to(si, sj))
+                want = [sum(1 << j for j, sj in enumerate(subs)
+                            if j != i and len(si) == len(sj) and shifts_to(si, sj))
                         for i, si in enumerate(subs)]
-                assert ekrcross.search._dominance_preds(masks, m, False) == want, (m, lo, k)
+                assert ekrcross.search._dominance_preds(masks) == want, (m, lo, k)
+                if k < m:
+                    with pytest.raises(KeyError):
+                        ekrcross.search._dominance_preds(masks, m)
 
 
 @pytest.mark.parametrize("search, args", [
@@ -842,6 +872,16 @@ def test_time_limit_binds_below_4096_nodes(monkeypatch, walk):
         walk()
 
 
+def test_downsets_check_the_clock_at_the_first_node(monkeypatch):
+    # With no time left the walk must raise before its first family, as
+    # the scorer does, not after the 255 it used to yield first.
+    clock = itertools.count()
+    monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: float(next(clock)))
+    families = iter_shifted_families(6, budget=SearchBudget(time_limit=0))
+    with pytest.raises(BudgetExceeded, match="time limit"):
+        next(families)
+
+
 PHASES = ["compatibility_rows", "_dominance_preds", "_forced_rows", "_partner_shift_violations",
           "_best_closed"]
 
@@ -906,7 +946,7 @@ def test_blocked_mask_admits_exactly_the_canonical_children(data):
     n = data.draw(st.integers(1, 7))
     k = data.draw(st.none() | st.integers(1, n)) if n <= 6 else data.draw(st.integers(1, n))
     masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
-    preds = ekrcross.search._dominance_preds(masks, n, same_size_only=k is not None)
+    preds = ekrcross.search._dominance_preds(masks, n if k is None else 0)
     forcers = [sum(1 << i for i, p in enumerate(preds) if p >> x & 1) for x in range(len(masks))]
     a = data.draw(st.integers(0, (1 << len(masks)) - 1))
     free = (1 << len(masks)) - 1 & ~a
@@ -915,18 +955,18 @@ def test_blocked_mask_admits_exactly_the_canonical_children(data):
     assert free & ~ekrcross.search._blocked(forcers)(a) == want
 
 
-@pytest.mark.parametrize("n, k, same_size_only", [
+@pytest.mark.parametrize("n, k, same", [
     *[(n, None, same) for n in range(1, 7) for same in (False, True)],
     *[(n, k, True) for n in range(1, 8) for k in range(1, n + 1)],
 ])
-def test_dominance_preds_match_shifts_to(n, k, same_size_only):
+def test_dominance_preds_match_shifts_to(n, k, same):
     # The power set (k None) layer by layer or with supersets, and each layer.
     masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
     subs = [Subset(n, m) for m in masks]
     want = [sum(1 << j for j, sj in enumerate(subs)
-                if j != i and shifts_to(si, sj) and not (same_size_only and len(si) != len(sj)))
+                if j != i and shifts_to(si, sj) and not (same and len(si) != len(sj)))
             for i, si in enumerate(subs)]
-    assert ekrcross.search._dominance_preds(masks, n, same_size_only) == want
+    assert ekrcross.search._dominance_preds(masks, 0 if same else n) == want
 
 
 class TestPartnerOperator:
@@ -1023,7 +1063,7 @@ def _reference_stream(n, k, t, count, rng):
     seed's members and no early stop: the loop runs until ``count``
     pairs or the attempt cap.  The checks on emitted pairs are left out."""
     cands = uniform_layer(n, k) if k is not None else list(range(1 << n))
-    preds = ekrcross.search._dominance_preds(cands, n, same_size_only=k is not None)
+    preds = ekrcross.search._dominance_preds(cands, n if k is None else 0)
     index = {m: i for i, m in enumerate(cands)}
     fixpoints = {}
     pairs, seen, attempts = [], set(), 0
