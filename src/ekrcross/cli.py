@@ -2,7 +2,7 @@
 machine-readable reports.
 
 Exit codes: 0 all claims verified / searches exhaustive, 1 on any
-refutation, 2 on budget or inconclusive outcomes, 64 on usage errors.
+refutation, 2 on budget (memory too) or inconclusive outcomes, 64 on usage errors.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ SUITES = {
     ), lambda a, budget: max_uniform_product(a.n, a.k, a.t, budget)),
     "search-weight": Suite(("n", "t", "p", "fmt", "shifted"), ("n", "t", "p"), (
         lambda a: not 0 < a.p < 1 and f"suite search-weight needs 0 < p < 1, got p={a.p}",
+        lambda a: a.n > MAX_GROUND and f"suite search-weight needs n <= {MAX_GROUND}, got n={a.n}",
         lambda a: a.t > a.n and f"suite search-weight needs t <= n: nothing cross "
                                 f"{a.t}-intersects at n={a.n}",
     ), lambda a, budget: max_weight_product(a.n, a.t, a.p, budget)),
@@ -217,8 +218,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     try:
         code, payload = (run_search if args.command == "search" else run_verify)(args)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:  # a MemoryError carries no message
+        print(f"budget exceeded: {'out of memory' if isinstance(exc, MemoryError) else exc}",
+              file=sys.stderr)
         return 2
     if not args.out:
         print(payload)

@@ -14,11 +14,11 @@ one closed-pair engine serves all three searches:
   per-candidate compatibility rows).  Shifted mode walks the closed
   shift-closed sets, a closure system since D of a shift-closed family
   is shift-closed, under the same-size shifts alone, as closed sets are
-  up-closed; it is seeded with the star product, and for uniform
-  searches on the traces over [2k - t] (see ``max_uniform_product``);
+  up-closed; it is seeded with the star product.  Uniform searches walk
+  traces (see ``max_uniform_product``); the layer is the traces at m = n;
 - ``_search`` is the one search of sets and words alike: it builds the
-  compatibility rows, picks the mode (shifted, or every closed set when
-  its check before the walk fails), builds the shifted inputs, keeps
+  compatibility rows, picks the mode (shifted, or the caller's full rerun
+  when its check before the walk fails), builds the shifted inputs, keeps
   full mode's past-the-cap count, which the benchmark pins, labels the
   symmetric ties with ``_construction`` and builds the ``SearchResult``;
 - ``_downsets`` lists the shift-closed families themselves, for
@@ -391,9 +391,9 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
             scale: Optional[Fraction] = None, notes: Optional[dict] = None,
             fallback: Optional[Callable[[SearchBudget], SearchResult]] = None) -> SearchResult:
     """The ``SearchResult`` of ``_best_closed`` over ``cands`` in the
-    budget's mode: a k-layer or the power set of [n], the one-hot words of
-    ``seq``, or the weighted traces on [2k - t] of a shifted uniform search
-    (``max_uniform_product``).
+    budget's mode: the traces of a uniform search (``max_uniform_product``;
+    the k-layer is the traces at m = n), the power set of [n], or the
+    one-hot words of ``seq``.
 
     Shifted mode walks the closed pairs of shift-closed families.  D of
     a shift-closed family is shift-closed (a member compressed still
@@ -416,9 +416,9 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
     checked once, before the walk: D of a preds-closed A is the AND of
     dpre[c] over c in A, and an intersection of preds-closed sets is one,
     so if every dpre[j] is, D of every shift-closed family is
-    shift-closed (``_partner_shift_violations`` reads 0); else every
-    closed set is scored instead (``full-fallback``), by ``fallback``,
-    the layer's full search, when given for traces.
+    shift-closed (``_partner_shift_violations`` reads 0); else the result
+    is ``fallback``'s, the caller's full-mode rerun, timed from the start
+    and noted ``full-fallback`` with the violation count.
 
     The time limit counts set-up: its clock is read after each phase, and
     the walk (from its first node) and the fallback get the time left.
@@ -447,24 +447,21 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
     started, deadline = time.perf_counter(), _Deadline(budget)
     rows = compatibility_rows(cands, t)
     deadline.check()
-    mode, extra, shifted = "full", {}, {}
+    extra, shifted = {}, {}
     if budget.restrict_shifted:
         preds = _dominance_preds(cands)
         deadline.check()
         dpre, forcers = _forced_rows(preds, rows)
         deadline.check()
-        violations = _partner_shift_violations(dpre, preds)
-        mode = "full-fallback" if violations else "shifted"
-        extra = {"partner_shift_violations": violations}
-        if violations and fallback:
-            rest = replace(budget, restrict_shifted=False, time_limit=deadline.check())
-            return replace(out := fallback(rest), notes={**out.notes, "mode": mode, **extra},
+        extra = {"partner_shift_violations": _partner_shift_violations(dpre, preds)}
+        if extra["partner_shift_violations"]:
+            out = fallback(replace(budget, restrict_shifted=False, time_limit=deadline.check()))
+            return replace(out, notes={**out.notes, "mode": "full-fallback", **extra},
                            elapsed_ms=(time.perf_counter() - started) * 1000)
-        if not violations:
-            core = (1 << t) - 1
-            star = sum(1 if weights is None else weights[i]
-                       for i, c in enumerate(cands) if c & core == core)
-            shifted = {"dpre": dpre, "seed": star * star, "forcers": forcers}
+        core = (1 << t) - 1
+        star = sum(1 if weights is None else weights[i]
+                   for i, c in enumerate(cands) if c & core == core)
+        shifted = {"dpre": dpre, "seed": star * star, "forcers": forcers}
     best, pairs, count, unretained, nodes = _best_closed(
         rows, weights, replace(budget, time_limit=deadline.check()), **shifted)
     labels = {_construction(a, cands, t) if a == b else None for a, b in pairs}
@@ -477,7 +474,7 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
         witness_count=count if shifted else count + unretained,
         witness_classes=classes,
         elapsed_ms=(time.perf_counter() - started) * 1000,
-        notes={"mode": mode, "nodes": nodes, **extra, **(notes or {})},
+        notes={"mode": "shifted" if shifted else "full", "nodes": nodes, **extra, **(notes or {})},
     )
 
 
@@ -602,25 +599,23 @@ def max_uniform_product(
     i <= m lies in neither, as |(A | B) & [m]| <= 2k - |A & B| - 1 < m, so
     shifting j to i in A stays in A and keeps A & B & [m]; repeat until
     A & B lies in [m], where |A & B| < t.  So a closed shifted pair holds
-    each k-set whose trace on [m] a member has, and for t <= k and m < n
-    shifted mode walks the traces S, max(t, k - n + m) <= |S| <= k, weighing
-    C(n - m, k - |S|), under the same-size shifts, which keep a trace in
-    its size window (see ``_search``).  Full mode counts every closed
-    pair, shifted or not, so it and ``full-fallback`` stay on the layer.
+    each k-set whose trace on [m] a member has.  Every mode walks the
+    traces S on [m], max(t, k - n + m) <= |S| <= k, weighing C(n - m,
+    k - |S|), under the same-size shifts (see ``_search``): shifted mode
+    with t <= k takes m = min(2k - t, n); full mode counts unshifted pairs
+    too, so it and t > k (product 0) take m = n, the layer in
+    ``uniform_layer`` order, with weights None (counting measure).
     """
     if t < 1 or not 1 <= k <= n:
         raise ValueError(f"need t >= 1 and 1 <= k <= n, got t={t}, k={k}, n={n}")
-    budget, m = budget or SearchBudget(), 2 * k - t
-    if budget.restrict_shifted and t <= k and m < n:
-        traces = [s for size in range(max(t, k - n + m), k + 1) for s in uniform_layer(m, size)]
-        return _search(traces, [math.comb(n - m, k - s.bit_count()) for s in traces], t, budget,
-                       "F", lambda mask: Family(n, tuple(sorted(
-                           s | sum(1 << e for e in rest) for s in map(traces.__getitem__, _bits(mask))
-                           for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k),
-                       fallback=lambda rest: max_uniform_product(n, k, t, rest))
-    cands = uniform_layer(n, k)
-    return _search(cands, None, t, budget, "F",
-                   lambda mask: Family(n, tuple(sorted(cands[i] for i in _bits(mask))), k))
+    budget = budget or SearchBudget()
+    m = min(2 * k - t, n) if budget.restrict_shifted and t <= k else n
+    traces = [s for size in range(max(min(t, k), k - n + m), k + 1) for s in uniform_layer(m, size)]
+    return _search(traces, [math.comb(n - m, k - s.bit_count()) for s in traces] if m < n else None,
+                   t, budget, "F", lambda mask: Family(n, tuple(sorted(
+                       s | sum(1 << e for e in rest) for s in map(traces.__getitem__, _bits(mask))
+                       for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k),
+                   fallback=lambda rest: max_uniform_product(n, k, t, rest))
 
 
 def max_weight_product(
@@ -638,7 +633,8 @@ def max_weight_product(
     weights = [a ** m.bit_count() * (b - a) ** (n - m.bit_count()) for m in range(1 << n)]
     # Candidate i is the set with mask i, so an index mask's bits are its members, in order.
     return _search(range(1 << n), weights, t, budget or SearchBudget(), "F",
-                   lambda mask: Family(n, tuple(_bits(mask)), None), Fraction(1, b ** (2 * n)))
+                   lambda mask: Family(n, tuple(_bits(mask)), None), Fraction(1, b ** (2 * n)),
+                   fallback=lambda rest: max_weight_product(n, t, p, rest))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from ekrcross import bounds
+from ekrcross import bounds, cli
 from ekrcross.cli import (
     USAGE_ERROR,
     VERIFY_SUITES,
@@ -87,6 +87,7 @@ class TestUsage:
         (("search", "seq", "--n", "2", "--m", "-1", "--t", "1"), "needs m >= 2"),
         (("search", "seq", "--n", "3", "--m", "1", "--t", "2"), "needs m >= 2"),
         (("search", "uniform", "--n", "65", "--k", "1", "--t", "1"), "needs 1 <= k <= n <= 64"),
+        (("search", "weight", "--n", "65", "--t", "1", "--p", "1/2"), "needs n <= 64"),
     ])
     def test_sizes_outside_the_search_range(self, capsys, argv, message):
         # The library raises ValueError on these; exit 1 would read as a
@@ -187,6 +188,15 @@ class TestSearchCommands:
         code, _, err = run(capsys, "search", "seq", "--n", "5", "--m", "3", "--t", "1")
         assert code == 2
         assert "budget" in err.lower()
+
+    def test_out_of_memory_exit(self, monkeypatch, capsys):
+        # Running out of memory refutes nothing, so it must not exit 1.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "max_weight_product", exhausted)
+        code, out, err = run(capsys, "search", "weight", "--n", "22", "--t", "1", "--p", "1/3")
+        assert (code, out, err) == (2, "", "budget exceeded: out of memory\n")
 
     def test_shifted_flag(self, capsys):
         code, out, _ = run(

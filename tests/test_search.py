@@ -406,9 +406,34 @@ def test_subtree_bounds_keep_every_tie(cap, relation):
     assert (best, pairs, count + unretained) == want[:3]
 
 
+@pytest.mark.parametrize("shifted, args, want", [
+    (False, (6, 3, 1), (uniform_layer(6, 3), None)),
+    (True, (5, 3, 1), (uniform_layer(5, 3), None)),
+    (True, (4, 3, 2), (uniform_layer(4, 3), None)),
+    (True, (9, 3, 1), (uniform_layer(5, 1) + uniform_layer(5, 2) + uniform_layer(5, 3),
+                       [6] * 5 + [4] * 10 + [1] * 10)),
+    (True, (4, 2, 3), (uniform_layer(4, 2), None)),
+])
+def test_uniform_search_walks_one_candidate_list(monkeypatch, shifted, args, want):
+    # Every uniform search is one _search over the traces on [m]: with
+    # m = n (full mode, n <= 2k - t, or t > k) they are the layer in order
+    # under counting measure; (9, 3, 1) walks the traces of sizes 1 to 3
+    # on [5], each weighing C(4, 3 - |S|).
+    search, calls = ekrcross.search._search, []
+
+    def recorded(cands, weights, *rest, **kwargs):
+        calls.append((list(cands), weights))
+        return search(cands, weights, *rest, **kwargs)
+
+    monkeypatch.setattr(ekrcross.search, "_search", recorded)
+    r = max_uniform_product(*args, SearchBudget(restrict_shifted=shifted))
+    assert calls == [want] and r.notes["mode"] == ("shifted" if shifted else "full")
+
+
 @pytest.mark.parametrize("search, args", [
     (max_uniform_product, (5, 2, 1)),
     (max_weight_product, (4, 2, Fraction(1, 4))),
+    (max_uniform_product, (4, 3, 2)),
 ])
 def test_shifted_fallback_matches_full_mode(monkeypatch, search, args):
     # No instance tier-1 runs has a partner that is not shift-closed, so
