@@ -5,9 +5,8 @@ Usage: PYTHONPATH=src python scripts/reach.py
 
 Each rung runs once under the default node budget and a 60 s time
 limit, and prints one JSON line: the rung, the engine that ran it
-(the search's ``notes["mode"]``, so a shifted rung that fell back to
-every closed set reads "full-fallback"; ``seq`` always reads "full"),
-its node count, the seconds it took, max_product, witness_count and
+(the search's ``notes["mode"]``; ``seq`` always reads "full"), its
+node count, the seconds it took, max_product, witness_count and
 witness_classes, or "exceeded" with the budget message when it runs out.
 Every row also carries ``predicted``, the paper's bound where the rung
 lies in its range: C(n-t, k-t)^2 for a uniform rung with
@@ -58,6 +57,11 @@ LADDER = [
     # t = 18, the top of the paper's finite case 2, with k - t = 2:
     # 667 MB of tables for 11 nodes.
     ("shifted", "uniform", (57, 20, 18)),
+    # The paper's scale: k - t = 3 on the boundary n = (t+1)(k-t+1) at
+    # t = 14 and 15, on 60,249 and 81,928 traces.  On a 2-core host they
+    # took 4-8 s at 1.2 GB and 8-10.5 s at 2.2 GB peak RSS.
+    ("shifted", "uniform", (60, 17, 14)),
+    ("shifted", "uniform", (64, 18, 15)),
 ]
 
 SEARCHES = {"uniform": max_uniform_product, "weight": max_weight_product, "seq": verify_seq_theorem}

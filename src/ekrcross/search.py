@@ -13,14 +13,15 @@ one closed-pair engine serves all three searches:
   pairs.  Full mode walks every closed set (the intersections of the
   per-candidate compatibility rows).  Shifted mode walks the closed
   shift-closed sets, a closure system since D of a shift-closed family
-  is shift-closed, under the same-size shifts alone, as closed sets are
-  up-closed; it is seeded with the star product.  Uniform searches walk
-  traces (see ``max_uniform_product``); the layer is the traces at m = n;
+  is shift-closed (proved in ``_search``), under the same-size shifts
+  alone, as closed sets are up-closed; it is seeded with the star
+  product.  Uniform searches walk traces (see ``max_uniform_product``);
+  the layer is the traces at m = n;
 - ``_search`` is the one search of sets and words alike: it builds the
-  compatibility rows, picks the mode (shifted, or the caller's full rerun
-  when its check before the walk fails), builds the shifted inputs, keeps
-  full mode's past-the-cap count, which the benchmark pins, labels the
-  symmetric ties with ``_construction`` and builds the ``SearchResult``;
+  compatibility rows, folds each candidate's same-size covers, in list
+  order, into shifted mode's inputs, keeps full mode's past-the-cap
+  count, which the benchmark pins, labels the symmetric ties with
+  ``_construction`` and builds the ``SearchResult``;
 - ``_downsets`` lists the shift-closed families themselves, for
   ``iter_shifted_families`` and the lemma-harness generator, whose
   compressions ``_shift_fixpoint`` (tested against setfam's), memo key,
@@ -145,11 +146,14 @@ def _byte_tables(masks: Sequence[int], unit: int, op: Callable[[int, int], int]
     return tabs, fill
 
 
-def _blocked(forcers: Sequence[int]) -> Callable[[int], int]:
-    """blocked(A) holds the j that force a candidate below j missing from A,
-    one lookup per byte of ~A."""
-    full = (1 << len(forcers)) - 1
-    tabs, fill = _byte_tables([f >> x + 1 << x + 1 for x, f in enumerate(forcers)], 0, operator.or_)
+def _blocked(covered_by: Sequence[int]) -> Callable[[int], int]:
+    """blocked(A) holds the j with a cover missing from A: the OR of
+    covered_by[x] over the x not in A, one lookup per byte of ~A.  For A
+    closed under the covers, these are the j that force a candidate A
+    lacks (see ``_search``), and no filter is needed, as every cover of
+    j lies below j."""
+    full = (1 << len(covered_by)) - 1
+    tabs, fill = _byte_tables(covered_by, 0, operator.or_)
 
     def blocked(a: int) -> int:
         data = (full ^ a).to_bytes(len(tabs), "little")
@@ -160,24 +164,9 @@ def _blocked(forcers: Sequence[int]) -> Callable[[int], int]:
     return blocked
 
 
-def _partner_shift_violations(dpre: Sequence[int], preds: Sequence[int]) -> int:
-    """Count the dpre[j] that are not preds-closed: the OR of preds[c] over the c
-    in dpre[j], one lookup per nonzero byte of dpre[j], leaves dpre[j]."""
-    tabs, fill = _byte_tables(preds, 0, operator.or_)
-
-    def closure(d: int) -> int:
-        data = d.to_bytes(len(tabs), "little")
-        try:
-            return reduce(operator.or_, map(list.__getitem__, itertools.compress(tabs, data),
-                                            filter(None, data)), 0)
-        except TypeError:
-            return fill(data)
-    return sum(1 for d in dpre if ~d & closure(d))
-
-
 def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: SearchBudget,
                  dpre: Optional[Sequence[int]] = None, seed: int = 0,
-                 forcers: Optional[Sequence[int]] = None) -> tuple[int, list, int, int, int]:
+                 covered_by: Optional[Sequence[int]] = None) -> tuple[int, list, int, int, int]:
     """The scorer of both modes (see ``_search``): a Close-by-One branch
     and bound over a closure system of closed sets, as index masks.
     Returns (best, pairs, count, unretained, nodes visited).
@@ -191,11 +180,11 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
     holds no new candidate below j.  With dpre = rows (the default) the
     system is every closed set.  Shifted mode passes dpre[j], the AND of
     the rows over j and all that j forces, so A' is the least closed set
-    holding A, j and what j forces, and ``forcers``: child j is then not
-    canonical when it lies in forcers[x] above x for an x not in A (j
-    forces a missing candidate below it), and ``_blocked`` drops all
-    such children as one mask.  ``seed`` is a product some pair attains,
-    the starting ``best``.
+    holding A, j and what j forces, and ``covered_by``: child j is then
+    not canonical when a cover of j is missing from A (j forces a
+    missing candidate, all of which lie below j), and ``_blocked`` drops
+    all such children as one mask.  ``seed`` is a product some pair
+    attains, the starting ``best``.
 
     Weights None means counting measure; otherwise w(x) sums v times
     the size of x & mask_v over one mask_v per distinct weight v.  The
@@ -228,7 +217,7 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
     lo = min(unit, default=1)
     and_tabs, fill = _byte_tables(rows, full, operator.and_)
     size = len(and_tabs)
-    blocked = _blocked(forcers) if forcers else None
+    blocked = _blocked(covered_by) if covered_by else None
 
     if weights is None:
         w = int.bit_count
@@ -314,24 +303,30 @@ def _linear_extension(masks: Sequence[int]) -> list[int]:
     return sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), sum(_bits(masks[i]))))
 
 
+def _covers(m: int, n: int = 0) -> list[int]:
+    """The sets that the set ``m`` covers in the dominance order, all of
+    which a shift-closed family holding m holds: m with one element moved
+    one step left (the same-size order), and with n > 0 also m plus one
+    element of [n] (the whole order on the power set of [n])."""
+    return ([m - (1 << (b - 1)) for b in _bits(m) if b and not m >> (b - 1) & 1]
+            + [m | 1 << e for e in range(n) if not m >> e & 1])
+
+
 def _dominance_preds(masks: Sequence[int], n: int = 0) -> list[int]:
-    """preds[i] = index mask of the candidates that candidate i forces:
-    the j whose set the set of i shifts to (``setfam.shifts_to``), as a
-    shift-closed family holding i holds j.  n = 0 gives the same-size
-    order, whose covers move one element one step left; n > 0 adds the
-    covers that add one element of [n], for the whole order on the power
-    set of [n].  preds[i] is the union of {j} and preds[j] over the
-    covers j of i, in linear-extension order.  A left shift keeps the
-    size and the ground set, so a layer, the power set and the traces of
-    a size window hold every same-size cover, and the power set every
-    other; a missing cover raises KeyError."""
+    """preds[i] = index mask of the candidates that candidate i forces,
+    for ``_downsets``: the j whose set the set of i shifts to
+    (``setfam.shifts_to``), as a shift-closed family holding i holds j.
+    n = 0 gives the same-size order and n > 0 the whole order on the
+    power set of [n] (see ``_covers``).  preds[i] is the union of {c}
+    and preds[c] over the covers c of i, in linear-extension order.  A
+    left shift keeps the size and the ground set, so a layer, the power
+    set and the traces of a size window hold every same-size cover, and
+    the power set every other; a missing cover raises KeyError."""
     index = {m: i for i, m in enumerate(masks)}
     preds = [0] * len(masks)
     for i in _linear_extension(masks):
-        m = masks[i]
-        covers = [m - (1 << (b - 1)) for b in _bits(m) if b and not m >> (b - 1) & 1]
-        for c in covers + [m | 1 << e for e in range(n) if not m >> e & 1]:
-            preds[i] |= 1 << index[c] | preds[index[c]]
+        for c in map(index.__getitem__, _covers(masks[i], n)):
+            preds[i] |= 1 << c | preds[c]
     return preds
 
 
@@ -361,67 +356,47 @@ def _downsets(masks: Sequence[int], preds: Sequence[int],
                 stack.append((q + 1, a | 1 << i))
 
 
-def _forced_rows(preds: Sequence[int], rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(dpre, forcers): dpre[j] is the AND of the rows over j and
-    preds[j], and forcers[i] the candidates whose preds hold i.
-
-    In order of |preds[j]| (each candidate after those it forces, as
-    preds is transitive), dpre[j] takes in dpre[i] for the highest i
-    still in preds[j] and drops i and preds[i] from it, so a few
-    generators i stand for all of preds[j]; then, in reverse order,
-    each generator's forcers gain j and forcers[j]."""
-    order = sorted(range(len(preds)), key=lambda j: preds[j].bit_count())
-    dpre, gens = list(rows), [[] for _ in preds]
-    for j in order:
-        rest = preds[j]
-        while rest:
-            i = rest.bit_length() - 1
-            dpre[j] &= dpre[i]
-            gens[j].append(i)
-            rest &= ~(1 << i | preds[i])
-    forcers = [0] * len(preds)
-    for j in reversed(order):
-        for i in gens[j]:
-            forcers[i] |= 1 << j | forcers[j]
-    return dpre, forcers
-
-
 def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
             budget: SearchBudget, prefix: str, family: Callable[[int], object],
-            scale: Optional[Fraction] = None, notes: Optional[dict] = None,
-            fallback: Optional[Callable[[SearchBudget], SearchResult]] = None) -> SearchResult:
+            scale: Optional[Fraction] = None, notes: Optional[dict] = None) -> SearchResult:
     """The ``SearchResult`` of ``_best_closed`` over ``cands`` in the
     budget's mode: the traces of a uniform search (``max_uniform_product``;
     the k-layer is the traces at m = n), the power set of [n], or the
     one-hot words of ``seq``.
 
-    Shifted mode walks the closed pairs of shift-closed families.  D of
-    a shift-closed family is shift-closed (a member compressed still
-    meets each member of A, whose compression A holds, in t; a superset
-    meets more).  The closed sets and the shift-closed families are both
-    closed under intersection, so the closed shift-closed sets are a
-    closure system, and the least one above X is D(D(X + forced(X))),
-    where ``preds``, the same-size shifts, gives what each candidate
-    forces.  That one order serves every candidate set: a closed set is
-    up-closed in ``cands``, as D of anything is, so closed under the
-    same-size shifts is closed under the whole dominance order, whose
-    dpre[j] is the same (each x that j forces there holds some y in
-    {j} + preds[j], and rows[x] holds rows[y]).  Close-by-One walks any
-    closure system (Kuznetsov 1993), so shifted mode is the same walk
-    with dpre[j] = the AND of the rows over j and preds[j], in place of
-    rows[j]; its canonicity test and both subtree bounds hold unchanged,
-    as a descendant of child j still adds only candidates >= j.  Its
-    ``best`` starts at the product of the star pair (every candidate
-    holding [t], twice), which is cross t-intersecting.  The lemma is
-    checked once, before the walk: D of a preds-closed A is the AND of
-    dpre[c] over c in A, and an intersection of preds-closed sets is one,
-    so if every dpre[j] is, D of every shift-closed family is
-    shift-closed (``_partner_shift_violations`` reads 0); else the result
-    is ``fallback``'s, the caller's full-mode rerun, timed from the start
-    and noted ``full-fallback`` with the violation count.
+    Shifted mode walks the closed pairs of shift-closed families, under
+    the same-size order: a family is shift-closed when it holds each
+    cover of its members (``_covers``: one element moved one step left).
+    Every list it is given holds those covers, as a left shift keeps the
+    size and the ground set.  The lemma: D of a shift-closed A is
+    shift-closed.  Take T in D(A) and its cover T' = T - j + i, where T
+    holds j and misses i = j - 1.  A member S of A meets T' less than T
+    only when S holds j and misses i; then S' = S - j + i is a cover of
+    S, so in A, and |T' & S| = |T & S'| >= t.  So T' is in D(A).  The
+    closed sets and the shift-closed families are both closed under
+    intersection, so the closed shift-closed sets are a closure system,
+    and the least one above X is D(D(X + forced(X))).
+    That one order serves every candidate set: a closed set is up-closed
+    in ``cands``, as D of anything is, so closed under the same-size
+    shifts is closed under the whole dominance order.  Close-by-One
+    walks any closure system (Kuznetsov 1993), so shifted mode is the
+    same walk with dpre[j] = D({j} + forced(j)) in place of rows[j]; its
+    canonicity test and both subtree bounds hold unchanged, as a
+    descendant of child j still adds only candidates >= j.  Its ``best``
+    starts at the product of the star pair (every candidate holding [t],
+    twice), which is cross t-intersecting.
+
+    What j forces is its covers and what they force, so dpre[j] is rows[j]
+    AND dpre[c] over the covers c of j, folded in list order, and
+    covered_by[c] gains j, for ``_blocked``.  List order is a linear
+    extension: in a layer or a trace window in ``uniform_layer`` order a
+    left shift gives a lexicographically smaller combination, and in the
+    power set, ordered by mask, it lowers the mask.  A cover whose index
+    is not below its candidate's raises ValueError, and a missing cover
+    KeyError.
 
     The time limit counts set-up: its clock is read after each phase, and
-    the walk (from its first node) and the fallback get the time left.
+    the walk (from its first node) gets the time left.
 
     Full mode walks every closed set, unseeded.  Both modes count each
     tied closed pair once, from its side A with w(A) < w(D(A)), or
@@ -447,21 +422,21 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
     started, deadline = time.perf_counter(), _Deadline(budget)
     rows = compatibility_rows(cands, t)
     deadline.check()
-    extra, shifted = {}, {}
+    shifted = {}
     if budget.restrict_shifted:
-        preds = _dominance_preds(cands)
+        index = {c: i for i, c in enumerate(cands)}
+        dpre, covered_by = list(rows), [0] * len(cands)
+        for j, m in enumerate(cands):
+            for c in map(index.__getitem__, _covers(m)):
+                if c >= j:
+                    raise ValueError(f"cover {c} of candidate {j} is listed after it")
+                dpre[j] &= dpre[c]
+                covered_by[c] |= 1 << j
         deadline.check()
-        dpre, forcers = _forced_rows(preds, rows)
-        deadline.check()
-        extra = {"partner_shift_violations": _partner_shift_violations(dpre, preds)}
-        if extra["partner_shift_violations"]:
-            out = fallback(replace(budget, restrict_shifted=False, time_limit=deadline.check()))
-            return replace(out, notes={**out.notes, "mode": "full-fallback", **extra},
-                           elapsed_ms=(time.perf_counter() - started) * 1000)
         core = (1 << t) - 1
         star = sum(1 if weights is None else weights[i]
                    for i, c in enumerate(cands) if c & core == core)
-        shifted = {"dpre": dpre, "seed": star * star, "forcers": forcers}
+        shifted = {"dpre": dpre, "seed": star * star, "covered_by": covered_by}
     best, pairs, count, unretained, nodes = _best_closed(
         rows, weights, replace(budget, time_limit=deadline.check()), **shifted)
     labels = {_construction(a, cands, t) if a == b else None for a, b in pairs}
@@ -474,7 +449,7 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
         witness_count=count if shifted else count + unretained,
         witness_classes=classes,
         elapsed_ms=(time.perf_counter() - started) * 1000,
-        notes={"mode": "shifted" if shifted else "full", "nodes": nodes, **extra, **(notes or {})},
+        notes={"mode": "shifted" if shifted else "full", "nodes": nodes, **(notes or {})},
     )
 
 
@@ -614,8 +589,7 @@ def max_uniform_product(
     return _search(traces, [math.comb(n - m, k - s.bit_count()) for s in traces] if m < n else None,
                    t, budget, "F", lambda mask: Family(n, tuple(sorted(
                        s | sum(1 << e for e in rest) for s in map(traces.__getitem__, _bits(mask))
-                       for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k),
-                   fallback=lambda rest: max_uniform_product(n, k, t, rest))
+                       for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k))
 
 
 def max_weight_product(
@@ -633,8 +607,7 @@ def max_weight_product(
     weights = [a ** m.bit_count() * (b - a) ** (n - m.bit_count()) for m in range(1 << n)]
     # Candidate i is the set with mask i, so an index mask's bits are its members, in order.
     return _search(range(1 << n), weights, t, budget or SearchBudget(), "F",
-                   lambda mask: Family(n, tuple(_bits(mask)), None), Fraction(1, b ** (2 * n)),
-                   fallback=lambda rest: max_weight_product(n, t, p, rest))
+                   lambda mask: Family(n, tuple(_bits(mask)), None), Fraction(1, b ** (2 * n)))
 
 
 # ---------------------------------------------------------------------------

@@ -129,20 +129,24 @@ def fraction_hit_probability(n: int, t: int, p: Fraction) -> Fraction:
     return absorbed
 
 
-def partner_shift_oracle(rows: list[int], preds: list[int]) -> tuple[int, bool]:
+def partner_shift_oracle(rows: list[int], preds: list[int]) -> int:
     """By definition, over index masks of the candidates: the number of j
-    whose partner D({j} + preds[j]) is not closed under ``preds``, and
-    whether D(A) is closed under ``preds`` for every closed A."""
+    whose partner D({j} + preds[j]) is not closed under ``preds``.  It
+    reads 0 when D of a shift-closed family is shift-closed, the lemma
+    that ``search._search``'s shifted mode rests on, for preds the
+    dominance order: D of a closed A is the AND of those partners over
+    the j in A, and an intersection of closed sets is closed."""
     full = (1 << len(rows)) - 1
 
     def partner(a: int) -> int:
         return reduce(operator.and_, (r for i, r in enumerate(rows) if a >> i & 1), full)
 
-    def closed(a: int) -> bool:
-        return all(not p & ~a for i, p in enumerate(preds) if a >> i & 1)
+    return sum(not preds_closed(partner(1 << j | p), preds) for j, p in enumerate(preds))
 
-    bad = sum(not closed(partner(1 << j | p)) for j, p in enumerate(preds))
-    return bad, all(closed(partner(a)) for a in range(full + 1) if closed(a))
+
+def preds_closed(a: int, preds: list[int]) -> bool:
+    """Whether the index mask ``a`` holds preds[i] for each i it holds."""
+    return all(not p & ~a for i, p in enumerate(preds) if a >> i & 1)
 
 
 def window_label(amask: int, cands: list[int], n: int, t: int) -> Optional[int]:

@@ -49,6 +49,7 @@ from helpers import (
     brute_force_weight_max,
     cylinder_label,
     partner_shift_oracle,
+    preds_closed,
     window_label,
 )
 
@@ -91,7 +92,7 @@ class TestUniformSearch:
             full = max_uniform_product(n, k, t)
             shifted = max_uniform_product(n, k, t, SearchBudget(restrict_shifted=True))
             assert full.max_product == shifted.max_product, (n, k, t)
-            assert shifted.notes["partner_shift_violations"] == 0
+            assert shifted.notes["mode"] == "shifted"
 
     def test_witnesses_realize_max(self):
         r = max_uniform_product(5, 2, 1)
@@ -123,7 +124,7 @@ class TestWeightSearch:
             full = max_weight_product(n, t, p)
             shifted = max_weight_product(n, t, p, SearchBudget(restrict_shifted=True))
             assert full.max_product == shifted.max_product
-            assert shifted.notes["partner_shift_violations"] == 0
+            assert shifted.notes["mode"] == "shifted"
 
     def test_witness_is_star_closure(self):
         r = max_weight_product(3, 1, Fraction(1, 3))
@@ -155,18 +156,20 @@ def _search_digest(r) -> str:
 # the two seq digests again when its notes gained "mode"); any change to
 # a maximum, tie count, class, witness or other note shows.  Shifted
 # (6, 3, 1) was re-taken when it moved to traces on [5]: the same six
-# witnesses, listed in trace order.
+# witnesses, listed in trace order.  The four shifted digests were
+# re-taken when their notes lost "partner_shift_violations": with that
+# note put back as 0, each new result hashes to the digest it replaced.
 PINNED_SEARCHES = (
     ("uniform", (6, 3, 1), False, "b42749f298c91343cf3762769f45e9591745a31259cb9f3be1ad65800fd964ad"),
     ("uniform", (6, 3, 2), False, "c621fa188b7e1e5c3c050ad99ccd6b5ba53e1c1e735a50cbece86d99f7f29a9b"),
     ("uniform", (5, 2, 1), False, "c94da89ee3597ba43226dc31d51a4a81191f923036efabcc1cfdd85697d0768e"),
     ("weight", (4, 2, Fraction(1, 4)), False,
      "5cef307fa417243cf77220e48ff641e76979b9235b450b0df59a9e865146e078"),
-    ("uniform", (6, 3, 1), True, "9f4904b810d8295fd51670081f69f0ed47131e595bb1046975c885cc13a9c9d8"),
-    ("uniform", (6, 3, 2), True, "d89eee006e924c9baa2e7aaf6f807e8b87a394d4b261a635f16c9b1449771481"),
-    ("uniform", (5, 2, 1), True, "dfadf53329eafbf94816955bd589f839cbd38725d7789e2994650e456e4eebfe"),
+    ("uniform", (6, 3, 1), True, "ddc0b86100fe00a58f430617de921b3fbbae6ef4b4dcc7f1179e6d3b38e3190c"),
+    ("uniform", (6, 3, 2), True, "a4ee056f50ca36615056aa7bbc471743f4764b1585402dbe9e6ed51565ac2581"),
+    ("uniform", (5, 2, 1), True, "4f53c4a67f1153224363cbd0eb66caa9a3d3caad229f850b876af9b17fe602f8"),
     ("weight", (4, 2, Fraction(1, 4)), True,
-     "895cc93078f3935c6f10e0e153850ad1bba29ae97f26b945df4d2fdd01a9d98f"),
+     "389ae0fe91f3725a893bd020b3a213d681e4d163deae04ab8a9c003d0ec412fc"),
     ("seq", (3, 2, 1), False, "285cbf427a653c724f71f8a17860f8616161ebcbf9eaad9670a29415db2224d4"),
     ("seq", (2, 3, 1), False, "3a03f6dad96f7d14bae484356a8265a380bfbe8c17539a2da6aaacbfaa6ae5f5"),
 )
@@ -180,7 +183,6 @@ def test_pinned_search_outputs():
         assert _search_digest(r) == digest, (kind, args, shifted)
         if shifted:
             assert r.notes["mode"] == "shifted", (kind, args)
-            assert r.notes["partner_shift_violations"] == 0, (kind, args)
 
 
 def test_labels_agree_with_the_window_loops_on_every_symmetric_tie(monkeypatch):
@@ -430,67 +432,16 @@ def test_uniform_search_walks_one_candidate_list(monkeypatch, shifted, args, wan
     assert calls == [want] and r.notes["mode"] == ("shifted" if shifted else "full")
 
 
-@pytest.mark.parametrize("search, args", [
-    (max_uniform_product, (5, 2, 1)),
-    (max_weight_product, (4, 2, Fraction(1, 4))),
-    (max_uniform_product, (4, 3, 2)),
-])
-def test_shifted_fallback_matches_full_mode(monkeypatch, search, args):
-    # No instance tier-1 runs has a partner that is not shift-closed, so
-    # the precheck is made to report one violation.
-    full = search(*args)
-    monkeypatch.setattr(ekrcross.search, "_partner_shift_violations", lambda dpre, forcers: 1)
-    fallback = search(*args, SearchBudget(restrict_shifted=True))
-    assert full.notes["mode"] == "full"
-    assert fallback.notes == {"mode": "full-fallback", "nodes": full.notes["nodes"],
-                              "partner_shift_violations": 1}
-    fallback.notes, fallback.elapsed_ms = full.notes, full.elapsed_ms
-    assert fallback == full
-
-
-def test_shifted_mode_detects_a_partner_that_is_not_closed(monkeypatch):
+def test_partner_shift_oracle_detects_a_partner_that_is_not_closed():
     # (6, 3, 2) runs on the traces of sizes 2 and 3 on [4].  Under preds
     # that chain the linear extension the closed families are its
     # prefixes (123, 124, 134, 234, 12, 13, 14, ...), and D({123}) =
-    # {123, 124, 134, 234, 12, 13, 23} is not one, so the search must
-    # fall back.
-    def chain(masks, n=0):
-        order = ekrcross.search._linear_extension(masks)
-        preds = [0] * len(masks)
-        for prev, i in zip(order, order[1:]):
-            preds[i] = preds[prev] | 1 << prev
-        return preds
-
-    monkeypatch.setattr(ekrcross.search, "_dominance_preds", chain)
-    r = max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True))
-    assert r.notes["mode"] == "full-fallback"
-
-
-def test_failed_precheck_walks_every_closed_set_once(monkeypatch):
-    # The same chain preds fail the precheck on the traces of (6, 3, 2),
-    # so the search scores every closed set of the layer at once: one
-    # walk, given no forcers, as full mode's.
-    def chain(masks, n=0):
-        order = ekrcross.search._linear_extension(masks)
-        return [sum(1 << q for q in order[:order.index(i)]) for i in range(len(masks))]
-
-    scorer, calls = ekrcross.search._best_closed, []
-
-    def recorded(*args, **kwargs):
-        calls.append(kwargs)
-        return scorer(*args, **kwargs)
-
-    full = max_uniform_product(6, 3, 2)
-    monkeypatch.setattr(ekrcross.search, "_dominance_preds", chain)
-    monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
-    r = max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True))
+    # {123, 124, 134, 234, 12, 13, 23} is not one, so the oracle must
+    # count it.
     traces = uniform_layer(4, 2) + uniform_layer(4, 3)
-    bad, _ = partner_shift_oracle(compatibility_rows(traces, 2), chain(traces))
-    assert calls == [{}] and bad > 0
-    assert r.notes == {"mode": "full-fallback", "nodes": full.notes["nodes"],
-                       "partner_shift_violations": bad}
-    r.notes, r.elapsed_ms = full.notes, full.elapsed_ms
-    assert r == full
+    order = ekrcross.search._linear_extension(traces)
+    chain = [sum(1 << q for q in order[:order.index(i)]) for i in range(len(traces))]
+    assert partner_shift_oracle(compatibility_rows(traces, 2), chain) > 0
 
 
 @st.composite
@@ -510,17 +461,13 @@ def _transitive_orders(draw):
 @given(_transitive_orders())
 @settings(max_examples=300, deadline=None)
 def test_partner_shift_precheck_matches_the_oracle(order):
-    # It counts the dpre[j] that are not preds-closed, and reads 0 exactly
-    # when D of every preds-closed family is preds-closed.
+    # The oracle's per-candidate count reads 0 exactly when D of every
+    # preds-closed family is preds-closed, checked here family by family.
     rows, preds = order
     full = (1 << len(rows)) - 1
-    dpre, forcers = ekrcross.search._forced_rows(preds, rows)
-    assert dpre == [ekrcross.search._partner(1 << j | p, rows, full) for j, p in enumerate(preds)]
-    assert forcers == [sum(1 << i for i, p in enumerate(preds) if p >> x & 1)
-                       for x in range(len(rows))]
-    bad, lemma = partner_shift_oracle(rows, preds)
-    count = ekrcross.search._partner_shift_violations(dpre, preds)
-    assert count == bad and (count == 0) == lemma
+    lemma = all(preds_closed(ekrcross.search._partner(a, rows, full), preds)
+                for a in range(full + 1) if preds_closed(a, preds))
+    assert (partner_shift_oracle(rows, preds) == 0) == lemma
 
 
 @pytest.mark.parametrize("n, k, same", [
@@ -528,21 +475,45 @@ def test_partner_shift_precheck_matches_the_oracle(order):
     *[(n, k, True) for n in range(1, 8) for k in range(1, n + 1)],
 ])
 def test_partner_shift_precheck_passes_under_dominance(n, k, same):
-    # D of a shift-closed family is shift-closed, so no dpre[j] fails,
-    # under the same-size order and (on the power set) the whole one.
+    # D of a shift-closed family is shift-closed (proved in
+    # search._search), so the oracle counts no j whose partner
+    # D({j} + preds[j]) fails, under the same-size order and (on the
+    # power set) the whole one.
     masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
     preds = ekrcross.search._dominance_preds(masks, 0 if same else n)
     for t in (1, 2, 3):
-        dpre, _ = ekrcross.search._forced_rows(preds, compatibility_rows(masks, t))
-        assert ekrcross.search._partner_shift_violations(dpre, preds) == 0, t
+        assert partner_shift_oracle(compatibility_rows(masks, t), preds) == 0, t
 
 
-def test_same_size_shifts_force_what_the_whole_order_forces():
-    # Shifted mode builds its preds from the same-size shifts alone.  On
-    # every candidate set it runs on (layers, power sets, the traces of a
-    # size window) dpre[j] must be the AND over the whole dominance order
-    # (shifts_to, which may add elements), and D of a closed set must be
-    # closed under either order.
+def _covered_by(masks):
+    """covered_by[i] = index mask of the j whose set is the set of i
+    with one element moved one step right."""
+    index = {m: j for j, m in enumerate(masks)}
+    ups = [[x ^ 3 << b for b in range(x.bit_length()) if x >> b & 1 and not x >> b + 1 & 1]
+           for x in masks]
+    return [sum(1 << index[y] for y in up if y in index) for up in ups]
+
+
+def _shifted_inputs(monkeypatch, cands, t):
+    """(dpre, covered_by) as a shifted _search over ``cands`` hands them
+    to its walk, which is skipped."""
+    seen = []
+
+    def recorded(rows, weights, budget, **kwargs):
+        seen.append(kwargs)
+        return 0, [], 0, 0, 0
+
+    monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
+    ekrcross.search._search(cands, None, t, SearchBudget(restrict_shifted=True), "F", None)
+    return seen[-1]["dpre"], seen[-1]["covered_by"]
+
+
+def test_same_size_shifts_force_what_the_whole_order_forces(monkeypatch):
+    # Shifted mode folds the same-size covers alone.  On every candidate
+    # set it runs on (layers, power sets, the traces of a size window)
+    # dpre[j] must be D({j} + what j forces in the whole dominance order)
+    # (shifts_to, which may add elements), covered_by the covers read the
+    # other way, and the oracle must read 0 under either order.
     sets = [*((n, uniform_layer(n, k)) for n in range(1, 8) for k in range(1, n + 1)),
             *((n, list(range(1 << n))) for n in range(1, 6)),
             *((m, [s for size in range(lo, hi + 1) for s in uniform_layer(m, size)])
@@ -552,50 +523,59 @@ def test_same_size_shifts_force_what_the_whole_order_forces():
         whole = [sum(1 << j for j, sj in enumerate(subs) if j != i and shifts_to(si, sj))
                  for i, si in enumerate(subs)]
         same = ekrcross.search._dominance_preds(masks)
+        full = (1 << len(masks)) - 1
         for t in (1, 2, 3):
             rows = compatibility_rows(masks, t)
-            (dpre, _), (want, _) = (ekrcross.search._forced_rows(p, rows) for p in (same, whole))
-            assert dpre == want, (masks, t)
-            assert ekrcross.search._partner_shift_violations(dpre, same) == 0, (masks, t)
-            assert ekrcross.search._partner_shift_violations(want, whole) == 0, (masks, t)
+            dpre, covered_by = _shifted_inputs(monkeypatch, masks, t)
+            assert dpre == [ekrcross.search._partner(1 << j | p, rows, full)
+                            for j, p in enumerate(whole)], (masks, t)
+            assert covered_by == _covered_by(masks), masks
+            assert partner_shift_oracle(rows, same) == partner_shift_oracle(rows, whole) == 0
 
 
-def test_partner_shift_precheck_reads_every_nonzero_byte():
-    # Over 40 candidates (five bytes), with each preds[c] one other
-    # candidate: a preds-closed d reads 0, and d plus one c whose pred
-    # lies outside reads 1, whichever of the nonzero bytes holds c.
-    rng = random.Random(7)
-    preds = [1 << (c + rng.randrange(1, 40)) % 40 for c in range(40)]
-
-    def closure(a):
-        for _ in range(40):
-            a |= sum(set(p for i, p in enumerate(preds) if a >> i & 1))
-        return a
-
-    ranks = set()
-    for c in range(40):
-        d = closure(rng.getrandbits(40) & rng.getrandbits(40) & rng.getrandbits(40))
-        while (d | 1 << c) & preds[c] or d >> c & 1:
-            d = closure(rng.getrandbits(40) & rng.getrandbits(40) & rng.getrandbits(40))
-        nonzero = [q for q in range(5) if (d | 1 << c) >> 8 * q & 255]
-        ranks.add((nonzero.index(c // 8), len(nonzero)))
-        assert ekrcross.search._partner_shift_violations([d, d | 1 << c], preds) == 1, c
-    # c sat first, in the middle and last among the nonzero bytes.
-    assert {r for r, _ in ranks} >= {0, 1, 2} and any(r == n - 1 > 0 for r, n in ranks)
+def test_shifted_lists_put_each_cover_first(monkeypatch):
+    # The fold needs every same-size cover of a candidate listed before
+    # it: in the layers, the power sets and every trace window that
+    # max_uniform_product builds, with at most 8 elements.
+    windows = set()
+    monkeypatch.setattr(ekrcross.search, "_search",
+                        lambda cands, *rest, **kwargs: windows.add(tuple(cands)))
+    for n in range(1, 25):
+        for k in range(1, n + 1):
+            for t in range(max(1, 2 * k - 8), k + 1):
+                max_uniform_product(n, k, t, SearchBudget(restrict_shifted=True))
+    assert max(max(w) for w in windows) == 255
+    lists = [*windows, *(uniform_layer(n, k) for n in range(1, 9) for k in range(1, n + 1)),
+             *(range(1 << n) for n in range(1, 9))]
+    for cands in lists:
+        index = {m: j for j, m in enumerate(cands)}
+        for j, m in enumerate(cands):
+            for b in range(m.bit_length() - 1):
+                if m >> b + 1 & 1 and not m >> b & 1:
+                    assert index[m ^ 3 << b] < j, (cands, m)
 
 
-def test_dominance_preds_once_per_shifted_search(monkeypatch):
+def test_shifted_search_rejects_a_list_out_of_order():
+    layer = uniform_layer(5, 2)[::-1]
+    with pytest.raises(ValueError, match="cover"):
+        ekrcross.search._search(layer, None, 1, SearchBudget(restrict_shifted=True), "F", None)
+
+
+def test_covers_once_per_shifted_search(monkeypatch):
+    # Set-up folds each candidate's covers once and builds no transitive
+    # preds: 10 traces of (6, 3, 2) on [4], 16 sets of the power set of [4].
     calls = []
-    preds = ekrcross.search._dominance_preds
+    covers = ekrcross.search._covers
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return preds(*args, **kwargs)
+        return covers(*args)
 
-    monkeypatch.setattr(ekrcross.search, "_dominance_preds", counted)
+    monkeypatch.setattr(ekrcross.search, "_covers", counted)
+    monkeypatch.setattr(ekrcross.search, "_dominance_preds", None)
     max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True))
     max_weight_product(4, 2, Fraction(1, 4), SearchBudget(restrict_shifted=True))
-    assert len(calls) == 2
+    assert len(calls) == 10 + 16
 
 
 def _oracle_ties(families, partner, weight):
@@ -708,12 +688,14 @@ def _trace_label(amask, traces, t):
     (6, 3, 1, 100, 6, ("F0", "F1", "other")),
     (6, 3, 2, 16, 2, ("F0", "F1")),
     (5, 2, 1, 16, 1, ("F0",)),
+    (36, 11, 8, 10_732_176, 2, ("F0", "F1")),
 ])
 def test_shifted_traces_settle_and_keep_their_labels(monkeypatch, n, k, t, best, count, classes):
     # The first five lie at or above n = (t+1)(k-t+1), where the star is
     # optimal and F1 ties it on the boundary; three have t = 14.  On the
     # layer C(45, 16) sets cannot be listed, and (20, 6, 3)'s byte tables
-    # outgrow memory.  The last three are the pinned shifted searches.
+    # outgrow memory.  The next three are the pinned shifted searches, and
+    # (36, 11, 8) is the first boundary rung with k - t = 3.
     # Every symmetric tie is labelled as its trace family: F0 holds [t],
     # F1 meets [t+2] in t+1.
     calls = []
@@ -758,28 +740,29 @@ def test_dominance_preds_on_traces_match_shifts_to():
     (max_weight_product, (5, 2, Fraction(1, 4))),
 ])
 def test_shifted_inputs_match_their_definitions(monkeypatch, search, args):
-    # dpre[j] is D({j} + preds[j]) and forcers the transpose of preds, as
-    # handed to the scorer by a real shifted search.
-    scorer, dominance = ekrcross.search._best_closed, ekrcross.search._dominance_preds
-    seen, found = [], []
+    # dpre[j] is D({j} + preds[j]) over the same-size shifts and
+    # covered_by the covers read the other way, as handed to the scorer
+    # by a real shifted search: on the traces of sizes 1 to 3 on [5], or
+    # on the power set of [5].
+    scorer, seen = ekrcross.search._best_closed, []
+    cands = ([s for size in (1, 2, 3) for s in uniform_layer(5, size)]
+             if search is max_uniform_product else list(range(1 << 5)))
 
     def recorded(rows, weights, budget, **kwargs):
         seen.append((rows, kwargs))
         return scorer(rows, weights, budget, **kwargs)
 
-    def recorded_preds(*args):
-        found.append(dominance(*args))
-        return found[-1]
-
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
-    monkeypatch.setattr(ekrcross.search, "_dominance_preds", recorded_preds)
     search(*args, SearchBudget(restrict_shifted=True))
-    [(rows, kwargs)], [preds] = seen, found
+    [(rows, kwargs)] = seen
+    subs = [Subset(5, x) for x in cands]
+    preds = [sum(1 << j for j, sj in enumerate(subs)
+                 if j != i and len(si) == len(sj) and shifts_to(si, sj))
+             for i, si in enumerate(subs)]
     full = (1 << len(rows)) - 1
     assert kwargs["dpre"] == [ekrcross.search._partner(1 << j | p, rows, full)
                               for j, p in enumerate(preds)]
-    assert kwargs["forcers"] == [sum(1 << i for i, p in enumerate(preds) if p >> j & 1)
-                                 for j in range(len(rows))]
+    assert kwargs["covered_by"] == _covered_by(cands)
 
 
 @st.composite
@@ -907,15 +890,15 @@ def test_downsets_check_the_clock_at_the_first_node(monkeypatch):
         next(families)
 
 
-PHASES = ["compatibility_rows", "_dominance_preds", "_forced_rows", "_partner_shift_violations",
-          "_best_closed"]
+PHASES = ["compatibility_rows", "_covers", "_best_closed"]
 
 
 @pytest.mark.parametrize("slow", PHASES[:-1])
 def test_time_limit_counts_each_set_up_phase(monkeypatch, slow):
     # Shifted (9, 4, 2) walks a handful of nodes, far below the first
     # periodic check.  A phase that takes 1 s on the clock under a 0.5 s
-    # limit must stop the search before the next phase starts.
+    # limit must stop the search before the next phase starts.  The cover
+    # fold is timed through _covers, which it calls once per candidate.
     clock, ran = [0.0], []
 
     def timed(name, phase):
@@ -931,32 +914,31 @@ def test_time_limit_counts_each_set_up_phase(monkeypatch, slow):
     budget = SearchBudget(restrict_shifted=True, time_limit=0.5)
     with pytest.raises(BudgetExceeded, match="time limit"):
         max_uniform_product(9, 4, 2, budget)
-    assert ran == PHASES[:PHASES.index(slow) + 1]
+    assert list(dict.fromkeys(ran)) == PHASES[:PHASES.index(slow) + 1]
     ran.clear()
     monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: 0.0)
-    assert max_uniform_product(9, 4, 2, budget).notes["mode"] == "shifted" and ran == PHASES
+    assert max_uniform_product(9, 4, 2, budget).notes["mode"] == "shifted"
+    assert list(dict.fromkeys(ran)) == PHASES
 
 
-def test_walk_and_fallback_get_only_the_time_left(monkeypatch):
-    # Set-up takes 0.3 s of a 0.5 s limit, so the fallback's walk of the
-    # layer runs under 0.2 s; a walk checks the clock at its first node.
-    clock, scorer, limits = [0.0], ekrcross.search._best_closed, []
+def test_walk_gets_only_the_time_left(monkeypatch):
+    # Set-up takes 0.3 s of a 0.5 s limit, so the walk runs under 0.2 s;
+    # a walk checks the clock at its first node.
+    clock, scorer, build, limits = [0.0], ekrcross.search._best_closed, compatibility_rows, []
 
-    def slow_preds(*args):
+    def slow_rows(*args):
         clock[0] += 0.3
-        return preds(*args)
+        return build(*args)
 
     def recorded(rows, weights, budget, **kwargs):
         limits.append(budget.time_limit)
         return scorer(rows, weights, budget, **kwargs)
 
-    preds = ekrcross.search._dominance_preds
     monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: clock[0])
-    monkeypatch.setattr(ekrcross.search, "_dominance_preds", slow_preds)
-    monkeypatch.setattr(ekrcross.search, "_partner_shift_violations", lambda dpre, preds: 1)
+    monkeypatch.setattr(ekrcross.search, "compatibility_rows", slow_rows)
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
     r = max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True, time_limit=0.5))
-    assert r.notes["mode"] == "full-fallback" and limits == [pytest.approx(0.2)]
+    assert r.notes["mode"] == "shifted" and limits == [pytest.approx(0.2)]
     ticking = itertools.count()
     monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: float(next(ticking)))
     with pytest.raises(BudgetExceeded, match="time limit"):
@@ -966,18 +948,19 @@ def test_walk_and_fallback_get_only_the_time_left(monkeypatch):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_blocked_mask_admits_exactly_the_canonical_children(data):
-    # Child j of A passes the canonicity prefilter when j forces no
-    # candidate below j that A lacks; the mask must block every other j.
+    # For A closed under the same-size shifts, child j passes the
+    # canonicity prefilter when j forces no candidate below j that A
+    # lacks; the mask, read from the covers alone, must block every other j.
     n = data.draw(st.integers(1, 7))
     k = data.draw(st.none() | st.integers(1, n)) if n <= 6 else data.draw(st.integers(1, n))
     masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
-    preds = ekrcross.search._dominance_preds(masks, n if k is None else 0)
-    forcers = [sum(1 << i for i, p in enumerate(preds) if p >> x & 1) for x in range(len(masks))]
-    a = data.draw(st.integers(0, (1 << len(masks)) - 1))
+    preds = ekrcross.search._dominance_preds(masks)
+    picks = data.draw(st.lists(st.integers(0, len(masks) - 1), max_size=6))
+    a = functools.reduce(operator.or_, (1 << i | preds[i] for i in picks), 0)
     free = (1 << len(masks)) - 1 & ~a
     want = sum(1 << j for j in range(len(masks))
                if free >> j & 1 and not preds[j] & ~a & (1 << j) - 1)
-    assert free & ~ekrcross.search._blocked(forcers)(a) == want
+    assert free & ~ekrcross.search._blocked(_covered_by(masks))(a) == want
 
 
 @pytest.mark.parametrize("n, k, same", [
