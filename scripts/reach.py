@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Time the exhaustive searches on a fixed ladder of sizes, in process.
+"""Time the exhaustive searches on a fixed ladder of sizes, one process a rung.
 
 Usage: PYTHONPATH=src python scripts/reach.py
 
-Each rung runs once under the default node budget and a 60 s time
-limit, and prints one JSON line: the rung, the engine that ran it
-(the search's ``notes["mode"]``; ``seq`` always reads "full"), its
-node count, the seconds it took, max_product, witness_count and
-witness_classes, or "exceeded" with the budget message when it runs out.
+Each rung runs once, in a forked child, under the default node budget
+and a 60 s time limit, and prints one JSON line: the rung, the engine
+that ran it (the search's ``notes["mode"]``; ``seq`` always reads
+"full"), its node count, the seconds it took, max_product,
+witness_count and witness_classes, or "exceeded" with the budget
+message when it runs out.  ``peak_rss_mb`` is the child's own peak
+resident memory, from ``os.wait4``, so no rung inherits another's.
 Every row also carries ``predicted``, the paper's bound where the rung
 lies in its range: C(n-t, k-t)^2 for a uniform rung with
 n >= (t+1)(k-t+1), p^(2t) for a weight rung with p <= 1/(t+1), and null
@@ -17,7 +19,9 @@ how many elements of a member of the star F0 lie outside [t].
 
 import json
 import math
+import os
 import time
+import traceback
 from fractions import Fraction
 
 from ekrcross.search import SearchBudget, max_uniform_product, max_weight_product
@@ -59,7 +63,7 @@ LADDER = [
     ("shifted", "uniform", (57, 20, 18)),
     # The paper's scale: k - t = 3 on the boundary n = (t+1)(k-t+1) at
     # t = 14 and 15, on 60,249 and 81,928 traces.  On a 2-core host they
-    # took 4-8 s at 1.2 GB and 8-10.5 s at 2.2 GB peak RSS.
+    # take 3-4 s at 0.5 GB and 5-6 s at 0.9 GB peak RSS.
     ("shifted", "uniform", (60, 17, 14)),
     ("shifted", "uniform", (64, 18, 15)),
 ]
@@ -96,6 +100,31 @@ def rung(mode: str, kind: str, args: tuple) -> dict:
             "witness_classes": list(r.witness_classes)}
 
 
+def measured(mode: str, kind: str, args: tuple) -> dict:
+    """``rung`` in a forked child, which sends its row down a pipe; the
+    row gains the child's peak RSS, read when it is reaped."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        try:
+            with os.fdopen(write, "w") as out:
+                json.dump(rung(mode, kind, args), out)
+        except BaseException:  # the child must end here, never back in the parent's loop
+            traceback.print_exc()
+            os._exit(1)
+        os._exit(0)
+    os.close(write)
+    try:
+        with os.fdopen(read) as data:
+            text = data.read()
+    finally:
+        _, status, usage = os.wait4(pid, 0)
+    if status:
+        raise SystemExit(f"rung {mode} {kind} {args} failed: wait status {status}")
+    return {**json.loads(text), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+
+
 if __name__ == "__main__":
     for mode, kind, args in LADDER:
-        print(json.dumps(rung(mode, kind, args)), flush=True)
+        print(json.dumps(measured(mode, kind, args)), flush=True)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import bounds, suites
 from .report import encode_value, exit_code, reports_to_csv, reports_to_json
-from .search import SearchBudget, max_uniform_product, max_weight_product
+from .search import MAX_WEIGHT_N, SearchBudget, max_uniform_product, max_weight_product
 from .seq import seq_family_to_text, verify_seq_theorem
 from .setfam import MAX_GROUND, BudgetExceeded, family_to_text
 
@@ -84,7 +84,7 @@ SUITES = {
     ), lambda a, budget: max_uniform_product(a.n, a.k, a.t, budget)),
     "search-weight": Suite(("n", "t", "p", "fmt", "shifted"), ("n", "t", "p"), (
         lambda a: not 0 < a.p < 1 and f"suite search-weight needs 0 < p < 1, got p={a.p}",
-        lambda a: a.n > MAX_GROUND and f"suite search-weight needs n <= {MAX_GROUND}, got n={a.n}",
+        lambda a: a.n > MAX_WEIGHT_N and f"suite search-weight needs n <= {MAX_WEIGHT_N}, got n={a.n}",
         lambda a: a.t > a.n and f"suite search-weight needs t <= n: nothing cross "
                                 f"{a.t}-intersects at n={a.n}",
     ), lambda a, budget: max_weight_product(a.n, a.t, a.p, budget)),

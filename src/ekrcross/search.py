@@ -18,8 +18,8 @@ one closed-pair engine serves all three searches:
   product.  Uniform searches walk traces (see ``max_uniform_product``);
   the layer is the traces at m = n;
 - ``_search`` is the one search of sets and words alike: it builds the
-  compatibility rows, folds each candidate's same-size covers, in list
-  order, into shifted mode's inputs, keeps full mode's past-the-cap
+  compatibility rows, in shifted mode folds each candidate's same-size
+  covers into its row, in list order, keeps full mode's past-the-cap
   count, which the benchmark pins, labels the symmetric ties with
   ``_construction`` and builds the ``SearchResult``;
 - ``_downsets`` lists the shift-closed families themselves, for
@@ -46,6 +46,7 @@ from functools import reduce
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .setfam import (
+    _MATERIALIZE_LIMIT, MAX_GROUND,
     BudgetExceeded,
     Family,
     is_cross_t_intersecting,
@@ -57,6 +58,7 @@ from .setfam import (
 
 DEFAULT_NODE_CAP = 1 << 22
 WITNESS_CAP = 4096
+MAX_WEIGHT_N = _MATERIALIZE_LIMIT.bit_length() - 1  # the weight search lists all 2^n sets
 
 
 @dataclass(frozen=True)
@@ -146,50 +148,45 @@ def _byte_tables(masks: Sequence[int], unit: int, op: Callable[[int, int], int]
     return tabs, fill
 
 
-def _blocked(covered_by: Sequence[int]) -> Callable[[int], int]:
-    """blocked(A) holds the j with a cover missing from A: the OR of
-    covered_by[x] over the x not in A, one lookup per byte of ~A.  For A
-    closed under the covers, these are the j that force a candidate A
-    lacks (see ``_search``), and no filter is needed, as every cover of
-    j lies below j."""
-    full = (1 << len(covered_by)) - 1
-    tabs, fill = _byte_tables(covered_by, 0, operator.or_)
+def _blocked(shifts: Sequence[tuple[int, int]], span: int) -> Callable[[int], int]:
+    """blocked(A) holds the j with a cover missing from A: the OR over
+    the offsets (d, g_d) of (~A << d) & g_d, g_d holding each j with a
+    cover at j - d.  For A closed under the covers, these are the j that
+    force a candidate A lacks (see ``_search``), and no filter is
+    needed, as every cover of j lies below j."""
+    full = (1 << span) - 1
 
     def blocked(a: int) -> int:
-        data = (full ^ a).to_bytes(len(tabs), "little")
-        try:  # ~A is dense: every byte is read, as skipping zero bytes costs more than it saves
-            return reduce(operator.or_, map(list.__getitem__, tabs, data), 0)
-        except TypeError:
-            return fill(data)
+        lack = full ^ a
+        return reduce(operator.or_, [lack << d & g for d, g in shifts], 0)
     return blocked
 
 
 def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: SearchBudget,
-                 dpre: Optional[Sequence[int]] = None, seed: int = 0,
-                 covered_by: Optional[Sequence[int]] = None) -> tuple[int, list, int, int, int]:
+                 seed: int = 0, shifts: Optional[Sequence[tuple[int, int]]] = None
+                 ) -> tuple[int, list, int, int, int]:
     """The scorer of both modes (see ``_search``): a Close-by-One branch
     and bound over a closure system of closed sets, as index masks.
     Returns (best, pairs, count, unretained, nodes visited).
 
     It walks depth first from (D(full), full), carrying (A, D(A), w(A),
     w(D(A))).  A child adds a j not in A above the one that made A:
-    D(A') = D(A) & dpre[j] and A' = D(D(A')), a lookup per byte in byte
+    D(A') = D(A) & rows[j] and A' = D(D(A')), a lookup per byte in byte
     tables of the rows that ``_byte_tables`` fills on first read, so a
-    walk builds only the entries its closures read.  It is
-    canonical, so each closed set of the system is reached once, when A'
-    holds no new candidate below j.  With dpre = rows (the default) the
-    system is every closed set.  Shifted mode passes dpre[j], the AND of
-    the rows over j and all that j forces, so A' is the least closed set
-    holding A, j and what j forces, and ``covered_by``: child j is then
-    not canonical when a cover of j is missing from A (j forces a
-    missing candidate, all of which lie below j), and ``_blocked`` drops
-    all such children as one mask.  ``seed`` is a product some pair
-    attains, the starting ``best``.
+    walk builds only the entries its closures read.  It is canonical, so
+    each closed set of the system is reached once, when A' holds no new
+    candidate below j.  With the compatibility rows the system is every
+    closed set.  Shifted mode passes rows[j] = D({j} + what j forces)
+    (see ``_search``), so A' is the least closed set holding A, j and
+    what j forces, and ``shifts``: child j is then not canonical when a
+    cover of j is missing from A (j forces a missing candidate, all of
+    which lie below j), and ``_blocked`` drops all such children as one
+    mask.  ``seed`` is a product some pair attains, the starting ``best``.
 
     Weights None means counting measure; otherwise w(x) sums v times
     the size of x & mask_v over one mask_v per distinct weight v.  The
-    rows are symmetric and the weights positive, so a child weighs more
-    than A, and D(D(A')) = A'.  Three strict rules drop what holds no
+    relation is symmetric and the weights positive, so a child weighs
+    more than A, and D(D(A')) = A'.  Three strict rules drop what holds no
     counted tie (lo is the least weight):
     - j not in A = D(D(A)) means some x in D(A) misses j, so each strict
       descendant drops x: no child is walked if (w(D(A)) - lo)^2 < best.
@@ -212,12 +209,11 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
     """
     deadline, span = _Deadline(budget), len(rows)
     full = (1 << span) - 1
-    dpre = dpre or rows
     unit = weights or [1] * span
     lo = min(unit, default=1)
     and_tabs, fill = _byte_tables(rows, full, operator.and_)
     size = len(and_tabs)
-    blocked = _blocked(covered_by) if covered_by else None
+    blocked = None if shifts is None else _blocked(shifts, span)
 
     if weights is None:
         w = int.bit_count
@@ -269,7 +265,7 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
             grown = wa + w(free >> j << j) if blocked else grown + unit[j]
             if (wb - lo) * grown < best:
                 continue
-            nb = b & dpre[j]
+            nb = b & rows[j]
             wnb = w(nb)
             if wnb * wnb < best or wnb * grown < best:
                 continue
@@ -380,20 +376,25 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
     in ``cands``, as D of anything is, so closed under the same-size
     shifts is closed under the whole dominance order.  Close-by-One
     walks any closure system (Kuznetsov 1993), so shifted mode is the
-    same walk with dpre[j] = D({j} + forced(j)) in place of rows[j]; its
+    same walk on rows folded to rows[j] = D({j} + forced(j)); its
     canonicity test and both subtree bounds hold unchanged, as a
     descendant of child j still adds only candidates >= j.  Its ``best``
     starts at the product of the star pair (every candidate holding [t],
     twice), which is cross t-intersecting.
 
-    What j forces is its covers and what they force, so dpre[j] is rows[j]
-    AND dpre[c] over the covers c of j, folded in list order, and
-    covered_by[c] gains j, for ``_blocked``.  List order is a linear
-    extension: in a layer or a trace window in ``uniform_layer`` order a
-    left shift gives a lexicographically smaller combination, and in the
-    power set, ordered by mask, it lowers the mask.  A cover whose index
-    is not below its candidate's raises ValueError, and a missing cover
-    KeyError.
+    What j forces is its covers and what they force, so the fold runs in
+    place, in list order: rows[j] &= rows[c] over the covers c of j, and
+    the offset d = j - c puts j in g_d, for ``_blocked``.  List order is
+    a linear extension: in a layer or a trace window in ``uniform_layer``
+    order a left shift gives a lexicographically smaller combination,
+    and in the power set, ordered by mask, it lowers the mask.  A cover
+    whose index is not below its candidate's raises ValueError, and a
+    missing cover KeyError.  The closure and the root read the folded
+    rows too, and stay exact: their AND over X is D(X + forced(X)), so
+    D(X) when X is shift-closed, as forced(X) lies in X.  Every set the
+    walk closes is: the root closes the whole list, and a child closes
+    D(A) & rows[j] = D(A + j + forced(j)), shift-closed by the lemma, as
+    A is (the root's D(full), or a closure D(nb) of such a set).
 
     The time limit counts set-up: its clock is read after each phase, and
     the walk (from its first node) gets the time left.
@@ -424,19 +425,18 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
     deadline.check()
     shifted = {}
     if budget.restrict_shifted:
-        index = {c: i for i, c in enumerate(cands)}
-        dpre, covered_by = list(rows), [0] * len(cands)
+        index, offsets = {c: i for i, c in enumerate(cands)}, {}
         for j, m in enumerate(cands):
             for c in map(index.__getitem__, _covers(m)):
                 if c >= j:
                     raise ValueError(f"cover {c} of candidate {j} is listed after it")
-                dpre[j] &= dpre[c]
-                covered_by[c] |= 1 << j
+                rows[j] &= rows[c]
+                offsets[j - c] = offsets.get(j - c, 0) | 1 << j
         deadline.check()
         core = (1 << t) - 1
         star = sum(1 if weights is None else weights[i]
                    for i, c in enumerate(cands) if c & core == core)
-        shifted = {"dpre": dpre, "seed": star * star, "covered_by": covered_by}
+        shifted = {"seed": star * star, "shifts": list(offsets.items())}
     best, pairs, count, unretained, nodes = _best_closed(
         rows, weights, replace(budget, time_limit=deadline.check()), **shifted)
     labels = {_construction(a, cands, t) if a == b else None for a, b in pairs}
@@ -581,8 +581,8 @@ def max_uniform_product(
     too, so it and t > k (product 0) take m = n, the layer in
     ``uniform_layer`` order, with weights None (counting measure).
     """
-    if t < 1 or not 1 <= k <= n:
-        raise ValueError(f"need t >= 1 and 1 <= k <= n, got t={t}, k={k}, n={n}")
+    if t < 1 or not 1 <= k <= n <= MAX_GROUND:
+        raise ValueError(f"need t >= 1 and 1 <= k <= n <= {MAX_GROUND}, got t={t}, k={k}, n={n}")
     budget = budget or SearchBudget()
     m = min(2 * k - t, n) if budget.restrict_shifted and t <= k else n
     traces = [s for size in range(max(min(t, k), k - n + m), k + 1) for s in uniform_layer(m, size)]
@@ -598,8 +598,8 @@ def max_weight_product(
     """Exact maximum of the weight product over cross t-intersecting
     pairs in the power set of [n].  Weights are scaled to integers
     (p = a/b gives a^|F| (b-a)^(n-|F|)), so comparisons are exact."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    if t < 1 or n > MAX_WEIGHT_N:
+        raise ValueError(f"need t >= 1 and n <= {MAX_WEIGHT_N}, got t={t}, n={n}")
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0,1), got {p}")

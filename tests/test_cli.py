@@ -87,7 +87,7 @@ class TestUsage:
         (("search", "seq", "--n", "2", "--m", "-1", "--t", "1"), "needs m >= 2"),
         (("search", "seq", "--n", "3", "--m", "1", "--t", "2"), "needs m >= 2"),
         (("search", "uniform", "--n", "65", "--k", "1", "--t", "1"), "needs 1 <= k <= n <= 64"),
-        (("search", "weight", "--n", "65", "--t", "1", "--p", "1/2"), "needs n <= 64"),
+        (("search", "weight", "--n", "65", "--t", "1", "--p", "1/2"), "needs n <= 20"),
     ])
     def test_sizes_outside_the_search_range(self, capsys, argv, message):
         # The library raises ValueError on these; exit 1 would read as a
@@ -195,8 +195,17 @@ class TestSearchCommands:
             raise MemoryError
 
         monkeypatch.setattr(cli, "max_weight_product", exhausted)
-        code, out, err = run(capsys, "search", "weight", "--n", "22", "--t", "1", "--p", "1/3")
+        code, out, err = run(capsys, "search", "weight", "--n", "20", "--t", "1", "--p", "1/3")
         assert (code, out, err) == (2, "", "budget exceeded: out of memory\n")
+
+    def test_weight_search_too_large_to_list_is_a_usage_error(self, monkeypatch, capsys):
+        # 2^22 candidates exceed the materialization limit: the search
+        # would run for seconds and then out of memory, so it must not start.
+        calls = []
+        monkeypatch.setattr(cli, "max_weight_product", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "search", "weight", "--n", "22", "--t", "1", "--p", "1/3")
+        assert (code, out, calls) == (USAGE_ERROR, "", [])
+        assert "needs n <= 20" in err
 
     def test_shifted_flag(self, capsys):
         code, out, _ = run(

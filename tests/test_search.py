@@ -494,31 +494,45 @@ def _covered_by(masks):
     return [sum(1 << index[y] for y in up if y in index) for up in ups]
 
 
+def _read_back(shifts, span):
+    """The offset masks (d, g_d) read as covered_by: the cover of each j
+    in g_d is j - d."""
+    covered_by = [0] * span
+    for d, g in shifts:
+        for j in range(span):
+            if g >> j & 1:
+                covered_by[j - d] |= 1 << j
+    return covered_by
+
+
 def _shifted_inputs(monkeypatch, cands, t):
-    """(dpre, covered_by) as a shifted _search over ``cands`` hands them
-    to its walk, which is skipped."""
+    """(rows, shifts) as a shifted _search over ``cands`` hands them to
+    its walk, which is skipped."""
     seen = []
 
     def recorded(rows, weights, budget, **kwargs):
-        seen.append(kwargs)
+        seen.append((rows, kwargs))
         return 0, [], 0, 0, 0
 
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
     ekrcross.search._search(cands, None, t, SearchBudget(restrict_shifted=True), "F", None)
-    return seen[-1]["dpre"], seen[-1]["covered_by"]
+    return seen[-1][0], seen[-1][1]["shifts"]
+
+
+# The lists shifted mode runs on: layers, power sets and the traces of a size window.
+SHIFTED_LISTS = [*((n, uniform_layer(n, k)) for n in range(1, 8) for k in range(1, n + 1)),
+                 *((n, list(range(1 << n))) for n in range(1, 6)),
+                 *((m, [s for size in range(lo, hi + 1) for s in uniform_layer(m, size)])
+                   for m in range(1, 7) for hi in range(m + 1) for lo in range(hi + 1))]
 
 
 def test_same_size_shifts_force_what_the_whole_order_forces(monkeypatch):
     # Shifted mode folds the same-size covers alone.  On every candidate
-    # set it runs on (layers, power sets, the traces of a size window)
-    # dpre[j] must be D({j} + what j forces in the whole dominance order)
-    # (shifts_to, which may add elements), covered_by the covers read the
-    # other way, and the oracle must read 0 under either order.
-    sets = [*((n, uniform_layer(n, k)) for n in range(1, 8) for k in range(1, n + 1)),
-            *((n, list(range(1 << n))) for n in range(1, 6)),
-            *((m, [s for size in range(lo, hi + 1) for s in uniform_layer(m, size)])
-              for m in range(1, 7) for hi in range(m + 1) for lo in range(hi + 1))]
-    for m, masks in sets:
+    # set it runs on, the rows handed to the walk must be D({j} + what j
+    # forces in the whole dominance order) (shifts_to, which may add
+    # elements), the offset masks the covers read the other way, and the
+    # oracle must read 0 under either order.
+    for m, masks in SHIFTED_LISTS:
         subs = [Subset(m, x) for x in masks]
         whole = [sum(1 << j for j, sj in enumerate(subs) if j != i and shifts_to(si, sj))
                  for i, si in enumerate(subs)]
@@ -526,11 +540,41 @@ def test_same_size_shifts_force_what_the_whole_order_forces(monkeypatch):
         full = (1 << len(masks)) - 1
         for t in (1, 2, 3):
             rows = compatibility_rows(masks, t)
-            dpre, covered_by = _shifted_inputs(monkeypatch, masks, t)
-            assert dpre == [ekrcross.search._partner(1 << j | p, rows, full)
-                            for j, p in enumerate(whole)], (masks, t)
-            assert covered_by == _covered_by(masks), masks
+            folded, shifts = _shifted_inputs(monkeypatch, masks, t)
+            assert folded == [ekrcross.search._partner(1 << j | p, rows, full)
+                              for j, p in enumerate(whole)], (masks, t)
+            assert _read_back(shifts, len(masks)) == _covered_by(masks), masks
             assert partner_shift_oracle(rows, same) == partner_shift_oracle(rows, whole) == 0
+
+
+@given(st.sampled_from(SHIFTED_LISTS), st.integers(1, 3), st.lists(st.integers(0), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_folded_rows_give_the_partner_of_every_shift_closed_set(chosen, t, picks):
+    # The walk closes with the folded rows: their AND over X is
+    # D(X + forced(X)), so it must equal D(X) for every X closed under
+    # the covers (X and all it forces, for a few picks).
+    _, masks = chosen
+    preds = ekrcross.search._dominance_preds(masks)
+    x = functools.reduce(operator.or_, (1 << i % len(masks) | preds[i % len(masks)]
+                                        for i in picks), 0)
+    rows, full = compatibility_rows(masks, t), (1 << len(masks)) - 1
+    with pytest.MonkeyPatch.context() as patch:
+        folded, _ = _shifted_inputs(patch, masks, t)
+    assert (ekrcross.search._partner(x, folded, full)
+            == ekrcross.search._partner(x, rows, full)), (masks, t, x)
+
+
+def test_folded_rows_differ_on_a_set_that_is_not_shift_closed(monkeypatch):
+    # The test above needs its hypothesis: for X = {j}, where j has a
+    # cover, the folded rows give D(X + forced(X)), which on some list
+    # is less than D(X).
+    differ = 0
+    for _, masks in SHIFTED_LISTS:
+        rows = compatibility_rows(masks, 1)
+        folded, shifts = _shifted_inputs(monkeypatch, masks, 1)
+        covered = functools.reduce(operator.or_, (g for _, g in shifts), 0)
+        differ += sum(folded[j] != rows[j] for j in range(len(masks)) if covered >> j & 1)
+    assert differ
 
 
 def test_shifted_lists_put_each_cover_first(monkeypatch):
@@ -553,6 +597,22 @@ def test_shifted_lists_put_each_cover_first(monkeypatch):
             for b in range(m.bit_length() - 1):
                 if m >> b + 1 & 1 and not m >> b & 1:
                     assert index[m ^ 3 << b] < j, (cands, m)
+
+
+@pytest.mark.parametrize("search, args", [
+    (max_uniform_product, (65, 3, 2)),
+    (max_uniform_product, (68, 19, 16)),
+    (max_weight_product, (21, 1, Fraction(1, 3))),
+])
+def test_sizes_past_the_ground_limits_raise_before_the_search(monkeypatch, search, args):
+    # A Family holds at most 64 elements, and the weight search lists all
+    # 2^n sets, at most 2^20: both must fail at once, not after a whole
+    # search (or once memory runs out).
+    calls = []
+    monkeypatch.setattr(ekrcross.search, "_search", lambda *rest, **kwargs: calls.append(rest))
+    with pytest.raises(ValueError, match="need"):
+        search(*args, SearchBudget(restrict_shifted=True))
+    assert calls == []
 
 
 def test_shifted_search_rejects_a_list_out_of_order():
@@ -740,10 +800,10 @@ def test_dominance_preds_on_traces_match_shifts_to():
     (max_weight_product, (5, 2, Fraction(1, 4))),
 ])
 def test_shifted_inputs_match_their_definitions(monkeypatch, search, args):
-    # dpre[j] is D({j} + preds[j]) over the same-size shifts and
-    # covered_by the covers read the other way, as handed to the scorer
-    # by a real shifted search: on the traces of sizes 1 to 3 on [5], or
-    # on the power set of [5].
+    # The folded rows are D({j} + preds[j]) over the same-size shifts and
+    # the offset masks the covers read the other way, as handed to the
+    # scorer by a real shifted search: on the traces of sizes 1 to 3 on
+    # [5], or on the power set of [5].
     scorer, seen = ekrcross.search._best_closed, []
     cands = ([s for size in (1, 2, 3) for s in uniform_layer(5, size)]
              if search is max_uniform_product else list(range(1 << 5)))
@@ -759,10 +819,10 @@ def test_shifted_inputs_match_their_definitions(monkeypatch, search, args):
     preds = [sum(1 << j for j, sj in enumerate(subs)
                  if j != i and len(si) == len(sj) and shifts_to(si, sj))
              for i, si in enumerate(subs)]
-    full = (1 << len(rows)) - 1
-    assert kwargs["dpre"] == [ekrcross.search._partner(1 << j | p, rows, full)
-                              for j, p in enumerate(preds)]
-    assert kwargs["covered_by"] == _covered_by(cands)
+    t = args[2] if search is max_uniform_product else args[1]
+    raw, full = compatibility_rows(cands, t), (1 << len(rows)) - 1
+    assert rows == [ekrcross.search._partner(1 << j | p, raw, full) for j, p in enumerate(preds)]
+    assert _read_back(kwargs["shifts"], len(cands)) == _covered_by(cands)
 
 
 @st.composite
@@ -950,7 +1010,8 @@ def test_walk_gets_only_the_time_left(monkeypatch):
 def test_blocked_mask_admits_exactly_the_canonical_children(data):
     # For A closed under the same-size shifts, child j passes the
     # canonicity prefilter when j forces no candidate below j that A
-    # lacks; the mask, read from the covers alone, must block every other j.
+    # lacks; the mask, read from the offset masks a shifted search hands
+    # its walk, must block every other j.
     n = data.draw(st.integers(1, 7))
     k = data.draw(st.none() | st.integers(1, n)) if n <= 6 else data.draw(st.integers(1, n))
     masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
@@ -960,7 +1021,9 @@ def test_blocked_mask_admits_exactly_the_canonical_children(data):
     free = (1 << len(masks)) - 1 & ~a
     want = sum(1 << j for j in range(len(masks))
                if free >> j & 1 and not preds[j] & ~a & (1 << j) - 1)
-    assert free & ~ekrcross.search._blocked(_covered_by(masks))(a) == want
+    with pytest.MonkeyPatch.context() as patch:
+        _, shifts = _shifted_inputs(patch, masks, 1)
+    assert free & ~ekrcross.search._blocked(shifts, len(masks))(a) == want
 
 
 @pytest.mark.parametrize("n, k, same", [
