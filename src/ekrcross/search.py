@@ -10,16 +10,11 @@ one closed-pair engine serves all three searches:
 - ``_best_closed`` walks a closure system of closed sets depth first
   by Close-by-One, carrying D(A) and both weights, as a branch and
   bound that maximizes the product w(A) w(D(A)) and keeps the tied
-  pairs.  Full mode walks every closed set (the intersections of the
-  per-candidate compatibility rows).  Shifted mode walks the closed
-  shift-closed sets, a closure system since D of a shift-closed family
-  is shift-closed (proved in ``_search``), under the same-size shifts
-  alone, as closed sets are up-closed; it is seeded with the star
-  product.  Uniform searches walk traces (see ``max_uniform_product``);
-  the layer is the traces at m = n;
+  pairs: every closed set in full mode, the closed shift-closed sets in
+  shifted mode, seeded with the star product (see ``_search``).  Uniform
+  searches walk traces (see ``max_uniform_product``), the layer at m = n;
 - ``_search`` is the one search of sets and words alike: it builds the
-  compatibility rows, in shifted mode folds each candidate's same-size
-  covers into its row, in list order, keeps full mode's past-the-cap
+  rows (``_shifted_rows`` in shifted mode), keeps full mode's past-the-cap
   count, which the benchmark pins, labels the symmetric ties with
   ``_construction`` and builds the ``SearchResult``;
 - ``_downsets`` lists the shift-closed families themselves, for
@@ -232,7 +227,7 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
     cap = WITNESS_CAP
     best, ties, split, visited = seed, 0, 0, 0
     kept: list[int] = []  # the cap least tie keys, negated: a max-heap
-    root = _partner(full, rows, full)
+    root = _partner(full & ~reduce(operator.or_, [g >> d for d, g in shifts or ()], 0), rows, full)
     stack = [(root, full, w(root), w(full), 0)]
     while stack:
         a, b, wa, wb, start = stack.pop()
@@ -362,42 +357,47 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
 
     Shifted mode walks the closed pairs of shift-closed families, under
     the same-size order: a family is shift-closed when it holds each
-    cover of its members (``_covers``: one element moved one step left).
-    Every list it is given holds those covers, as a left shift keeps the
-    size and the ground set.  The lemma: D of a shift-closed A is
-    shift-closed.  Take T in D(A) and its cover T' = T - j + i, where T
-    holds j and misses i = j - 1.  A member S of A meets T' less than T
-    only when S holds j and misses i; then S' = S - j + i is a cover of
-    S, so in A, and |T' & S| = |T & S'| >= t.  So T' is in D(A).  The
-    closed sets and the shift-closed families are both closed under
-    intersection, so the closed shift-closed sets are a closure system,
-    and the least one above X is D(D(X + forced(X))).
-    That one order serves every candidate set: a closed set is up-closed
-    in ``cands``, as D of anything is, so closed under the same-size
-    shifts is closed under the whole dominance order.  Close-by-One
-    walks any closure system (Kuznetsov 1993), so shifted mode is the
-    same walk on rows folded to rows[j] = D({j} + forced(j)); its
-    canonicity test and both subtree bounds hold unchanged, as a
-    descendant of child j still adds only candidates >= j.  Its ``best``
-    starts at the product of the star pair (every candidate holding [t],
-    twice), which is cross t-intersecting.
+    cover of its members (``_covers``: one element moved one step left),
+    and every list given holds them, as a left shift keeps the size and
+    the ground set.  The lemma: D of a shift-closed A is shift-closed.
+    Take T in D(A) and its cover T' = T - j + i, where T holds j and
+    misses i = j - 1.  A member S of A meets T' less than T only when S
+    holds j and misses i; then S' = S - j + i is a cover of S, so in A,
+    and |T' & S| = |T & S'| >= t.  So T' is in D(A).  The closed sets
+    and the shift-closed families are both closed under intersection, so
+    the closed shift-closed sets are a closure system, and the least one
+    above X is D(D(X + forced(X))).  One order serves every list: a
+    closed set is up-closed in ``cands``, as D of anything is, so closed
+    under the same-size shifts is closed under the whole dominance order.
+    Close-by-One walks any closure system (Kuznetsov 1993), so shifted
+    mode is the same walk on rows[j] = D({j} + forced(j)); its canonicity
+    test and both subtree bounds hold unchanged, as a descendant of child
+    j still adds only candidates >= j.  Its ``best`` starts at the product
+    of the star pair (every candidate holding [t], twice), which is cross
+    t-intersecting.
 
-    What j forces is its covers and what they force, so the fold runs in
-    place, in list order: rows[j] &= rows[c] over the covers c of j, and
-    the offset d = j - c puts j in g_d, for ``_blocked``.  List order is
-    a linear extension: in a layer or a trace window in ``uniform_layer``
-    order a left shift gives a lexicographically smaller combination,
-    and in the power set, ordered by mask, it lowers the mask.  A cover
-    whose index is not below its candidate's raises ValueError, and a
-    missing cover KeyError.  The closure and the root read the folded
-    rows too, and stay exact: their AND over X is D(X + forced(X)), so
-    D(X) when X is shift-closed, as forced(X) lies in X.  Every set the
-    walk closes is: the root closes the whole list, and a child closes
-    D(A) & rows[j] = D(A + j + forced(j)), shift-closed by the lemma, as
-    A is (the root's D(full), or a closure D(nb) of such a set).
+    ``_shifted_rows`` builds them by the prefix lemma.  Write S = cands[j]
+    as s_0 < s_1 < ..., from 0: {j} + forced(j) is each same-size T with
+    all t_i <= s_i, all listed.  The fewest elements of X in such a T is
+    the max of 0 and each f(i) = |X & [0, s_i]| - (s_i - i): T has i + 1
+    elements in [0, s_i], at most s_i + 1 - |X & [0, s_i]| outside X, and
+    the T taking for t_i the least element above t_{i-1} outside X if at
+    most s_i, else t_{i-1} + 1, skips none outside X, so holds f(i) of X
+    for the last i where it takes one of X.  So X is in rows[j] when some
+    f(i) >= t, and only the last i of each run of S counts, as f(i) <=
+    f(i + 1) when s_{i+1} = s_i + 1.  The closure and the root read these
+    rows too, exactly: their AND over X is D(X + forced(X)), so D(X) for
+    X shift-closed, which each set the walk closes is: the whole list, and
+    D(A) & rows[j] = D(A + j + forced(j)), by the lemma, as A is.  The
+    root ANDs only the candidates no cover of another: rows[c] holds
+    rows[j] for a cover c of j, and covers chain up the list to one kept.
 
-    The time limit counts set-up: its clock is read after each phase, and
-    the walk (from its first node) gets the time left.
+    The covers loop puts j in g_d for each cover j - d, for ``_blocked``;
+    a cover listed after its candidate raises ValueError, and a missing
+    one KeyError.  List order is a linear extension: a left shift gives
+    a lexicographically smaller combination in ``uniform_layer`` order,
+    and a lower mask in the power set.  The time limit counts set-up: its
+    clock is read after each phase, and the walk gets the time left.
 
     Full mode walks every closed set, unseeded.  Both modes count each
     tied closed pair once, from its side A with w(A) < w(D(A)), or
@@ -421,7 +421,7 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
     and ``notes`` follow the mode's own.
     """
     started, deadline = time.perf_counter(), _Deadline(budget)
-    rows = compatibility_rows(cands, t)
+    rows = (_shifted_rows if budget.restrict_shifted else compatibility_rows)(cands, t)
     deadline.check()
     shifted = {}
     if budget.restrict_shifted:
@@ -430,7 +430,6 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
             for c in map(index.__getitem__, _covers(m)):
                 if c >= j:
                     raise ValueError(f"cover {c} of candidate {j} is listed after it")
-                rows[j] &= rows[c]
                 offsets[j - c] = offsets.get(j - c, 0) | 1 << j
         deadline.check()
         core = (1 << t) - 1
@@ -532,35 +531,36 @@ def uniform_layer(n: int, k: int) -> list[int]:
     return [mask_of(c, n) for c in itertools.combinations(range(1, n + 1), k)]
 
 
-def compatibility_rows(cands: Sequence[int], t: int) -> list[int]:
-    """rows[i] = index mask of candidates meeting candidate i in >= t.
+def _columns(cands: Sequence[int]) -> list[int]:
+    """cols[e] = index mask of the candidates holding e, in linear time."""
+    width = max(cands, default=0).bit_length()
+    digits = "".join(format(c, f"0{width}b") for c in reversed(cands))
+    return [int(digits[width - 1 - e::width], 2) for e in range(width)]
 
-    Bit-sliced over elements: col[e] marks the candidates holding e.  A
-    candidate meets the s elements of candidate i in >= t when it misses
-    at most s - t of them, or when it is not one that holds at most t - 1;
-    whichever bound is less is ``few``.  Over the elements e of i, le[q],
-    the candidates missing (holding) at most q of them, keeps those
-    holding (missing) e and takes in le[q-1], q from ``few`` down to 1."""
-    full = (1 << len(cands)) - 1
-    elems = [_bits(c) for c in cands]
-    cols = [0] * max(cands, default=0).bit_length()
-    for i, es in enumerate(elems):
-        for e in es:
-            cols[e] |= 1 << i
-    rows = []
-    for es in elems:
-        few, flip = (len(es) - t, 0) if len(es) < 2 * t else (t - 1, full)
-        if few < 0:
-            rows.append(flip)
-            continue
-        le = [full] * (few + 1)
-        for e in es:
-            col = cols[e] ^ flip
-            for q in range(few, 0, -1):
-                le[q] = le[q] & col | le[q - 1]
-            le[0] &= col
-        rows.append(le[few] ^ flip)
+
+def compatibility_rows(cands: Sequence[int], t: int) -> list[int]:
+    """rows[i] = index mask of candidates meeting candidate i in >= t:
+    at[q] holds those with >= q of the elements of i so far."""
+    full, cols, rows = (1 << len(cands)) - 1, _columns(cands), []
+    for c in cands:
+        at = [full] + [0] * t
+        for e in _bits(c):
+            for q in range(t, 0, -1):
+                at[q] |= at[q - 1] & cols[e]
+        rows.append(at[t])
     return rows
+
+
+def _shifted_rows(cands: Sequence[int], t: int) -> list[int]:
+    """rows[j], the OR of P[s_i + 1][s_i - i + t] over the run ends s_i of
+    S = cands[j] (see ``_search``), P[p][q] holding those with >= q of [0, p)."""
+    table = [[(1 << len(cands)) - 1]]
+    for col in _columns(cands):
+        table.append([a | b & col for a, b in zip(table[-1] + [0], [0] + table[-1])])
+    keys = [tuple((s + 1, q) for s in _bits(c & ~(c >> 1))
+                  if (q := t + s - (c & (1 << s) - 1).bit_count()) <= s + 1) for c in cands]
+    rows = {key: reduce(operator.or_, (table[p][q] for p, q in key), 0) for key in set(keys)}
+    return [rows[key] for key in keys]
 
 
 def max_uniform_product(

@@ -527,18 +527,19 @@ SHIFTED_LISTS = [*((n, uniform_layer(n, k)) for n in range(1, 8) for k in range(
 
 
 def test_same_size_shifts_force_what_the_whole_order_forces(monkeypatch):
-    # Shifted mode folds the same-size covers alone.  On every candidate
-    # set it runs on, the rows handed to the walk must be D({j} + what j
-    # forces in the whole dominance order) (shifts_to, which may add
-    # elements), the offset masks the covers read the other way, and the
-    # oracle must read 0 under either order.
+    # Shifted mode builds its rows over the same-size shifts alone.  On
+    # every candidate set it runs on, the rows handed to the walk must be
+    # D({j} + what j forces in the whole dominance order) (shifts_to,
+    # which may add elements) over the compatibility rows, the offset
+    # masks the covers read the other way, and the oracle must read 0
+    # under either order.
     for m, masks in SHIFTED_LISTS:
         subs = [Subset(m, x) for x in masks]
         whole = [sum(1 << j for j, sj in enumerate(subs) if j != i and shifts_to(si, sj))
                  for i, si in enumerate(subs)]
         same = ekrcross.search._dominance_preds(masks)
         full = (1 << len(masks)) - 1
-        for t in (1, 2, 3):
+        for t in (1, 2, 3, 4):
             rows = compatibility_rows(masks, t)
             folded, shifts = _shifted_inputs(monkeypatch, masks, t)
             assert folded == [ekrcross.search._partner(1 << j | p, rows, full)
@@ -547,21 +548,41 @@ def test_same_size_shifts_force_what_the_whole_order_forces(monkeypatch):
             assert partner_shift_oracle(rows, same) == partner_shift_oracle(rows, whole) == 0
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_prefix_lemma_gives_the_fewest_elements_a_shift_can_hold(data):
+    # Over every same-size T with t_i <= s_i, listed by brute force, the
+    # fewest elements of X that T holds is at least t exactly when
+    # |X & [0, s_i]| >= s_i - i + t for some i; the shifted rows of the
+    # power set of [w] must say the same.
+    w, t = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 4))
+    s, x = data.draw(st.integers(0, (1 << w) - 1)), data.draw(st.integers(0, (1 << w) - 1))
+    ss = ekrcross.search._bits(s)
+    below = [y for y in range(1 << w) if y.bit_count() == len(ss)
+             and all(a <= b for a, b in zip(ekrcross.search._bits(y), ss))]
+    prefix = any((x & (2 << e) - 1).bit_count() >= e - i + t for i, e in enumerate(ss))
+    assert (min((x & y).bit_count() for y in below) >= t) == prefix, (s, x, t)
+    assert ekrcross.search._shifted_rows(range(1 << w), t)[s] >> x & 1 == prefix
+
+
 @given(st.sampled_from(SHIFTED_LISTS), st.integers(1, 3), st.lists(st.integers(0), max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_folded_rows_give_the_partner_of_every_shift_closed_set(chosen, t, picks):
     # The walk closes with the folded rows: their AND over X is
     # D(X + forced(X)), so it must equal D(X) for every X closed under
-    # the covers (X and all it forces, for a few picks).
+    # the covers (X and all it forces, for a few picks), and so must
+    # their AND over the members of X that are no cover of another, as
+    # the root takes it over the whole list.
     _, masks = chosen
     preds = ekrcross.search._dominance_preds(masks)
     x = functools.reduce(operator.or_, (1 << i % len(masks) | preds[i % len(masks)]
                                         for i in picks), 0)
     rows, full = compatibility_rows(masks, t), (1 << len(masks)) - 1
     with pytest.MonkeyPatch.context() as patch:
-        folded, _ = _shifted_inputs(patch, masks, t)
-    assert (ekrcross.search._partner(x, folded, full)
-            == ekrcross.search._partner(x, rows, full)), (masks, t, x)
+        folded, shifts = _shifted_inputs(patch, masks, t)
+    tops = x & ~functools.reduce(operator.or_, ((x & g) >> d for d, g in shifts), 0)
+    assert (ekrcross.search._partner(x, folded, full) == ekrcross.search._partner(x, rows, full)
+            == ekrcross.search._partner(tops, folded, full)), (masks, t, x)
 
 
 def test_folded_rows_differ_on_a_set_that_is_not_shift_closed(monkeypatch):
@@ -950,15 +971,16 @@ def test_downsets_check_the_clock_at_the_first_node(monkeypatch):
         next(families)
 
 
-PHASES = ["compatibility_rows", "_covers", "_best_closed"]
+PHASES = ["_shifted_rows", "_covers", "_best_closed"]
 
 
 @pytest.mark.parametrize("slow", PHASES[:-1])
 def test_time_limit_counts_each_set_up_phase(monkeypatch, slow):
     # Shifted (9, 4, 2) walks a handful of nodes, far below the first
     # periodic check.  A phase that takes 1 s on the clock under a 0.5 s
-    # limit must stop the search before the next phase starts.  The cover
-    # fold is timed through _covers, which it calls once per candidate.
+    # limit must stop the search before the next phase starts.  The
+    # covers loop is timed through _covers, which it calls once per
+    # candidate.
     clock, ran = [0.0], []
 
     def timed(name, phase):
@@ -984,7 +1006,8 @@ def test_time_limit_counts_each_set_up_phase(monkeypatch, slow):
 def test_walk_gets_only_the_time_left(monkeypatch):
     # Set-up takes 0.3 s of a 0.5 s limit, so the walk runs under 0.2 s;
     # a walk checks the clock at its first node.
-    clock, scorer, build, limits = [0.0], ekrcross.search._best_closed, compatibility_rows, []
+    clock, scorer, limits = [0.0], ekrcross.search._best_closed, []
+    build = ekrcross.search._shifted_rows
 
     def slow_rows(*args):
         clock[0] += 0.3
@@ -995,7 +1018,7 @@ def test_walk_gets_only_the_time_left(monkeypatch):
         return scorer(rows, weights, budget, **kwargs)
 
     monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: clock[0])
-    monkeypatch.setattr(ekrcross.search, "compatibility_rows", slow_rows)
+    monkeypatch.setattr(ekrcross.search, "_shifted_rows", slow_rows)
     monkeypatch.setattr(ekrcross.search, "_best_closed", recorded)
     r = max_uniform_product(6, 3, 2, SearchBudget(restrict_shifted=True, time_limit=0.5))
     assert r.notes["mode"] == "shifted" and limits == [pytest.approx(0.2)]
