@@ -17,7 +17,9 @@ one closed-pair engine serves all three searches:
   rows (``_shifted_rows`` in shifted mode), keeps full mode's past-the-cap
   count, which the benchmark pins, labels the symmetric ties with
   ``_construction`` and builds the ``SearchResult``;
-- ``_downsets`` lists the shift-closed families themselves, for
+- ``_dominance_preds`` reads the dominance order off ``_prefix_table``,
+  as ``_shifted_rows`` reads its rows, and ``_downsets`` walks its
+  downsets, the shift-closed families, by Close-by-One, for
   ``iter_shifted_families`` and the lemma-harness generator, whose
   compressions ``_shift_fixpoint`` (tested against setfam's), memo key,
   shrinks, ``seen`` and U are index masks; only emitted pairs become families.
@@ -66,7 +68,8 @@ class SearchBudget:
     those it prunes), and the shift-closed families that
     ``iter_shifted_families`` lists.  ``restrict_shifted`` picks shifted
     mode for the set searches (the sequence search always runs full
-    mode).  ``time_limit`` is wall-clock seconds, set-up included.
+    mode).  ``time_limit`` is wall-clock seconds, set-up included; a walk
+    under one reads the clock at every node, and one without reads none.
     """
 
     max_family_bits: int = DEFAULT_NODE_CAP
@@ -95,8 +98,8 @@ class SearchResult:
 
 class _Deadline:
     def __init__(self, budget: SearchBudget):
-        self.t0 = time.monotonic()
         self.limit = budget.time_limit
+        self.t0 = None if self.limit is None else time.monotonic()
 
     def check(self) -> Optional[float]:
         """Raise once the time limit is past; else the seconds left (None: no limit)."""
@@ -202,7 +205,7 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
     max over L candidates, which order like the tuples; R of them have
     A != D(A), and ``unretained`` is P - R.
     """
-    deadline, span = _Deadline(budget), len(rows)
+    deadline, limited, span = _Deadline(budget), budget.time_limit is not None, len(rows)
     full = (1 << span) - 1
     unit = weights or [1] * span
     lo = min(unit, default=1)
@@ -237,7 +240,7 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
         if visited > budget.max_family_bits:
             raise BudgetExceeded(
                 f"closed-set search exceeds max_family_bits={budget.max_family_bits}")
-        if visited & 0xFF == 1:
+        if limited:
             deadline.check()
         prod = wa * wb
         if prod > best:
@@ -284,67 +287,80 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
 
 
 # ---------------------------------------------------------------------------
-# shift-closed enumeration (downsets of the dominance order)
+# the dominance order and its downsets (the shift-closed families)
 # ---------------------------------------------------------------------------
 
 
-def _linear_extension(masks: Sequence[int]) -> list[int]:
-    """Candidate indices, larger and then lefter sets first: each comes
-    after every candidate it forces."""
-    return sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), sum(_bits(masks[i]))))
+def _prefix_table(cands: Sequence[int]) -> list[list[int]]:
+    """P[p][q], q <= p: the index mask of the candidates with at least q
+    elements in [0, p), bit-sliced over the element columns (q in
+    [0, p + 1) is q in [0, p), or q - 1 there and p)."""
+    table = [[(1 << len(cands)) - 1]]
+    for col in _columns(cands):
+        table.append([a | b & col for a, b in zip(table[-1] + [0], [0] + table[-1])])
+    return table
 
 
-def _covers(m: int, n: int = 0) -> list[int]:
-    """The sets that the set ``m`` covers in the dominance order, all of
-    which a shift-closed family holding m holds: m with one element moved
-    one step left (the same-size order), and with n > 0 also m plus one
-    element of [n] (the whole order on the power set of [n])."""
-    return ([m - (1 << (b - 1)) for b in _bits(m) if b and not m >> (b - 1) & 1]
-            + [m | 1 << e for e in range(n) if not m >> e & 1])
+def _covers(m: int) -> list[int]:
+    """The sets that the set ``m`` covers in the same-size dominance
+    order, for ``_search``: m with one element moved one step left."""
+    return [m - (1 << (b - 1)) for b in _bits(m) if b and not m >> (b - 1) & 1]
 
 
 def _dominance_preds(masks: Sequence[int], n: int = 0) -> list[int]:
     """preds[i] = index mask of the candidates that candidate i forces,
-    for ``_downsets``: the j whose set the set of i shifts to
-    (``setfam.shifts_to``), as a shift-closed family holding i holds j.
-    n = 0 gives the same-size order and n > 0 the whole order on the
-    power set of [n] (see ``_covers``).  preds[i] is the union of {c}
-    and preds[c] over the covers c of i, in linear-extension order.  A
-    left shift keeps the size and the ground set, so a layer, the power
-    set and the traces of a size window hold every same-size cover, and
-    the power set every other; a missing cover raises KeyError."""
-    index = {m: i for i, m in enumerate(masks)}
-    preds = [0] * len(masks)
-    for i in _linear_extension(masks):
-        for c in map(index.__getitem__, _covers(masks[i], n)):
-            preds[i] |= 1 << c | preds[c]
+    the j whose set the set of i shifts to (``setfam.shifts_to``): n = 0
+    gives the same-size order, n > 0 the whole one on the power set of
+    [n], which may add elements (any other list raises KeyError).
+
+    Write S = masks[i] as s_0 < s_1 < ..., from 0.  S forces T when
+    t_r <= s_r for each r < |S|, that is, when |T & [0, s_r]| >= r + 1:
+    t_0 < ... < t_r lie in [0, s_r] when t_r does, and the least r + 1
+    elements of T there are t_0..t_r.  So preds[i] is the AND over r of
+    P[s_r + 1][r + 1] (``_prefix_table``), within S's layer P[w][|S|]
+    less P[w][|S| + 1] when n = 0, less i.  The run ends of S suffice:
+    if s_{r+1} = s_r + 1, r + 2 elements in [0, s_r + 1] leave r + 1 in
+    [0, s_r]."""
+    if n and sorted(masks) != list(range(1 << n)):
+        raise KeyError(f"the whole dominance order needs the power set of [{n}]")
+    table = _prefix_table(masks)
+    sizes = table[-1] + [0]
+    preds = []
+    for i, s in enumerate(masks):
+        layer = table[0][0] if n else sizes[s.bit_count()] & ~sizes[s.bit_count() + 1]
+        preds.append(reduce(operator.and_, [table[e + 1][(s & (2 << e) - 1).bit_count()]
+                                            for e in _bits(s & ~(s >> 1))], layer) & ~(1 << i))
     return preds
 
 
-def _downsets(masks: Sequence[int], preds: Sequence[int],
-              budget: SearchBudget) -> Iterable[int]:
-    """Every family A closed under ``preds``, depth first and each once,
-    as an index mask.
-
-    A child adds a candidate later in the linear extension than A's last
-    one, with all it forces already in A, so every path prefix is closed.
-    """
-    order = _linear_extension(masks)
-    deadline = _Deadline(budget)
+def _downsets(preds: Sequence[int], budget: SearchBudget,
+              within: Optional[int] = None) -> Iterable[int]:
+    """Every family closed under ``preds`` within the closed family
+    ``within`` (default: all candidates), depth first and each once, as
+    an index mask.  Close-by-One (Kuznetsov 1993), as ``_best_closed``
+    walks, in list order: preds is transitive, so a closed A and j close
+    to A + j + preds[j].  A child adds a j >= the one that made A, kept
+    only when it adds nothing below j.  So each closed A is reached once:
+    at the least j with A the closure of its members up to j, from the
+    closure of those below j."""
+    deadline, limited = _Deadline(budget), budget.time_limit is not None
+    allowed = (1 << len(preds)) - 1 if within is None else within
     visited = 0
     stack = [(0, 0)]
     while stack:
-        pos, a = stack.pop()
+        a, start = stack.pop()
         visited += 1
         if visited > budget.max_family_bits:
             raise BudgetExceeded(f"downset search exceeds max_family_bits={budget.max_family_bits}")
-        if visited & 0xFF == 1:
+        if limited:
             deadline.check()
         yield a
-        for q in range(len(order) - 1, pos - 1, -1):
-            i = order[q]
-            if not preds[i] & ~a:
-                stack.append((q + 1, a | 1 << i))
+        todo = allowed & ~a >> start << start
+        while todo:
+            j = todo.bit_length() - 1
+            todo ^= 1 << j
+            if not preds[j] & ~a & (1 << j) - 1:
+                stack.append((a | 1 << j | preds[j], j + 1))
 
 
 def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
@@ -468,7 +484,7 @@ def iter_shifted_families(
         raise ValueError("uniform families cannot be inclusion maximal")
     masks = uniform_layer(n, k) if k is not None else list(range(1 << n))
     preds = _dominance_preds(masks, n if inclusion_maximal else 0)
-    for chosen in _downsets(masks, preds, budget or SearchBudget()):
+    for chosen in _downsets(preds, budget or SearchBudget()):
         yield Family(n, tuple(sorted(masks[i] for i in _bits(chosen))), k)
 
 
@@ -553,10 +569,8 @@ def compatibility_rows(cands: Sequence[int], t: int) -> list[int]:
 
 def _shifted_rows(cands: Sequence[int], t: int) -> list[int]:
     """rows[j], the OR of P[s_i + 1][s_i - i + t] over the run ends s_i of
-    S = cands[j] (see ``_search``), P[p][q] holding those with >= q of [0, p)."""
-    table = [[(1 << len(cands)) - 1]]
-    for col in _columns(cands):
-        table.append([a | b & col for a, b in zip(table[-1] + [0], [0] + table[-1])])
+    S = cands[j] (see ``_search``), P the ``_prefix_table``."""
+    table = _prefix_table(cands)
     keys = [tuple((s + 1, q) for s in _bits(c & ~(c >> 1))
                   if (q := t + s - (c & (1 << s) - 1).bit_count()) <= s + 1) for c in cands]
     rows = {key: reduce(operator.or_, (table[p][q] for p, q in key), 0) for key in set(keys)}
@@ -713,10 +727,7 @@ def generate_shifted_pairs(
             return [x]
         if any(preds[i] & ~x for i in idx):
             return None
-        local = {i: q for q, i in enumerate(idx)}
-        sub = [sum(1 << local[j] for j in _bits(preds[i])) for i in idx]
-        walk = _downsets([cands[i] for i in idx], sub, SearchBudget())
-        return [sum(1 << idx[q] for q in _bits(a)) for a in itertools.islice(walk, count + 1) if a]
+        return [a for a in itertools.islice(_downsets(preds, SearchBudget(), x), count + 1) if a]
 
     def universe() -> Optional[set[tuple[int, int]]]:
         if (len(cands) ** 3 + 5 * len(cands)) // 6 > cap:  # more seeds than attempts

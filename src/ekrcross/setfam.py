@@ -165,22 +165,6 @@ class Family:
         return f"Family(n={self.n}{tag}, [{body}])"
 
 
-@dataclass(frozen=True)
-class ShiftIndex:
-    """A compression direction (i, j): replace j by i where possible."""
-
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.i < self.j:
-            raise ValueError(f"need 1 <= i < j, got ({self.i}, {self.j})")
-
-    def validate(self, n: int) -> None:
-        if self.j > n:
-            raise ValueError(f"shift index ({self.i},{self.j}) exceeds ground set [1,{n}]")
-
-
 # ---------------------------------------------------------------------------
 # cross intersection and compression operators
 # ---------------------------------------------------------------------------
@@ -218,12 +202,13 @@ def _shift_masks(masks: Sequence[int], i: int, j: int) -> tuple[int, ...]:
     return res
 
 
-def shift_ij(fam: Family, idx: ShiftIndex | tuple[int, int]) -> Family:
-    """Apply the (i, j) compression to every member of the family."""
-    if isinstance(idx, tuple):
-        idx = ShiftIndex(*idx)
-    idx.validate(fam.n)
-    return Family(fam.n, _shift_masks(fam.masks, idx.i, idx.j), fam.k)
+def shift_ij(fam: Family, idx: tuple[int, int]) -> Family:
+    """Apply the (i, j) compression, replacing j by i where possible, to
+    every member of the family; needs 1 <= i < j <= n."""
+    i, j = idx
+    if not 1 <= i < j <= fam.n:
+        raise ValueError(f"need 1 <= i < j <= {fam.n}, got ({i}, {j})")
+    return Family(fam.n, _shift_masks(fam.masks, i, j), fam.k)
 
 
 def is_shifted(fam: Family) -> bool:
@@ -251,7 +236,7 @@ def is_shifted(fam: Family) -> bool:
 
 def shift_pair_to_fixpoint(
     a: Family, b: Family
-) -> tuple[Family, Family, list[ShiftIndex]]:
+) -> tuple[Family, Family, list[tuple[int, int]]]:
     """Compress both families simultaneously until both are shifted.
 
     Sweeps (i, j) in lexicographic order and repeats until a full pass
@@ -263,7 +248,7 @@ def shift_pair_to_fixpoint(
     if a.n != b.n:
         raise GroundSetMismatch("ground-set mismatch")
     n = a.n
-    trace: list[ShiftIndex] = []
+    trace = []
     changed = True
     while changed:
         changed = False
@@ -274,7 +259,7 @@ def shift_pair_to_fixpoint(
                 if na != a.masks or nb != b.masks:
                     a = Family(a.n, na, a.k)
                     b = Family(b.n, nb, b.k)
-                    trace.append(ShiftIndex(i, j))
+                    trace.append((i, j))
                     changed = True
     return a, b, trace
 

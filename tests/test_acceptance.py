@@ -1,9 +1,12 @@
 """Acceptance criteria, one test (or parametrized group) per criterion.
 
-Each criterion prints one pass/fail line (visible under ``pytest -s``)
-and then asserts.  Tolerances are exact: every comparison is rational
-against rational, or an interval whose whole extent clears the
-threshold.
+Each criterion prints one pass/fail line and then asserts.  To see the
+lines, run the battery without output capture:
+
+    python -m pytest tests/test_acceptance.py -v -s
+
+Tolerances are exact: every comparison is rational against rational,
+or an interval whose whole extent clears the threshold.
 """
 
 import itertools

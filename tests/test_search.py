@@ -434,12 +434,12 @@ def test_uniform_search_walks_one_candidate_list(monkeypatch, shifted, args, wan
 
 def test_partner_shift_oracle_detects_a_partner_that_is_not_closed():
     # (6, 3, 2) runs on the traces of sizes 2 and 3 on [4].  Under preds
-    # that chain the linear extension the closed families are its
-    # prefixes (123, 124, 134, 234, 12, 13, 14, ...), and D({123}) =
-    # {123, 124, 134, 234, 12, 13, 23} is not one, so the oracle must
-    # count it.
+    # that chain the 3-sets and then the 2-sets, each in list order, the
+    # closed families are the chain's prefixes (123, 124, 134, 234, 12,
+    # 13, 14, ...), and D({123}) = {123, 124, 134, 234, 12, 13, 23} is
+    # not one, so the oracle must count it.
     traces = uniform_layer(4, 2) + uniform_layer(4, 3)
-    order = ekrcross.search._linear_extension(traces)
+    order = [*range(6, 10), *range(6)]
     chain = [sum(1 << q for q in order[:order.index(i)]) for i in range(len(traces))]
     assert partner_shift_oracle(compatibility_rows(traces, 2), chain) > 0
 
@@ -971,6 +971,36 @@ def test_downsets_check_the_clock_at_the_first_node(monkeypatch):
         next(families)
 
 
+@pytest.mark.parametrize("walk", ["closed", "downsets"])
+def test_time_limit_is_read_at_every_node(monkeypatch, walk):
+    # The clock advances 1 s per row read.  A limit 0.5 s past the reads
+    # made before the first node must stop either walk at its second
+    # node, before the node budget of 2 does; a walk that read the clock
+    # at nodes 1, 257, ... ran on into that budget.
+    clock = [0.0]
+
+    class Ticking(list):
+        def __getitem__(self, j):
+            clock[0] += 1.0
+            return super().__getitem__(j)
+
+    masks = uniform_layer(7, 3)
+    rows = Ticking(compatibility_rows(masks, 1) if walk == "closed"
+                   else ekrcross.search._dominance_preds(masks))
+
+    def run(budget):
+        if walk == "closed":
+            return ekrcross.search._best_closed(rows, None, budget)
+        return list(ekrcross.search._downsets(rows, budget))
+
+    with pytest.raises(BudgetExceeded, match="max_family_bits=0"):
+        run(SearchBudget(max_family_bits=0))
+    first, clock[0] = clock[0], 0.0
+    monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: clock[0])
+    with pytest.raises(BudgetExceeded, match="time limit"):
+        run(SearchBudget(max_family_bits=2, time_limit=first + 0.5))
+
+
 PHASES = ["_shifted_rows", "_covers", "_best_closed"]
 
 
@@ -1061,6 +1091,39 @@ def test_dominance_preds_match_shifts_to(n, k, same):
                 if j != i and shifts_to(si, sj) and not (same and len(si) != len(sj)))
             for i, si in enumerate(subs)]
     assert ekrcross.search._dominance_preds(masks, 0 if same else n) == want
+
+
+def _closed_within(x, preds):
+    """Each subfamily of x closed under preds, by testing all 2^|x| of
+    them at once: bit y of has[i] says whether the y-th one holds i."""
+    idx = ekrcross.search._bits(x)
+    size = 1 << len(idx)
+    has = {i: int(("1" * (1 << r) + "0" * (1 << r)) * (size >> r + 1), 2)
+           for r, i in enumerate(idx)}
+    ok = (1 << size) - 1
+    for i in idx:
+        ok &= ~has[i] | functools.reduce(
+            operator.and_, (has.get(p, 0) for p in ekrcross.search._bits(preds[i])), ok)
+    return {sum(1 << i for r, i in enumerate(idx) if y >> r & 1)
+            for y in ekrcross.search._bits(ok)}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_downsets_within_a_downset_are_its_closed_subfamilies(data):
+    # On layers with n <= 6 and power sets with n <= 4, under the
+    # same-size order and (power sets) the whole one, the walk within a
+    # downset x (every candidate when no pick is drawn) must yield each
+    # subfamily of x closed under preds exactly once.
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.none() | st.integers(1, n)) if n <= 4 else data.draw(st.integers(1, n))
+    masks = list(range(1 << n)) if k is None else uniform_layer(n, k)
+    preds = ekrcross.search._dominance_preds(masks, n if k is None and data.draw(st.booleans()) else 0)
+    picks = data.draw(st.lists(st.integers(0, len(masks) - 1), max_size=3))
+    x = functools.reduce(operator.or_, (1 << i | preds[i] for i in picks), 0)
+    got = list(ekrcross.search._downsets(preds, SearchBudget(), x if picks else None))
+    want = _closed_within(x if picks else (1 << len(masks)) - 1, preds)
+    assert len(got) == len(set(got)) and set(got) == want, (masks, x)
 
 
 class TestPartnerOperator:

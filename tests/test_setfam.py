@@ -9,7 +9,6 @@ from ekrcross.setfam import (
     BudgetExceeded,
     Family,
     GroundSetMismatch,
-    ShiftIndex,
     Subset,
     are_isomorphic,
     dual_t,
@@ -123,7 +122,7 @@ class TestShifting:
 
     def test_shift_index_validation(self):
         with pytest.raises(ValueError):
-            ShiftIndex(2, 2)
+            shift_ij(fam(3, [1]), (2, 2))
         with pytest.raises(ValueError):
             shift_ij(fam(3, [1]), (1, 4))
 
