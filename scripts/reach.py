@@ -32,9 +32,15 @@ TIME_LIMIT_S = 60.0
 
 # (mode, kind, args): uniform (n, k, t), weight (n, t, p), seq (n, m, t).
 LADDER = [
+    # The search-full benchmark's uniform instance, so each BENCH file
+    # carries its node count.
+    ("full", "uniform", (6, 3, 1)),
     ("full", "uniform", (7, 3, 1)),
     ("full", "uniform", (8, 3, 1)),
     ("full", "uniform", (7, 4, 2)),
+    # A frontier rung, where F0 to F3 tie: full mode stops at the node
+    # budget after about 40 s on a 2-core host, close to the time limit.
+    ("full", "uniform", (8, 4, 1)),
     ("full", "weight", (7, 2, Fraction(1, 4))),
     ("full", "seq", (4, 2, 1)),
     ("shifted", "uniform", (11, 5, 2)),

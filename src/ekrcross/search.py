@@ -11,8 +11,10 @@ one closed-pair engine serves all three searches:
   by Close-by-One, carrying D(A) and both weights, as a branch and
   bound that maximizes the product w(A) w(D(A)) and keeps the tied
   pairs: every closed set in full mode, the closed shift-closed sets in
-  shifted mode, seeded with the star product (see ``_search``).  Uniform
-  searches walk traces (see ``max_uniform_product``), the layer at m = n;
+  shifted mode, seeded with the star product (see ``_search``).  It
+  scores each set where it makes it, and pushes only the sets whose
+  subtree can still hold a counted tie.  Uniform searches walk traces
+  (see ``max_uniform_product``), the layer at m = n;
 - ``_search`` is the one search of sets and words alike: it builds the
   rows (``_shifted_rows`` in shifted mode), keeps full mode's past-the-cap
   count, which the benchmark pins, labels the symmetric ties with
@@ -65,11 +67,11 @@ class SearchBudget:
     ``max_family_bits`` bounds the number of enumeration nodes visited:
     the closed sets that the branch and bound scores (every closed set
     in full mode, the closed shift-closed sets in shifted mode, less
-    those it prunes), and the shift-closed families that
-    ``iter_shifted_families`` lists.  ``restrict_shifted`` picks shifted
-    mode for the set searches (the sequence search always runs full
-    mode).  ``time_limit`` is wall-clock seconds, set-up included; a walk
-    under one reads the clock at every node, and one without reads none.
+    those it prunes or drops unscored), and the shift-closed families
+    that ``iter_shifted_families`` lists.  ``restrict_shifted`` picks
+    shifted mode for the set searches (the sequence search always runs
+    full mode).  ``time_limit`` is wall-clock seconds, set-up included; a
+    walk under one reads the clock at every node visited, one without none.
     """
 
     max_family_bits: int = DEFAULT_NODE_CAP
@@ -82,9 +84,11 @@ class SearchResult:
     """Outcome of one extremal search.
 
     The search keeps the WITNESS_CAP least maximal pairs; ``witnesses``
-    hold the first 64 of them (the CLI prints 8), ``witness_classes`` are
-    the construction labels attained by all kept, and ``witness_count``
-    counts all distinct maximal closed pairs found.
+    hold the first 64 of them (the CLI prints 8) less any with a side of
+    over _MATERIALIZE_LIMIT sets, which notes["witnesses_omitted"]
+    counts; ``witness_classes`` are the construction labels attained by
+    all kept, and ``witness_count`` counts all distinct maximal closed
+    pairs found.
     """
 
     max_product: Union[int, Fraction]
@@ -185,20 +189,30 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
     Weights None means counting measure; otherwise w(x) sums v times
     the size of x & mask_v over one mask_v per distinct weight v.  The
     relation is symmetric and the weights positive, so a child weighs
-    more than A, and D(D(A')) = A'.  Three strict rules drop what holds no
-    counted tie (lo is the least weight):
+    more than A, and D(D(A')) = A'.  Four strict rules drop what holds no
+    counted tie (lo is the least weight, r = w(D(A')) - lo for child A'):
     - j not in A = D(D(A)) means some x in D(A) misses j, so each strict
-      descendant drops x: no child is walked if (w(D(A)) - lo)^2 < best.
+      descendant drops x: A' is not pushed if r^2 < best, and a popped A
+      walks no child if (w(D(A)) - lo)^2 < best, as best may have risen.
     - a canonical descendant of child j adds only candidates >= j, so its
       weight is at most ``grown``, w(A) plus the free candidates >= j,
       blocked or not: child j is skipped when grown w(D(A')) < best, and
-      before D(A') is taken when grown (w(D(A)) - lo) < best.
+      before D(A') is taken when grown (w(D(A)) - lo) < best.  A' and its
+      descendants lie there too: with the first rule, no push if r grown < best.
     - the mirror rule: a child is not pushed when w(A') > w(D(A')) > 0,
       or w(A') = w(D(A')) and A' > D(A').  Its mirror D(A') is a closed
       set of the system with partner A' and the same product, counted
       from that side, and each strict descendant weighs more than its
       partner.  Both cases are ruled out before the closure, as
       w(A') >= w(A) + w(j), with A' = A + j at equality.
+    - mirror order: a strict descendant A'' of A' adds a candidate above
+      j, so as ints A'' >= A' + 2^(j+1), and D(A'') <= D(A').  So if
+      A' + 2^(j+1) > D(A'), a counted tie below has w(A'') < w(D(A'')) <= r,
+      a product <= r (r - 1) as weights are integers: no push if < best.
+    Each set is scored where it is made (the root as the child made at
+    j = -1), a child not pushed only if its product reaches best.  The
+    sets scored are the nodes visited, which ``max_family_bits`` caps,
+    and each reads the clock under a time limit.
 
     ``count`` is S + P over the S ties with A = D(A) and the P others,
     each counted once, from the side the mirror rule keeps.  The
@@ -228,41 +242,42 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
                 out += v * (x & m).bit_count()
             return out
 
-    cap = WITNESS_CAP
     best, ties, split, visited = seed, 0, 0, 0
-    kept: list[int] = []  # the cap least tie keys, negated: a max-heap
-    root = _partner(full & ~reduce(operator.or_, [g >> d for d, g in shifts or ()], 0), rows, full)
-    stack = [(root, full, w(root), w(full), 0)]
-    while stack:
-        a, b, wa, wb, start = stack.pop()
-        if wb * wb < best:
-            continue
+    kept: list[int] = []  # the WITNESS_CAP least tie keys, negated: a max-heap
+    stack, todo = [], 0
+    na = _partner(full & ~reduce(operator.or_, [g >> d for d, g in shifts or ()], 0), rows, full)
+    nb, wna, wnb, j, deep = full, w(na), w(full), -1, True
+    r, prod = wnb - lo, wna * wnb
+    while True:
         visited += 1
         if visited > budget.max_family_bits:
             raise BudgetExceeded(
                 f"closed-set search exceeds max_family_bits={budget.max_family_bits}")
         if limited:
             deadline.check()
-        prod = wa * wb
         if prod > best:
             best, ties, split, kept = prod, 0, 0, []
-        if prod == best and wa <= wb:
-            ties, split = ties + 1, split + (a != b)
-            key = -(a << span | b if a <= b else b << span | a)
-            if len(kept) < cap:
-                heapq.heappush(kept, key)
-            elif key > kept[0]:
-                heapq.heapreplace(kept, key)
-        if (wb - lo) * (wb - lo) < best:
-            continue
-        free = full & ~a >> start << start
-        todo = free & ~blocked(a) if blocked else free
-        grown = wa
-        while todo:
+        if prod == best and wna <= wnb:
+            ties, split = ties + 1, split + (na != nb)
+            key = -(na << span | nb if na <= nb else nb << span | na)
+            (heapq.heappush if len(kept) < WITNESS_CAP else heapq.heappushpop)(kept, key)
+        if deep:
+            stack.append((na, nb, wna, r, j + 1))
+        while True:  # on to the next child worth scoring
+            while not todo:
+                if not stack:
+                    pairs = sorted(divmod(-key, 1 << span) for key in kept)
+                    return best, pairs, ties, split - sum(x != y for x, y in pairs), visited
+                a, b, wa, rb, start = stack.pop()
+                if rb * rb < best:
+                    continue
+                free = full & ~a >> start << start
+                todo = free & ~blocked(a) if blocked else free
+                grown = wa
             j = todo.bit_length() - 1
             todo ^= 1 << j
             grown = wa + w(free >> j << j) if blocked else grown + unit[j]
-            if (wb - lo) * grown < best:
+            if rb * grown < best:
                 continue
             nb = b & rows[j]
             wnb = w(nb)
@@ -281,10 +296,11 @@ def _best_closed(rows: Sequence[int], weights: Optional[Sequence[int]], budget: 
             if (na ^ a) & ((1 << j) - 1):
                 continue
             wna = w(na)
-            if wna < wnb or wna == wnb and na <= nb or not wnb:
-                stack.append((na, nb, wna, wnb, j + 1))
-    pairs = sorted(divmod(-key, 1 << span) for key in kept)
-    return best, pairs, ties, split - sum(x != y for x, y in pairs), visited
+            r, prod = wnb - lo, wna * wnb
+            deep = (r * r >= best and r * grown >= best
+                    and (na + (2 << j) <= nb or r * (r - 1) >= best))
+            if (wna < wnb or wna == wnb and na <= nb or not wnb) and (deep or prod >= best):
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +404,9 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
     under the same-size shifts is closed under the whole dominance order.
     Close-by-One walks any closure system (Kuznetsov 1993), so shifted
     mode is the same walk on rows[j] = D({j} + forced(j)); its canonicity
-    test and both subtree bounds hold unchanged, as a descendant of child
-    j still adds only candidates >= j.  Its ``best`` starts at the product
-    of the star pair (every candidate holding [t], twice), which is cross
+    test and its rules hold unchanged, as a descendant of child j still
+    adds only candidates >= j.  Its ``best`` starts at the product of the
+    star pair (every candidate holding [t], twice), which is cross
     t-intersecting.
 
     ``_shifted_rows`` builds them by the prefix lemma.  Write S = cands[j]
@@ -420,22 +436,20 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
     tied closed pair once, from its side A with w(A) < w(D(A)), or
     w(A) = w(D(A)) and A <= D(A), which the mirror rule keeps.  That A
     lies below no pruned or dropped node, as each strict ancestor A''
-    has w(A'') < w(A) <= w(D(A)) <= w(D(A'')), and the subtree bounds
-    spare it (w(D(A)) <= w(D(A'')) - lo, and A lies within A'' plus the
-    candidates >= j when it lies below the child of A'' that adds j).
-    Shifted mode reports that true count, S + P.  Full mode reports
-    S + 2P - R over the S ties with A = D(A) and the P others, R of
-    them retained: past WITNESS_CAP it counts the P - R others not
-    retained twice, as the breadth-first scorer it replaced did,
-    because the benchmark pins those counts; dropping the term needs a
-    benchmark re-pin.
+    has w(A'') < w(A) <= w(D(A)) <= w(D(A'')), and the rules of
+    ``_best_closed`` keep every subtree that holds it.  Shifted mode
+    reports that true count, S + P.  Full mode reports S + 2P - R over
+    the S ties with A = D(A) and the P others, R of them retained: past
+    WITNESS_CAP it counts the P - R others not retained twice, as the
+    breadth-first scorer it replaced did, because the benchmark pins
+    those counts; dropping the term needs a benchmark re-pin.
 
     A symmetric pair (A, A) is named ``prefix`` + the ``_construction``
     label of A (F0, F1 for sets, H0, H1 for words); every other pair is
     ``other``.  Class names sort with the reference constructions first,
     so the first attained is the match.  ``family`` turns an index mask
-    into a family, ``scale`` turns the integer product into the measure,
-    and ``notes`` follow the mode's own.
+    into a family, or None when it is too large to list, ``scale`` turns
+    the integer product into the measure, and ``notes`` follow the mode's.
     """
     started, deadline = time.perf_counter(), _Deadline(budget)
     rows = (_shifted_rows if budget.restrict_shifted else compatibility_rows)(cands, t)
@@ -457,9 +471,13 @@ def _search(cands: Sequence[int], weights: Optional[Sequence[int]], t: int,
         rows, weights, replace(budget, time_limit=deadline.check()), **shifted)
     labels = {_construction(a, cands, t) if a == b else None for a, b in pairs}
     classes = tuple(sorted("other" if i is None else f"{prefix}{i}" for i in labels))
+    shown = [(family(a), family(b)) for a, b in pairs[:64]]
+    witnesses = [pair for pair in shown if None not in pair]
+    if len(witnesses) < len(shown):
+        notes = {**(notes or {}), "witnesses_omitted": len(shown) - len(witnesses)}
     return SearchResult(
         max_product=best if scale is None else best * scale,
-        witnesses=[(family(a), family(b)) for a, b in pairs[:64]],
+        witnesses=witnesses,
         matched_construction=classes[0] if classes else None,
         exhaustive=True,
         witness_count=count if shifted else count + unretained,
@@ -597,10 +615,11 @@ def max_uniform_product(
     budget = budget or SearchBudget()
     m = min(2 * k - t, n) if budget.restrict_shifted and t <= k else n
     traces = [s for size in range(max(min(t, k), k - n + m), k + 1) for s in subsets_of(m, size)]
-    return _search(traces, [math.comb(n - m, k - s.bit_count()) for s in traces] if m < n else None,
-                   t, budget, "F", lambda mask: Family(n, tuple(sorted(
-                       s | sum(1 << e for e in rest) for s in map(traces.__getitem__, _bits(mask))
-                       for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k))
+    sizes = [math.comb(n - m, k - s.bit_count()) for s in traces]  # the k-sets with each trace
+    return _search(traces, sizes if m < n else None, t, budget, "F", lambda mask: None if sum(
+        sizes[i] for i in _bits(mask)) > _MATERIALIZE_LIMIT else Family(n, tuple(sorted(
+            s | sum(1 << e for e in rest) for s in map(traces.__getitem__, _bits(mask))
+            for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k))
 
 
 def max_weight_product(

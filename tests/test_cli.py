@@ -244,7 +244,7 @@ class TestSearchCommands:
         assert "no shifted mode" in err
         code, out, _ = run(capsys, *seq, "--config", str(cfg), "--no-shifted")
         assert code == 0
-        assert json.loads(out)["notes"]["nodes"] == 110
+        assert json.loads(out)["notes"]["nodes"] == 95
 
 
 class TestVerifyCommands:

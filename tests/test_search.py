@@ -369,11 +369,11 @@ def test_full_mode_matches_the_breadth_first_counts(monkeypatch, kind, args, cap
 
 
 def test_full_mode_budget_counts_visited_nodes():
-    # (6, 3, 1) has 2^20 closed sets; the branch and bound visits 341,588.
-    r = max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=341_588))
-    assert (r.max_product, r.witness_count, r.notes["nodes"]) == (100, 180705, 341588)
+    # (6, 3, 1) has 2^20 closed sets; the branch and bound visits 238,477.
+    r = max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=238_477))
+    assert (r.max_product, r.witness_count, r.notes["nodes"]) == (100, 180705, 238477)
     with pytest.raises(BudgetExceeded):
-        max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=341_587))
+        max_uniform_product(6, 3, 1, SearchBudget(max_family_bits=238_476))
 
 
 @st.composite
@@ -405,6 +405,24 @@ def test_subtree_bounds_keep_every_tie(cap, relation):
             rows, weights, SearchBudget())
         want = _breadth_first_best_pairs(_breadth_first_closed_sets(rows), rows, weights)
     assert (best, pairs, count + unretained) == want[:3]
+
+
+@given(_relations(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_seeded_walks_match_the_oracle(relation, data):
+    # Shifted mode starts from the star product, which a pair attains, so
+    # the bounds prune from the first node: seeded with 0 or with any
+    # product the oracle attains, the walk must score like the unpruned
+    # breadth-first engine.
+    rows, weights = relation
+    full, unit = (1 << len(rows)) - 1, weights or [1] * len(rows)
+    closed = _breadth_first_closed_sets(rows)
+    weigh = lambda x: sum(v for i, v in enumerate(unit) if x >> i & 1)  # noqa: E731
+    seed = data.draw(st.sampled_from(
+        [0] + [weigh(a) * weigh(ekrcross.search._partner(a, rows, full)) for a in closed]))
+    best, pairs, count, unretained, _ = ekrcross.search._best_closed(
+        rows, weights, SearchBudget(), seed=seed)
+    assert (best, pairs, count + unretained) == _breadth_first_best_pairs(closed, rows, weights)[:3]
 
 
 @pytest.mark.parametrize("shifted, args, want", [
@@ -708,6 +726,17 @@ def test_shifted_count_past_the_witness_cap(monkeypatch):
     assert (r.witness_count, len(r.witnesses)) == (31, 1)
 
 
+@pytest.mark.parametrize("limit, shown", [(28, 1), (27, 0)])
+def test_witnesses_past_the_listing_limit_are_left_out(monkeypatch, limit, shown):
+    # Shifted (9, 3, 1) settles on its traces at the star pair, C(8, 2) =
+    # 28 sets a side.  A witness with a side past the listing limit is
+    # left out and counted in the notes; the max, count and classes stay.
+    monkeypatch.setattr(ekrcross.search, "_MATERIALIZE_LIMIT", limit)
+    r = max_uniform_product(9, 3, 1, SearchBudget(restrict_shifted=True))
+    assert (r.max_product, r.witness_count, r.witness_classes) == (784, 1, ("F0",))
+    assert (len(r.witnesses), r.notes.get("witnesses_omitted")) == (shown, (1 - shown) or None)
+
+
 @pytest.mark.parametrize("n, k, t, best", [
     (10, 4, 2, 784), (11, 3, 1, 2025), (13, 5, 2, 27225),
 ])
@@ -935,9 +964,9 @@ def test_byte_tables_fill_only_what_a_fold_reads(size):
 
 @pytest.mark.parametrize("search, args, nodes", [
     (max_weight_product, (7, 2, Fraction(1, 4)), 119),
-    (max_uniform_product, (11, 5, 2), 660),
-    (max_uniform_product, (13, 5, 2), 69),
-    (max_weight_product, (8, 1, Fraction(1, 3)), 16216),
+    (max_uniform_product, (11, 5, 2), 615),
+    (max_uniform_product, (13, 5, 2), 67),
+    (max_weight_product, (8, 1, Fraction(1, 3)), 16163),
 ], ids=["weight-7-2-1_4", "uniform-11-5-2", "uniform-13-5-2", "weight-8-1-1_3"])
 def test_shifted_budget_counts_visited_nodes(search, args, nodes):
     # The blocked mask drops only children the canonicity test would
@@ -953,7 +982,7 @@ def test_shifted_budget_counts_visited_nodes(search, args, nodes):
     lambda: list(iter_shifted_families(7, k=3, budget=SearchBudget(time_limit=0.5))),
 ], ids=["shifted-11-5-2", "downsets-7-3"])
 def test_time_limit_binds_below_4096_nodes(monkeypatch, walk):
-    # 660 and 352 nodes; the clock advances 1 s per reading, so the
+    # 615 and 352 nodes; the clock advances 1 s per reading, so the
     # first deadline check must stop the walk.
     clock = itertools.count()
     monkeypatch.setattr(ekrcross.search.time, "monotonic", lambda: float(next(clock)))
