@@ -43,6 +43,13 @@ LADDER = [
     ("full", "uniform", (8, 4, 1)),
     ("full", "weight", (7, 2, Fraction(1, 4))),
     ("full", "seq", (4, 2, 1)),
+    # 81 words: full mode settles in about 625,000 nodes.
+    ("full", "seq", (4, 3, 1)),
+    # p = 1/2 > 1/(t+1), so the max lies above the target (m^(n-t))^2.
+    ("full", "seq", (5, 2, 2)),
+    # The sequence frontier: 32 words, where full mode stops at the node
+    # budget after about 20 s.
+    ("full", "seq", (5, 2, 1)),
     ("shifted", "uniform", (11, 5, 2)),
     ("shifted", "uniform", (13, 5, 2)),
     ("shifted", "weight", (8, 1, Fraction(1, 3))),

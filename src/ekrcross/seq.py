@@ -5,8 +5,9 @@ families is the projection onto the positions holding the symbol 1:
 counting preimages turns sequence-family sizes into power-set weights
 at p = 1/m, which is how the weighted product bound transfers here.
 
-``verify_seq_theorem`` runs the set searches' engine on one-hot masks,
-whose star and (t+2)-window families are the cylinders H0 and H1, so
+``verify_seq_theorem`` runs the set searches' engine on the one-hot
+masks of ``words_of``'s guarded listing of [m]^n, whose star and
+(t+2)-window families are the cylinders H0 and H1, so
 ``search._construction`` labels them too.
 """
 
@@ -19,7 +20,30 @@ from typing import Iterable, Optional
 
 from .measure import WeightParams, mu
 from .search import SearchBudget, SearchResult, _bits, _search
-from .setfam import _MATERIALIZE_LIMIT, BudgetExceeded, Family, Subset, make_threshold_family
+from .setfam import (_MATERIALIZE_LIMIT, BudgetExceeded, Family, Subset, make_threshold_family,
+                     rows_from_text, rows_to_text, sweep_to_fixpoint)
+
+
+def words_of(n: int, m: int) -> list[tuple[int, ...]]:
+    """The words of [m]^n in lexicographic order.  Raises BudgetExceeded
+    before listing more than the materialization limit."""
+    # m^n >= 2^n passes the limit by n = 21, and m**n is slow at a huge n.
+    if m ** min(n, _MATERIALIZE_LIMIT.bit_length()) > _MATERIALIZE_LIMIT:
+        raise BudgetExceeded(f"{m}^{n} words exceed the materialization limit")
+    return list(itertools.product(range(1, m + 1), repeat=n))
+
+
+def _check_words(m: int, n: int, words: Iterable[tuple[int, ...]]) -> None:
+    if m < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {m}")
+    if n < 1:
+        raise ValueError("sequences must have length >= 1")
+    for w in words:
+        if len(w) != n:
+            raise ValueError("member length differs from family length")
+        for a in w:
+            if not 1 <= a <= m:
+                raise ValueError(f"symbol {a} outside [1, {m}]")
 
 
 @dataclass(frozen=True)
@@ -30,13 +54,7 @@ class Sequence:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.m}")
-        if not self.values:
-            raise ValueError("sequences must have length >= 1")
-        for a in self.values:
-            if not 1 <= a <= self.m:
-                raise ValueError(f"symbol {a} outside [1, {self.m}]")
+        _check_words(self.m, len(self.values), (self.values,))
 
     @property
     def n(self) -> int:
@@ -57,16 +75,9 @@ class SeqFamily:
     members: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        prev: Optional[tuple[int, ...]] = None
-        for w in self.members:
-            if len(w) != self.n:
-                raise ValueError("member length differs from family length")
-            for a in w:
-                if not 1 <= a <= self.m:
-                    raise ValueError(f"symbol {a} outside [1, {self.m}]")
-            if prev is not None and w <= prev:
-                raise ValueError("members must be strictly increasing")
-            prev = w
+        _check_words(self.m, self.n, self.members)
+        if any(v <= w for w, v in zip(self.members, self.members[1:])):
+            raise ValueError("members must be strictly increasing")
 
     @classmethod
     def of(cls, m: int, n: int, members: Iterable) -> "SeqFamily":
@@ -86,16 +97,17 @@ class SeqFamily:
         return v in set(self.members)
 
 
+def _ones(word: tuple[int, ...]) -> int:
+    return sum(1 << i for i, a in enumerate(word) if a == 1)
+
+
 def sigma(s: Sequence) -> Subset:
     """Positions holding the symbol 1."""
-    return Subset.of(s.n, (i + 1 for i, a in enumerate(s.values) if a == 1))
+    return Subset(s.n, _ones(s.values))
 
 
 def sigma_family(fam: SeqFamily) -> Family:
-    masks = set()
-    for w in fam.members:
-        masks.add(sum(1 << i for i, a in enumerate(w) if a == 1))
-    return Family(fam.n, tuple(sorted(masks)), None)
+    return Family(fam.n, tuple(sorted({_ones(w) for w in fam.members})), None)
 
 
 def seq_cross_t_intersecting(a: SeqFamily, b: SeqFamily, t: int) -> bool:
@@ -112,21 +124,10 @@ def seq_cross_t_intersecting(a: SeqFamily, b: SeqFamily, t: int) -> bool:
 
 def make_H(n: int, m: int, t: int, i: int) -> SeqFamily:
     """Sequences whose 1-positions form a member of the threshold family
-    with window t+2i.  Built by expanding each projection fiber: a set x
-    pulls back to (m-1)^(n-|x|) sequences."""
-    if m**n > _MATERIALIZE_LIMIT:
-        raise BudgetExceeded(f"{m}^{n} sequences exceed the enumeration budget")
-    base = make_threshold_family(n, t, i)
-    members = []
-    other = tuple(range(2, m + 1))
-    for mask in base.masks:
-        free = [pos for pos in range(n) if not mask >> pos & 1]
-        for fill in itertools.product(other, repeat=len(free)):
-            w = [1] * n
-            for pos, val in zip(free, fill):
-                w[pos] = val
-            members.append(tuple(w))
-    return SeqFamily(m, n, tuple(sorted(members)))
+    with window t+2i."""
+    words = words_of(n, m)
+    base = set(make_threshold_family(n, t, i).masks)
+    return SeqFamily(m, n, tuple(w for w in words if _ones(w) in base))
 
 
 def expected_H_size(n: int, m: int, t: int, i: int) -> Fraction:
@@ -142,25 +143,26 @@ def shift_S(fam: SeqFamily, j: int, c: int) -> SeqFamily:
         raise ValueError(f"coordinate {j} outside [1, {fam.n}]")
     if not 1 <= c <= fam.m:
         raise ValueError(f"symbol {c} outside [1, {fam.m}]")
-    present = set(fam.members)
+    return SeqFamily(fam.m, fam.n, _shift_words(fam.members, (j, c)))
+
+
+def _shift_words(words: tuple[tuple[int, ...], ...], jc: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+    j, c = jc
+    present = set(words)
     out = []
-    for w in fam.members:
+    for w in words:
         if w[j - 1] == c:
             moved = w[: j - 1] + (1,) + w[j:]
             out.append(w if moved in present else moved)
         else:
             out.append(w)
     result = tuple(sorted(set(out)))
-    assert len(result) == len(fam.members), "symbol compression must preserve size"
-    return SeqFamily(fam.m, fam.n, result)
+    assert len(result) == len(words), "symbol compression must preserve size"
+    return result
 
 
 def is_seq_shifted(fam: SeqFamily) -> bool:
-    for j in range(1, fam.n + 1):
-        for c in range(2, fam.m + 1):
-            if shift_S(fam, j, c).members != fam.members:
-                return False
-    return True
+    return all(shift_S(fam, j, c) == fam for j in range(1, fam.n + 1) for c in range(2, fam.m + 1))
 
 
 def seq_shift_pair_to_fixpoint(
@@ -172,18 +174,9 @@ def seq_shift_pair_to_fixpoint(
     so the sweep terminates."""
     if (a.m, a.n) != (b.m, b.n):
         raise ValueError("sequence family shape mismatch")
-    trace = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(1, a.n + 1):
-            for c in range(2, a.m + 1):
-                na, nb = shift_S(a, j, c), shift_S(b, j, c)
-                if na.members != a.members or nb.members != b.members:
-                    a, b = na, nb
-                    trace.append((j, c))
-                    changed = True
-    return a, b, trace
+    moves = list(itertools.product(range(1, a.n + 1), range(2, a.m + 1)))
+    na, nb, trace = sweep_to_fixpoint(a.members, b.members, moves, _shift_words)
+    return SeqFamily(a.m, a.n, na), SeqFamily(b.m, b.n, nb), trace
 
 
 def onehot_mask(word: tuple[int, ...], m: int) -> int:
@@ -202,10 +195,7 @@ def verify_seq_theorem(
         budget = SearchBudget()
     if t < 1 or n < t or m < 2:
         raise ValueError(f"need n >= t >= 1 and m >= 2, got n={n}, m={m}, t={t}")
-    total = m**n
-    if total > 20:
-        raise BudgetExceeded(f"{m}^{n} = {total} sequences exceed the search budget")
-    words = list(itertools.product(range(1, m + 1), repeat=n))
+    words = words_of(n, m)
     if m == 2:
         layer = "skipped: alphabet 2 leaves the layer index undefined"
     else:
@@ -223,25 +213,9 @@ def verify_seq_theorem(
 
 
 def seq_family_to_text(fam: SeqFamily) -> str:
-    lines = [f"m={fam.m} n={fam.n}"]
-    for w in fam.members:
-        lines.append(",".join(map(str, w)))
-    return "\n".join(lines) + "\n"
+    return rows_to_text({"m": fam.m, "n": fam.n}, fam.members)
 
 
 def seq_family_from_text(text: str) -> SeqFamily:
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty sequence family serialization")
-    header = lines[0].split()
-    try:
-        m = int(header[0].removeprefix("m="))
-        n = int(header[1].removeprefix("n="))
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad sequence family header: {lines[0]!r}") from exc
-    members = []
-    for line in lines[1:]:
-        line = line.strip()
-        if line:
-            members.append(tuple(int(x) for x in line.split(",")))
-    return SeqFamily(m, n, tuple(sorted(set(members))))
+    (m, n), rows = rows_from_text(text, "sequence family", ("m", "n"), lambda m, n: (int(m), int(n)))
+    return SeqFamily(m, n, tuple(sorted({row for row in rows if row})))

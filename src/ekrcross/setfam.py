@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_GROUND = 64
 # Families are materialized member-by-member from ``subsets_of``, which
@@ -247,6 +247,20 @@ def is_shifted(fam: Family) -> bool:
     return True
 
 
+def sweep_to_fixpoint(a: tuple, b: tuple, moves: Sequence, move: Callable) -> tuple[tuple, tuple, list]:
+    """Apply ``move`` to both member tuples for each move in turn, until a
+    full pass changes neither.  The trace lists each move that changed one."""
+    trace, traced = [], None
+    while traced != len(trace):
+        traced = len(trace)
+        for mv in moves:
+            na, nb = move(a, mv), move(b, mv)
+            if na != a or nb != b:
+                a, b = na, nb
+                trace.append(mv)
+    return a, b, trace
+
+
 def shift_pair_to_fixpoint(
     a: Family, b: Family
 ) -> tuple[Family, Family, list[tuple[int, int]]]:
@@ -260,21 +274,9 @@ def shift_pair_to_fixpoint(
     """
     if a.n != b.n:
         raise GroundSetMismatch("ground-set mismatch")
-    n = a.n
-    trace = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                na = _shift_masks(a.masks, i, j)
-                nb = _shift_masks(b.masks, i, j)
-                if na != a.masks or nb != b.masks:
-                    a = Family(a.n, na, a.k)
-                    b = Family(b.n, nb, b.k)
-                    trace.append((i, j))
-                    changed = True
-    return a, b, trace
+    na, nb, trace = sweep_to_fixpoint(a.masks, b.masks, list(itertools.combinations(range(1, a.n + 1), 2)),
+                                      lambda masks, ij: _shift_masks(masks, *ij))
+    return Family(a.n, na, a.k), Family(b.n, nb, b.k), trace
 
 
 def upward_closure(fam: Family) -> Family:
@@ -545,31 +547,35 @@ def maximal_cross_partner(a: Family, t: int, k: Optional[int] = None) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# serialization: header "n=<n> k=<k|*>", one comma-separated set per line
+# serialization: a header line of "<key>=<value>" fields ("n=<n> k=<k|*>" for
+# sets), then one comma-separated row of ints per member
 # ---------------------------------------------------------------------------
 
 
+def rows_to_text(header: dict, rows: Iterable[Iterable[int]]) -> str:
+    head = " ".join(f"{key}={value}" for key, value in header.items())
+    return "\n".join([head, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def rows_from_text(text: str, what: str, keys: Sequence[str], read_header: Callable) -> tuple[tuple, list]:
+    """``read_header`` of the values of the header's ``keys``, and the rows
+    of ``rows_to_text``, with a blank line for the empty row."""
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError(f"empty {what} serialization")
+    fields = lines[0].split()
+    try:
+        header = read_header(*(fields[i].removeprefix(f"{key}=") for i, key in enumerate(keys)))
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"bad {what} header: {lines[0]!r}") from exc
+    return header, [tuple(int(x) for x in line.split(",")) if line.strip() else () for line in lines[1:]]
+
+
 def family_to_text(fam: Family) -> str:
-    lines = [f"n={fam.n} k={fam.k if fam.k is not None else '*'}"]
-    for m in fam.masks:
-        lines.append(",".join(map(str, elements_of(m))))
-    return "\n".join(lines) + "\n"
+    return rows_to_text({"n": fam.n, "k": "*" if fam.k is None else fam.k}, map(elements_of, fam.masks))
 
 
 def family_from_text(text: str) -> Family:
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty family serialization")
-    header = lines[0].split()
-    try:
-        n = int(header[0].removeprefix("n="))
-        k_str = header[1].removeprefix("k=")
-        k = None if k_str == "*" else int(k_str)
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad family header: {lines[0]!r}") from exc
-    masks = []
-    for line in lines[1:]:
-        line = line.strip()
-        elems = [int(x) for x in line.split(",")] if line else []
-        masks.append(mask_of(elems, n))
-    return Family(n, tuple(sorted(set(masks))), k)
+    (n, k), rows = rows_from_text(text, "family", ("n", "k"),
+                                  lambda n, k: (int(n), None if k == "*" else int(k)))
+    return Family(n, tuple(sorted({mask_of(row, n) for row in rows})), k)

@@ -188,10 +188,16 @@ class TestSearchCommands:
         assert obj["max_product"] == "9"
         assert obj["witness_families"][0][0].startswith("m=3 n=2")
 
-    def test_budget_exceeded_exit(self, capsys):
-        code, _, err = run(capsys, "search", "seq", "--n", "5", "--m", "3", "--t", "1")
-        assert code == 2
-        assert "budget" in err.lower()
+    def test_budget_exceeded_exit(self):
+        # 3^13 = 1,594,323 words exceed the listing limit: the search must
+        # refuse before listing any, under a timeout as below.
+        src = Path(cli.__file__).resolve().parents[1]
+        argv = ["search", "seq", "--n", "13", "--m", "3", "--t", "1"]
+        done = subprocess.run([sys.executable, "-m", "ekrcross.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "budget exceeded: 3^13 words exceed the materialization limit\n"
 
     @pytest.mark.parametrize("flags", [(), ("--shifted",)], ids=["full", "shifted"])
     def test_layer_too_large_to_list_exits_at_once(self, flags):

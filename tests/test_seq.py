@@ -3,12 +3,14 @@ cylinder constructions, and the tiny-scale product-bound search."""
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ekrcross.seq
 from ekrcross.measure import WeightParams, mu
-from ekrcross.search import SearchBudget, compatibility_rows
+from ekrcross.search import SearchBudget, compatibility_rows, max_weight_product
 from ekrcross.seq import (
     SeqFamily,
     Sequence,
@@ -24,6 +26,7 @@ from ekrcross.seq import (
     sigma,
     sigma_family,
     verify_seq_theorem,
+    words_of,
 )
 from ekrcross.setfam import (
     BudgetExceeded,
@@ -65,6 +68,40 @@ class TestProjection:
             Sequence(2, (1, 3))
         with pytest.raises(ValueError):
             Sequence(1, (1,))
+
+
+class TestFamilyShape:
+    # Sequence rejects a one-letter alphabet and the empty word; a family
+    # must too, however it is made.
+    def test_one_letter_alphabet_from_text(self):
+        with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
+            seq_family_from_text("m=1 n=2\n1,1\n")
+
+    def test_empty_words(self):
+        with pytest.raises(ValueError, match="sequences must have length >= 1"):
+            SeqFamily(3, 0, ())
+
+    def test_one_letter_cylinder(self):
+        with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
+            make_H(3, 1, 1, 0)
+
+
+class TestWordListing:
+    def test_guard_reads_the_size_before_listing(self, monkeypatch):
+        listed = []
+        product = itertools.product
+        monkeypatch.setattr(ekrcross.seq, "itertools", SimpleNamespace(
+            product=lambda *args, **kw: (listed.append(w) or w for w in product(*args, **kw))))
+        monkeypatch.setattr(ekrcross.seq, "_MATERIALIZE_LIMIT", 3**4 - 1)
+        with pytest.raises(BudgetExceeded, match="materialization limit"):
+            words_of(4, 3)
+        assert listed == []
+        monkeypatch.setattr(ekrcross.seq, "_MATERIALIZE_LIMIT", 3**4)
+        assert words_of(4, 3) == sorted(product(range(1, 4), repeat=4))
+        assert len(listed) == 81
+        # The guard reads no 3^(10^8): that power alone takes minutes.
+        with pytest.raises(BudgetExceeded, match="materialization limit"):
+            words_of(10**8, 3)
 
 
 class TestCrossIntersection:
@@ -237,8 +274,17 @@ class TestSequenceTheorem:
         assert note == {"r": 0, "applicable": True}
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            verify_seq_theorem(5, 3, 1)
+        # The node budget bounds the walk; there is no cap on the words.
+        with pytest.raises(BudgetExceeded, match="max_family_bits=1000"):
+            verify_seq_theorem(4, 3, 1, SearchBudget(max_family_bits=1000))
+
+    @pytest.mark.parametrize("n,m,t", [(2, 5, 1), (3, 3, 1), (3, 3, 2), (3, 4, 1), (4, 3, 2), (5, 2, 2)])
+    def test_maxima_match_the_weight_search(self, n, m, t):
+        # Projecting onto the 1-positions gives max_seq = m^(2n) max_weight
+        # at p = 1/m: (5,2,2) lies above the target, as 1/2 > 1/(t+1).
+        r = verify_seq_theorem(n, m, t)
+        assert r.max_product == m ** (2 * n) * max_weight_product(n, t, Fraction(1, m)).max_product
+        assert (r.max_product == (m ** (n - t)) ** 2) == (m >= t + 1)
 
     def test_one_letter_alphabet(self):
         # Sequence rejects m = 1, and the layer index (t-1)//(m-2) would be negative.
