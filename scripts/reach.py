@@ -80,6 +80,24 @@ LADDER = [
     # rows, built from prefix counts, share 92 masks.
     ("shifted", "uniform", (60, 17, 14)),
     ("shifted", "uniform", (64, 18, 15)),
+    # Past 64 elements the shifted search still lists only the traces over
+    # [2k - t]; n reaches it only in the binomial weights C(n - m, k - |S|).
+    # The boundary n = (t+1)(k-t+1) at k - t = 3 and t = 16, 17 and 18, the
+    # top of the paper's case 2, where F1 ties F0: 86 nodes each, about
+    # 1.3 s at 335 MB, 2.0 s at 489 MB and 3.2 s at 716 MB peak RSS on a
+    # 2-core host.
+    ("shifted", "uniform", (68, 19, 16)),
+    ("shifted", "uniform", (72, 20, 17)),
+    ("shifted", "uniform", (76, 21, 18)),
+    # Case 2 at t = 14, k - t = 3, where F0 settles alone: the strip
+    # between the boundary 60 and (t+1)k = 255 (40 nodes) ...
+    ("shifted", "uniform", (100, 17, 14)),
+    # ... n = (t+1)k (11 nodes) ...
+    ("shifted", "uniform", (255, 17, 14)),
+    # ... and n = floor(n0(14)) = 1023, the top of the finite range (7
+    # nodes; its star sides, C(1009, 3) sets each, are too large to list
+    # as witnesses).
+    ("shifted", "uniform", (1023, 17, 14)),
     # Out of reach by design: full mode lists the whole layer, and
     # C(40, 20) ~ 1.4e11 sets exceed the listing limit, so the row reads
     # "exceeded" at once, before any row or node.

@@ -8,6 +8,7 @@ refutation, 2 on budget (memory too) or inconclusive outcomes, 64 on usage error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -17,9 +18,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import bounds, suites
 from .report import encode_value, exit_code, reports_to_csv, reports_to_json
-from .search import MAX_WEIGHT_N, SearchBudget, max_uniform_product, max_weight_product
+from .search import SearchBudget, max_uniform_product, max_weight_product
 from .seq import seq_family_to_text, verify_seq_theorem
-from .setfam import MAX_GROUND, BudgetExceeded, family_to_text
+from .setfam import BudgetExceeded, family_to_text
 
 USAGE_ERROR = 64
 
@@ -77,14 +78,13 @@ SUITES = {
     ), lambda a: bounds.verify_stability(a.t, a.n, a.k)),
     "graphs": Suite(("seed", "fmt"), (), (), lambda a: suites.run_graphs(seed=a.seed)),
     "search-uniform": Suite(("n", "k", "t", "fmt", "shifted"), ("n", "k", "t"), (
-        lambda a: not 1 <= a.k <= a.n <= MAX_GROUND and (
-            f"suite search-uniform needs 1 <= k <= n <= {MAX_GROUND}, got k={a.k}, n={a.n}"),
+        lambda a: not 1 <= a.k <= a.n and (
+            f"suite search-uniform needs 1 <= k <= n, got k={a.k}, n={a.n}"),
         lambda a: a.t > a.k and f"suite search-uniform needs t <= k: nothing cross "
                                 f"{a.t}-intersects at k={a.k}",
     ), lambda a, budget: max_uniform_product(a.n, a.k, a.t, budget)),
     "search-weight": Suite(("n", "t", "p", "fmt", "shifted"), ("n", "t", "p"), (
         lambda a: not 0 < a.p < 1 and f"suite search-weight needs 0 < p < 1, got p={a.p}",
-        lambda a: a.n > MAX_WEIGHT_N and f"suite search-weight needs n <= {MAX_WEIGHT_N}, got n={a.n}",
         lambda a: a.t > a.n and f"suite search-weight needs t <= n: nothing cross "
                                 f"{a.t}-intersects at n={a.n}",
     ), lambda a, budget: max_weight_product(a.n, a.t, a.p, budget)),
@@ -120,6 +120,7 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="ekrcross", description=__doc__)
     parser.add_argument("command", choices=tuple(TARGETS))
@@ -128,8 +129,6 @@ def build_parser() -> _Parser:
     for key, (kw, _) in SETTINGS.items():
         parser.add_argument("--" + key.replace("_", "-"), **kw)
     parser.add_argument("--config", help="flat key=value config file; flags override")
-    # config_from_args parses the config file's entries with the same parser.
-    parser.set_defaults(parser=parser)
     return parser
 
 
@@ -150,7 +149,7 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
                 raise ValueError(f"shifted must be true, false, yes, no, 1 or 0, got {val!r}")
             flag = "--" + key.replace("_", "-")
             tokens.append(SHIFTED_FLAGS[val.lower()] if key == "shifted" else f"{flag}={val}")
-        file_values = vars(args.parser.parse_args([args.command, args.target, *tokens]))
+        file_values = vars(build_parser().parse_args([args.command, args.target, *tokens]))
     suite = SUITES[args.suite]
     args.unread = []
     for key, (kw, default) in SETTINGS.items():

@@ -57,7 +57,6 @@ from .setfam import (
 
 DEFAULT_NODE_CAP = 1 << 22
 WITNESS_CAP = 4096
-MAX_WEIGHT_N = _MATERIALIZE_LIMIT.bit_length() - 1  # the weight search lists all 2^n sets
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,10 @@ class SearchResult:
 
     The search keeps the WITNESS_CAP least maximal pairs; ``witnesses``
     hold the first 64 of them (the CLI prints 8) less any with a side of
-    over _MATERIALIZE_LIMIT sets, which notes["witnesses_omitted"]
-    counts; ``witness_classes`` are the construction labels attained by
-    all kept, and ``witness_count`` counts all distinct maximal closed
-    pairs found.
+    members x max(n, 64) > _MATERIALIZE_LIMIT x 64 bits (over the limit's
+    sets at n <= 64), which notes["witnesses_omitted"] counts;
+    ``witness_classes`` are the construction labels attained by all kept,
+    and ``witness_count`` counts all distinct maximal closed pairs found.
     """
 
     max_product: Union[int, Fraction]
@@ -610,14 +609,15 @@ def max_uniform_product(
     too, so it and t > k (product 0) take m = n, the layer in
     ``subsets_of`` order, with weights None (counting measure).
     """
-    if t < 1 or not 1 <= k <= n <= MAX_GROUND:
-        raise ValueError(f"need t >= 1 and 1 <= k <= n <= {MAX_GROUND}, got t={t}, k={k}, n={n}")
+    if t < 1 or not 1 <= k <= n:
+        raise ValueError(f"need t >= 1 and 1 <= k <= n, got t={t}, k={k}, n={n}")
     budget = budget or SearchBudget()
     m = min(2 * k - t, n) if budget.restrict_shifted and t <= k else n
     traces = [s for size in range(max(min(t, k), k - n + m), k + 1) for s in subsets_of(m, size)]
     sizes = [math.comb(n - m, k - s.bit_count()) for s in traces]  # the k-sets with each trace
+    most = _MATERIALIZE_LIMIT * MAX_GROUND // max(n, MAX_GROUND)  # members a listed side may hold
     return _search(traces, sizes if m < n else None, t, budget, "F", lambda mask: None if sum(
-        sizes[i] for i in _bits(mask)) > _MATERIALIZE_LIMIT else Family(n, tuple(sorted(
+        sizes[i] for i in _bits(mask)) > most else Family(n, tuple(sorted(
             s | sum(1 << e for e in rest) for s in map(traces.__getitem__, _bits(mask))
             for rest in itertools.combinations(range(m, n), k - s.bit_count()))), k))
 
@@ -628,8 +628,8 @@ def max_weight_product(
     """Exact maximum of the weight product over cross t-intersecting
     pairs in the power set of [n].  Weights are scaled to integers
     (p = a/b gives a^|F| (b-a)^(n-|F|)), so comparisons are exact."""
-    if t < 1 or n > MAX_WEIGHT_N:
-        raise ValueError(f"need t >= 1 and n <= {MAX_WEIGHT_N}, got t={t}, n={n}")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0,1), got {p}")

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+# ``subsets_of`` alone bounds every listing: at most MAX_GROUND elements,
+# which bounds every candidate mask, and at most _MATERIALIZE_LIMIT sets.
 MAX_GROUND = 64
-# Families are materialized member-by-member from ``subsets_of``, which
-# refuses a power set (or binomial layer) of more sets than this.
 _MATERIALIZE_LIMIT = 1 << 20
 
 
@@ -32,8 +32,8 @@ class BudgetExceeded(RuntimeError):
 
 
 def _check_ground(n: int) -> None:
-    if not 1 <= n <= MAX_GROUND:
-        raise ValueError(f"ground set size must be in [1, {MAX_GROUND}], got {n}")
+    if n < 1:
+        raise ValueError(f"ground set size must be >= 1, got {n}")
 
 
 def mask_of(elements: Iterable[int], n: int) -> int:
@@ -58,7 +58,10 @@ def elements_of(mask: int) -> tuple[int, ...]:
 def subsets_of(n: int, k: Optional[int] = None) -> Sequence[int]:
     """The masks of the k-subsets of [n], in lexicographic order of their
     elements, or every subset as range(2^n) when k is None.  Raises
-    BudgetExceeded before listing more than the materialization limit."""
+    BudgetExceeded, reading n before any 2^n or C(n, k), rather than list
+    from over MAX_GROUND elements or list over _MATERIALIZE_LIMIT sets."""
+    if n > MAX_GROUND:
+        raise BudgetExceeded(f"subsets of [{n}] exceed the {MAX_GROUND}-element listing limit")
     size = 1 << n if k is None else math.comb(n, k)
     if size > _MATERIALIZE_LIMIT:
         raise BudgetExceeded(f"{size} subsets of [{n}] exceed the materialization limit")
@@ -371,7 +374,6 @@ def make_threshold_family(n: int, t: int, i: int, k: Optional[int] = None) -> Fa
 
     i = 0 is the star of all supersets of [t].
     """
-    _check_ground(n)
     if k is None and (t < 1 or i < 0):
         raise ValueError(f"need t >= 1 and i >= 0, got t={t}, i={i}")
     if k is not None and not (1 <= t <= k <= n):
@@ -398,7 +400,6 @@ def make_saturated_walk(n: int, u: int) -> Subset:
     Starts with [u] and then alternates right/up to the end of the
     ground set: [u] together with u+2, u+4, ... inside [n].
     """
-    _check_ground(n)
     if u < 0 or u > n:
         raise ValueError(f"level u must be in [0, {n}], got {u}")
     m = (1 << u) - 1

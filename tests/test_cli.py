@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ekrcross.search
 from ekrcross import bounds, cli
 from ekrcross.cli import (
     USAGE_ERROR,
@@ -90,8 +91,6 @@ class TestUsage:
         (("search", "seq", "--n", "2", "--m", "0", "--t", "1"), "needs m >= 2"),
         (("search", "seq", "--n", "2", "--m", "-1", "--t", "1"), "needs m >= 2"),
         (("search", "seq", "--n", "3", "--m", "1", "--t", "2"), "needs m >= 2"),
-        (("search", "uniform", "--n", "65", "--k", "1", "--t", "1"), "needs 1 <= k <= n <= 64"),
-        (("search", "weight", "--n", "65", "--t", "1", "--p", "1/2"), "needs n <= 20"),
     ])
     def test_sizes_outside_the_search_range(self, capsys, argv, message):
         # The library raises ValueError on these; exit 1 would read as a
@@ -222,14 +221,30 @@ class TestSearchCommands:
         code, out, err = run(capsys, "search", "weight", "--n", "20", "--t", "1", "--p", "1/3")
         assert (code, out, err) == (2, "", "budget exceeded: out of memory\n")
 
-    def test_weight_search_too_large_to_list_is_a_usage_error(self, monkeypatch, capsys):
+    def test_weight_search_too_large_to_list_exits_at_once(self, monkeypatch, capsys):
         # 2^22 candidates exceed the materialization limit: the search
-        # would run for seconds and then out of memory, so it must not start.
+        # would run for seconds and then out of memory, so the listing
+        # guard must stop it before the search starts.
         calls = []
-        monkeypatch.setattr(cli, "max_weight_product", lambda *args: calls.append(args))
+        monkeypatch.setattr(ekrcross.search, "_search", lambda *args, **kwargs: calls.append(args))
         code, out, err = run(capsys, "search", "weight", "--n", "22", "--t", "1", "--p", "1/3")
-        assert (code, out, calls) == (USAGE_ERROR, "", [])
-        assert "needs n <= 20" in err
+        assert (code, out, calls) == (2, "", [])
+        assert err == "budget exceeded: 4194304 subsets of [22] exceed the materialization limit\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("uniform", "--n", "65", "--k", "1", "--t", "1"),
+        ("weight", "--n", "1000000000000", "--t", "1", "--p", "1/2"),
+    ], ids=["uniform-65", "weight-1e12"])
+    def test_ground_past_the_listing_limit_exits_at_once(self, argv):
+        # Past 64 elements the guard refuses before it reads 2^n (2^(10^12)
+        # would take 125 GB), under a timeout as above.
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-m", "ekrcross.cli", "search", *argv],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        limit = f"subsets of [{argv[2]}] exceed the 64-element listing limit"
+        assert done.stderr == f"budget exceeded: {limit}\n"
 
     def test_shifted_flag(self, capsys):
         code, out, _ = run(

@@ -640,17 +640,16 @@ def test_shifted_lists_put_each_cover_first(monkeypatch):
 
 @pytest.mark.parametrize("search, args", [
     (max_uniform_product, (65, 3, 2)),
-    (max_uniform_product, (68, 19, 16)),
     (max_weight_product, (21, 1, Fraction(1, 3))),
 ])
 def test_sizes_past_the_ground_limits_raise_before_the_search(monkeypatch, search, args):
-    # A Family holds at most 64 elements, and the weight search lists all
-    # 2^n sets, at most 2^20: both must fail at once, not after a whole
-    # search (or once memory runs out).
+    # Full mode lists the layer of [n], which the listing guard caps at 64
+    # elements, and the weight search all 2^n sets, at most 2^20: both
+    # must fail at once, not after a whole search (or once memory runs out).
     calls = []
     monkeypatch.setattr(ekrcross.search, "_search", lambda *rest, **kwargs: calls.append(rest))
-    with pytest.raises(ValueError, match="need"):
-        search(*args, SearchBudget(restrict_shifted=True))
+    with pytest.raises(BudgetExceeded, match="limit"):
+        search(*args, SearchBudget())
     assert calls == []
 
 
@@ -726,14 +725,21 @@ def test_shifted_count_past_the_witness_cap(monkeypatch):
     assert (r.witness_count, len(r.witnesses)) == (31, 1)
 
 
-@pytest.mark.parametrize("limit, shown", [(28, 1), (27, 0)])
-def test_witnesses_past_the_listing_limit_are_left_out(monkeypatch, limit, shown):
+@pytest.mark.parametrize("args, limit, shown", [
+    ((9, 3, 1), 28, 1), ((9, 3, 1), 27, 0), ((65, 3, 2), 64, 1), ((65, 3, 2), 63, 0),
+], ids=["28-1", "27-0", "65-3-2-64-1", "65-3-2-63-0"])
+def test_witnesses_past_the_listing_limit_are_left_out(monkeypatch, args, limit, shown):
     # Shifted (9, 3, 1) settles on its traces at the star pair, C(8, 2) =
-    # 28 sets a side.  A witness with a side past the listing limit is
-    # left out and counted in the notes; the max, count and classes stay.
+    # 28 sets a side; at n <= 64 a side is listed when it holds at most
+    # the limit's sets.  Past 64 elements the rule bounds bits: (65, 3, 2)'s
+    # sides hold C(63, 1) = 63 sets of 65 bits, and 63 x 65 > 63 x 64.  A
+    # witness with a side past the rule is left out and counted in the
+    # notes; the max, count and classes stay.
     monkeypatch.setattr(ekrcross.search, "_MATERIALIZE_LIMIT", limit)
-    r = max_uniform_product(9, 3, 1, SearchBudget(restrict_shifted=True))
-    assert (r.max_product, r.witness_count, r.witness_classes) == (784, 1, ("F0",))
+    r = max_uniform_product(*args, SearchBudget(restrict_shifted=True))
+    n, k, t = args
+    best = math.comb(n - t, k - t) ** 2
+    assert (r.max_product, r.witness_count, r.witness_classes) == (best, 1, ("F0",))
     assert (len(r.witnesses), r.notes.get("witnesses_omitted")) == (shown, (1 - shown) or None)
 
 
@@ -799,13 +805,17 @@ def _trace_label(amask, traces, t):
     (6, 3, 2, 16, 2, ("F0", "F1")),
     (5, 2, 1, 16, 1, ("F0",)),
     (36, 11, 8, 10_732_176, 2, ("F0", "F1")),
+    (65, 3, 2, 3_969, 1, ("F0",)),
+    (100, 17, 14, 10_473_475_600, 1, ("F0",)),
 ])
 def test_shifted_traces_settle_and_keep_their_labels(monkeypatch, n, k, t, best, count, classes):
     # The first five lie at or above n = (t+1)(k-t+1), where the star is
     # optimal and F1 ties it on the boundary; three have t = 14.  On the
     # layer C(45, 16) sets cannot be listed, and (20, 6, 3)'s byte tables
     # outgrow memory.  The next three are the pinned shifted searches, and
-    # (36, 11, 8) is the first boundary rung with k - t = 3.
+    # (36, 11, 8) is the first boundary rung with k - t = 3.  The last two
+    # lie past 64 elements, which n reaches only in binomial weights; their
+    # star sides, C(n-t, k-t) sets of n bits, are listed as witnesses.
     # Every symmetric tie is labelled as its trace family: F0 holds [t],
     # F1 meets [t+2] in t+1.
     calls = []

@@ -55,8 +55,7 @@ class TestSubset:
     def test_ground_bounds(self):
         with pytest.raises(ValueError):
             Subset(0, 0)
-        with pytest.raises(ValueError):
-            Subset(65, 0)
+        assert Subset(65, 1 << 64).members == (65,)  # values take any n >= 1
         with pytest.raises(ValueError):
             Subset(3, 0b1000)
 
@@ -304,6 +303,17 @@ class TestListing:
         layer = sorted((m for m in range(1 << 6) if m.bit_count() == 3), key=elements_of)
         assert subsets_of(6, 3) == layer
         assert len(listed) == 20
+
+    def test_guard_refuses_past_64_elements(self, monkeypatch):
+        # Past 64 elements it raises before it lists any set.
+        listed = []
+        real = ekrcross.setfam.mask_of
+        monkeypatch.setattr(ekrcross.setfam, "mask_of", lambda c, n: listed.append(c) or real(c, n))
+        for k in (1, None):
+            with pytest.raises(BudgetExceeded, match=r"\[65\] exceed the 64-element listing limit"):
+                subsets_of(65, k)
+        assert listed == []
+        assert subsets_of(64, 1) == [1 << e for e in range(64)]
 
     def test_power_set_guard(self, monkeypatch):
         monkeypatch.setattr(ekrcross.setfam, "_MATERIALIZE_LIMIT", (1 << 6) - 1)
