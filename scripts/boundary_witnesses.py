@@ -9,7 +9,8 @@ complement-split pairs at (6,3)), while for n > 2k the star pair is the
 unique extremal configuration as far as this search can see.
 
 (8, 3) is the slowest row: full mode settles it within the default node
-budget, in about 610,000 nodes (about 480,000 at (7, 3)).
+budget, in 450,684 nodes and about 1.2 s on a 2-core host (278,837 nodes
+and about 0.5 s at (7, 3)).
 """
 
 import math

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -477,7 +478,6 @@ def are_isomorphic(a: Family, b: Family) -> Optional[tuple[int, ...]]:
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return None
 
-    a_masks = set(a.masks)
     b_members = b.masks
 
     perm = [0] * (n + 1)   # perm[e] = f(e), 1-based
@@ -486,8 +486,6 @@ def are_isomorphic(a: Family, b: Family) -> Optional[tuple[int, ...]]:
     def partial_ok(depth: int, image_mask: int) -> bool:
         # Multiset of (mapped prefix of member, member size) must agree
         # between the two families for the current partial assignment.
-        from collections import Counter
-
         lhs = Counter()
         for m in b_members:
             mapped = 0
@@ -500,22 +498,15 @@ def are_isomorphic(a: Family, b: Family) -> Optional[tuple[int, ...]]:
                     mapped |= 1 << (perm[e] - 1)
             lhs[(mapped, m.bit_count())] += 1
         rhs = Counter()
-        for m in a_masks:
+        for m in a.masks:
             rhs[(m & image_mask, m.bit_count())] += 1
         return lhs == rhs
 
     def dfs(e: int, image_mask: int) -> bool:
         if e > n:
-            mapped = set()
-            for m in b_members:
-                out = 0
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    out |= 1 << (perm[low.bit_length()] - 1)
-                    mm ^= low
-                mapped.add(out)
-            return mapped == a_masks
+            # partial_ok at depth n matched the full images with a's
+            # members as multisets; both families are duplicate-free.
+            return True
         for y in range(1, n + 1):
             if used[y] or sig_b[e] != sig_a[y]:
                 continue

@@ -4,24 +4,28 @@ Each suite returns a list of VerificationReport rows, which the CLI
 serializes.  Oracles here are deliberately independent of the closed
 forms they check: walk counts come from one depth-first enumeration of
 every step sequence, measure values from one sweep of the power set per
-member test.
+member test.  A graph on vertices 0..v-1 is the list of its neighbour
+masks: bit j of ``adj[i]`` is set when i ~ j.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from . import graphs as gr
 from .measure import WeightParams, hit_probability_exact, hit_probability_limit, mu, mu_threshold_closed
 from .report import Stopwatch, VerificationReport, claim, sweep
-from .setfam import make_weight_counterexample
+from .search import _bits, _columns
+from .setfam import BudgetExceeded, make_weight_counterexample, subsets_of
 from .walks import ENUM_STEP_LIMIT, count_hit, count_miss
 
 DEFAULT_PS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 15))
+VERTEX_LIMIT = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +165,89 @@ def run_measure_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _random_connected_graph(rng: random.Random, size: int, extra: int) -> gr.Graph:
-    edges = set()
+def _check_vertices(size: int) -> None:
+    """A mask graph holds size² bits, so one cap bounds every graph."""
+    if size > VERTEX_LIMIT:
+        raise BudgetExceeded(f"{size} vertices exceed the {VERTEX_LIMIT} cap")
+
+
+def kneser_graph(n: int, k: int) -> list[int]:
+    """The disjointness graph on the k-subsets of [n], in ``subsets_of``
+    order: a vertex is adjacent to every vertex outside the columns of
+    its elements."""
+    if k < 1 or n < 1:
+        raise ValueError("need n, k >= 1")
+    _check_vertices(math.comb(n, k))
+    verts = subsets_of(n, k)
+    full, cols = (1 << len(verts)) - 1, _columns(verts)
+    return [full & ~functools.reduce(operator.or_, (cols[e] for e in _bits(v))) for v in verts]
+
+
+def kneser_spread_cycle(k: int) -> list[frozenset[int]]:
+    """An explicit odd cycle in the disjointness graph of k-sets of
+    [2k+1]: consecutive arcs of length k, stepping by k around the
+    cycle of 2k+1 points."""
+    m = 2 * k + 1
+    cycle = []
+    for i in range(m):
+        start = (i * k) % m
+        cycle.append(frozenset((start + j) % m + 1 for j in range(k)))
+    return cycle
+
+
+def cycle_graph(m: int) -> list[int]:
+    if m < 3:
+        raise ValueError("cycles need at least 3 vertices")
+    return [1 << (i - 1) % m | 1 << (i + 1) % m for i in range(m)]
+
+
+def _layers(adj: Sequence[int]) -> Iterator[list[int]]:
+    """The breadth-first layers of each component, as vertex masks, from
+    its lowest vertex: each layer is the unseen neighbours of the last."""
+    unseen = (1 << len(adj)) - 1
+    while unseen:
+        layers = [unseen & -unseen]
+        while layers[-1]:
+            unseen &= ~layers[-1]
+            reach = functools.reduce(operator.or_, map(adj.__getitem__, _bits(layers[-1])))
+            layers.append(reach & unseen)
+        yield layers[:-1]
+
+
+def is_connected(adj: Sequence[int]) -> bool:
+    return len(list(_layers(adj))) <= 1
+
+
+def is_bipartite(adj: Sequence[int]) -> bool:
+    """2-colourability: breadth-first edges join the same or adjacent
+    layers, so an edge inside a layer closes an odd walk, and otherwise
+    layer parity is a proper 2-colouring."""
+    return not any(adj[v] & layer for layers in _layers(adj) for layer in layers for v in _bits(layer))
+
+
+def direct_product(g: Sequence[int], h: Sequence[int]) -> list[int]:
+    """Tensor product, (u, v) as vertex u·|h| + v: (u, v) ~ (u', v') iff
+    u ~ u' and v ~ v'."""
+    _check_vertices(len(g) * len(h))
+    return [functools.reduce(operator.or_, (h[v] << w * len(h) for w in _bits(g[u])), 0)
+            for u in range(len(g)) for v in range(len(h))]
+
+
+def _edges(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i, row in enumerate(adj) for j in _bits(row) if i < j)
+
+
+def _random_connected_graph(rng: random.Random, size: int, extra: int) -> list[int]:
+    """A random spanning tree on ``size`` vertices plus ``extra`` random edges."""
     order = list(range(size))
     rng.shuffle(order)
-    for idx in range(1, size):
-        a = order[idx]
-        b = order[rng.randrange(idx)]
-        edges.add((min(a, b), max(a, b)))
-    for _ in range(extra):
-        a, b = rng.sample(range(size), 2)
-        edges.add((min(a, b), max(a, b)))
-    return gr.Graph(size, tuple(sorted(edges)))
+    pairs = [(order[idx], order[rng.randrange(idx)]) for idx in range(1, size)]
+    pairs += (rng.sample(range(size), 2) for _ in range(extra))
+    adj = [0] * size
+    for a, b in pairs:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
 
 
 def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[VerificationReport]:
@@ -181,16 +256,16 @@ def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[Verificat
     checked = 0
     for k in range(1, n_max // 2 + 1):
         for n in range(2 * k + 1, n_max + 1):
-            g = gr.kneser_graph(n, k)
+            g = kneser_graph(n, k)
             checked += 1
-            if not gr.is_connected(g) or gr.is_bipartite(g):
+            if not is_connected(g) or is_bipartite(g):
                 bad.append({"n": n, "k": k})
     reports = [
         claim("graph-kneser", not bad, witness={"instances": checked, "bad": bad},
               clock=clock)
     ]
 
-    cyc = gr.kneser_spread_cycle(3)
+    cyc = kneser_spread_cycle(3)
     ok = (
         len(cyc) == 7
         and len(set(cyc)) == 7
@@ -204,16 +279,16 @@ def run_graphs(n_max: int = 9, seed: int = 0, pairs: int = 20) -> list[Verificat
     for _ in range(pairs):
         g = _random_connected_graph(rng, rng.randint(3, 7), rng.randint(0, 5))
         h = _random_connected_graph(rng, rng.randint(3, 7), rng.randint(0, 5))
-        product_connected = gr.is_connected(gr.direct_product(g, h))
-        criterion = not gr.is_bipartite(g) or not gr.is_bipartite(h)
+        product_connected = is_connected(direct_product(g, h))
+        criterion = not is_bipartite(g) or not is_bipartite(h)
         if product_connected != criterion:
-            bad.append({"g": g.edges, "h": h.edges})
-    c3c5 = gr.direct_product(gr.cycle_graph(3), gr.cycle_graph(5))
-    c4c4 = gr.direct_product(gr.cycle_graph(4), gr.cycle_graph(4))
+            bad.append({"g": _edges(g), "h": _edges(h)})
+    c3c5 = direct_product(cycle_graph(3), cycle_graph(5))
+    c4c4 = direct_product(cycle_graph(4), cycle_graph(4))
     fixed_ok = (
-        gr.is_connected(c3c5)
-        and not gr.is_bipartite(c3c5)
-        and not gr.is_connected(c4c4)
+        is_connected(c3c5)
+        and not is_bipartite(c3c5)
+        and not is_connected(c4c4)
     )
     reports.append(
         claim("graph-product", not bad and fixed_ok,

@@ -6,7 +6,9 @@ lines, run the battery without output capture:
     python -m pytest tests/test_acceptance.py -v -s
 
 Tolerances are exact: every comparison is rational against rational,
-or an interval whose whole extent clears the threshold.
+or an interval whose whole extent clears the threshold.  The graph
+suite's helpers are tested beside criterion 9, against definitions that
+share no code with them.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from ekrcross.search import (
 )
 from ekrcross.seq import expected_H_size, make_H, verify_seq_theorem
 from ekrcross.setfam import (
+    BudgetExceeded,
     Family,
     Subset,
     dual_t,
@@ -37,9 +40,20 @@ from ekrcross.setfam import (
     make_uniform_counterexample,
     make_weight_counterexample,
     maximal_cross_partner,
+    subsets_of,
     superset_family,
 )
-from ekrcross.suites import run_graphs, run_measure_oracle, run_walk_oracle
+from ekrcross.suites import (
+    cycle_graph,
+    direct_product,
+    is_bipartite,
+    is_connected,
+    kneser_graph,
+    kneser_spread_cycle,
+    run_graphs,
+    run_measure_oracle,
+    run_walk_oracle,
+)
 from ekrcross.walks import WalkClass, WalkTag, classify, make_probe_walk
 
 from harness_lib import check_member_surplus_exhaustive, check_pair
@@ -385,6 +399,100 @@ class TestCriterion9Graphs:
                f"{kneser_count} disjointness graphs, 20 product pairs, "
                f"{time.perf_counter() - t0:.2f}s")
         assert not bad, bad
+
+
+def _masks(v, edges):
+    adj = [0] * v
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _all_graphs(v):
+    """Every graph on vertices 0..v-1, as (edge list, neighbour masks)."""
+    pairs = list(itertools.combinations(range(v), 2))
+    for chosen in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if chosen >> i & 1]
+        yield edges, _masks(v, edges)
+
+
+class TestGraphFacts:
+    def test_petersen(self):
+        g = kneser_graph(5, 2)
+        assert len(g) == 10 and sum(map(int.bit_count, g)) // 2 == 15
+        assert is_connected(g)
+        assert not is_bipartite(g)
+
+    def test_kneser_adjacency_is_disjointness(self):
+        for n, k in ((1, 1), (4, 2), (5, 2), (7, 3), (8, 1)):
+            verts = subsets_of(n, k)
+            want = [sum(1 << j for j, w in enumerate(verts) if not v & w) for v in verts]
+            assert kneser_graph(n, k) == want, (n, k)
+
+    def test_kneser_sweep(self):
+        for k in (1, 2, 3, 4):
+            for n in range(2 * k + 1, 10):
+                g = kneser_graph(n, k)
+                assert is_connected(g), (n, k)
+                assert not is_bipartite(g), (n, k)
+
+    def test_spread_cycle(self):
+        for k in (2, 3, 4):
+            cyc = kneser_spread_cycle(k)
+            assert len(cyc) == 2 * k + 1
+            assert len(set(cyc)) == 2 * k + 1
+            for idx in range(len(cyc)):
+                assert not cyc[idx] & cyc[(idx + 1) % len(cyc)]
+
+    def test_products(self):
+        c3, c4, c5 = cycle_graph(3), cycle_graph(4), cycle_graph(5)
+        assert is_connected(direct_product(c3, c5))
+        assert not is_bipartite(direct_product(c3, c5))
+        assert not is_connected(direct_product(c4, c4))
+
+    def test_product_with_edge_graph(self):
+        # product with a single edge stays connected for odd-cycle factors
+        k2 = [0b10, 0b01]
+        c5 = cycle_graph(5)
+        assert is_connected(direct_product(c5, k2))
+
+    def test_budgets(self):
+        with pytest.raises(BudgetExceeded):
+            kneser_graph(16, 8)
+        with pytest.raises(BudgetExceeded):
+            direct_product([0] * 100, [0] * 51)
+
+    def test_connectivity_against_edge_search(self):
+        for v in range(6):
+            for edges, adj in _all_graphs(v):
+                reach, grown = {0}, True
+                while grown:
+                    grown = False
+                    for a, b in edges:
+                        if (a in reach) != (b in reach):
+                            reach |= {a, b}
+                            grown = True
+                assert is_connected(adj) == (len(reach) >= v), edges
+
+    def test_bipartite_against_every_colouring(self):
+        for v in range(6):
+            for edges, adj in _all_graphs(v):
+                want = any(all(c >> a & 1 != c >> b & 1 for a, b in edges) for c in range(1 << v))
+                assert is_bipartite(adj) == want, edges
+
+    def test_product_against_its_definition(self):
+        small = [g for v in (1, 2, 3) for g in _all_graphs(v)]
+        small += [(e, _masks(4, e)) for e in ([(0, 1), (1, 2), (2, 3)], [(0, 1), (2, 3)],
+                                             [(0, 1), (0, 2), (0, 3), (1, 2)])]
+        for g_edges, g in small:
+            for h_edges, h in small:
+                want = [0] * (len(g) * len(h))
+                for (u, x), (v, y) in itertools.product(g_edges, h_edges):
+                    for a, b in ((u * len(h) + v, x * len(h) + y), (u * len(h) + y, x * len(h) + v)):
+                        want[a] |= 1 << b
+                        want[b] |= 1 << a
+                assert direct_product(g, h) == want, (g_edges, h_edges)
 
 
 class TestCriterion10Sequences:

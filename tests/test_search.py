@@ -1,4 +1,4 @@
-"""Extremal searches: closure engine, shifted mode, graph facts."""
+"""Extremal searches: closure engine, shifted mode."""
 
 import functools
 import hashlib
@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 import ekrcross.search
 import ekrcross.seq
-from ekrcross import graphs as gr
 from ekrcross.measure import WeightParams, mu
 from ekrcross.search import (
     SearchBudget,
@@ -1574,42 +1573,3 @@ class TestReferenceFamilyRigidity:
                             if is_cross_t_intersecting(a, b, t):
                                 assert a == b
                                 assert are_isomorphic(a, f) is not None
-
-
-class TestGraphFacts:
-    def test_petersen(self):
-        g = gr.kneser_graph(5, 2)
-        assert g.num_vertices == 10 and len(g.edges) == 15
-        assert gr.is_connected(g)
-        assert not gr.is_bipartite(g)
-
-    def test_kneser_sweep(self):
-        for k in (1, 2, 3, 4):
-            for n in range(2 * k + 1, 10):
-                g = gr.kneser_graph(n, k)
-                assert gr.is_connected(g), (n, k)
-                assert not gr.is_bipartite(g), (n, k)
-
-    def test_spread_cycle(self):
-        for k in (2, 3, 4):
-            cyc = gr.kneser_spread_cycle(k)
-            assert len(cyc) == 2 * k + 1
-            assert len(set(cyc)) == 2 * k + 1
-            for idx in range(len(cyc)):
-                assert not cyc[idx] & cyc[(idx + 1) % len(cyc)]
-
-    def test_products(self):
-        c3, c4, c5 = gr.cycle_graph(3), gr.cycle_graph(4), gr.cycle_graph(5)
-        assert gr.is_connected(gr.direct_product(c3, c5))
-        assert not gr.is_bipartite(gr.direct_product(c3, c5))
-        assert not gr.is_connected(gr.direct_product(c4, c4))
-
-    def test_product_with_edge_graph(self):
-        # product with a single edge stays connected for odd-cycle factors
-        k2 = gr.Graph(2, ((0, 1),))
-        c5 = gr.cycle_graph(5)
-        assert gr.is_connected(gr.direct_product(c5, k2))
-
-    def test_budgets(self):
-        with pytest.raises(BudgetExceeded):
-            gr.kneser_graph(16, 8)

@@ -340,6 +340,20 @@ class TestIsomorphism:
         assert len(f0) == len(f1)   # same size here, so frequencies decide
         assert are_isomorphic(f0, f1) is None
 
+    def test_pairs_the_filters_cannot_separate(self):
+        # K3,3 and the triangular prism: 2-uniform on [6], 9 members, every
+        # element of signature (2, 2, 2); only the prism has a triangle.
+        k33 = Family.of(6, ([u, v] for u in (1, 2, 3) for v in (4, 5, 6)), k=2)
+        prism = Family.of(6, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6],
+                              [1, 4], [2, 5], [3, 6]], k=2)
+        assert are_isomorphic(k33, prism) is None
+        assert are_isomorphic(prism, k33) is None
+        relabeled = Family.of(6, ([u, v] for u in (1, 3, 5) for v in (2, 4, 6)), k=2)
+        assert relabeled != k33
+        perm = are_isomorphic(k33, relabeled)
+        assert perm is not None
+        assert Family.of(6, ({perm[e - 1] for e in s} for s in relabeled.member_sets()), k=2) == k33
+
     def test_identity_first(self):
         f = make_threshold_family(6, 1, 0, 3)
         assert are_isomorphic(f, f) == (1, 2, 3, 4, 5, 6)
